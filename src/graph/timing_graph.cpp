@@ -209,17 +209,14 @@ GraphResult TimingGraph::evaluate(std::size_t threads) const {
             response.add_step(node.model.transfer[s], delta, t_fire);
           const double lo = node.pre * node.model.dc[s];
           const double hi = response.final_value();
-          const int direction = hi > lo ? +1 : -1;
-          const auto crossing =
-              response.first_crossing(0.5 * (lo + hi), direction);
-          if (!crossing)
+          const mor::ResponseMetrics measured =
+              response.measure(lo, hi, /*want_rise=*/true);
+          if (!measured.delay_50)
             throw std::runtime_error(
                 "TimingGraph: node " + std::to_string(k) + " output " +
                 node.model.outputs[s] +
                 " never crossed 50% within the (auto-extended) window");
-          metrics.arrival[s] = *crossing;
-          const mor::ResponseMetrics measured =
-              response.measure(lo, hi, /*want_rise=*/true);
+          metrics.arrival[s] = *measured.delay_50;
           metrics.slew[s] = measured.rise_10_90;
           metrics.peak_noise =
               std::max(metrics.peak_noise, measured.peak_noise);

@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "numeric/optimize.h"
 #include "numeric/roots.h"
+#include "obs/metrics.h"
 #include "sim/builders.h"
 
 namespace rlcsim::mor {
@@ -25,6 +28,31 @@ double refine_extremum(const std::function<double(double)>& f, double lo,
              [&](double x) { return sign > 0 ? -f(x) : f(x); }, lo, hi,
              options)
       .x;
+}
+
+// Samples of a uniform scan over `window`: enough to bracket every
+// half-oscillation (32 per period of the fastest ringing pole), with a floor
+// for smooth responses and a cap against pathological requests. The floor
+// only needs to BRACKET a crossing or an extremum (Brent refines it), and a
+// smooth exponential sum's features span many samples at 512 across a
+// 12-tau window.
+std::size_t grid_samples(double window, double max_omega, std::size_t floor) {
+  if (max_omega <= 0.0) return floor;
+  const double oscillations =
+      window * max_omega / (2.0 * 3.14159265358979323846);
+  return std::clamp<std::size_t>(
+      static_cast<std::size_t>(32.0 * oscillations), floor, 1u << 18);
+}
+
+// Where a sample sits relative to a level, with NaN unordered (it brackets
+// nothing, exactly as the `<`/`>=` comparisons it stands for).
+enum class Side { kBelow, kAt, kAbove, kUnordered };
+
+Side side_of(double v, double level) {
+  if (v < level) return Side::kBelow;
+  if (v > level) return Side::kAbove;
+  if (v == level) return Side::kAt;
+  return Side::kUnordered;
 }
 
 }  // namespace
@@ -90,9 +118,9 @@ double AnalyticResponse::value(double t) const {
 }
 
 namespace {
-// Block width of the batched coarse scans. Stack lanes only — the pole loop
-// is hoisted OUTSIDE the lane loop, so each (pole, coefficient) pair is
-// loaded once per block instead of once per sample.
+// Block width of values(). Stack lanes only — the pole loop is hoisted
+// OUTSIDE the lane loop, so each (pole, coefficient) pair is loaded once per
+// block instead of once per sample.
 constexpr std::size_t kScanBlock = 8;
 }  // namespace
 
@@ -152,56 +180,258 @@ double AnalyticResponse::suggested_horizon() const {
   return 12.0 * tau + 2.0 * max_rise_ + max_delay_;
 }
 
+// Recurrence evaluation of the response on one uniform scan grid
+// t_i = t0 + span*i/samples, visited at consecutive i.
+//
+// Every pole term carries e^{p ts} from one sample to the next with a single
+// complex multiply by w = e^{p h}, h = span/samples, instead of a call to
+// std::exp. A term is seeded with a direct exp at its onset (the first
+// sample with ts > 0; a ramp's off-term e^{p (ts - rise)} has its own
+// recurrence, seeded at its own onset, because e^{-p rise} overflows for
+// fast poles) and re-seeded every kReseed samples.
+//
+// estimate(t) is NOT value(t): it drifts from it by at most bound(t). The
+// scans use an estimate only for a decision the bound settles (which side
+// of a level a sample lies on, or whether it beats a running extremum) and
+// re-evaluate with value() otherwise, so every decision — and every result
+// bit — is the exact scan's.
+//
+// Derivation of bound(t) = 2 (b0 + b1 |t|), u = unit roundoff, K = kReseed,
+// T = max |t| on the grid, per contribution S = sum |a|, Q = sum |a||p|
+// over its n terms (a = r/p or r/p^2). Stable poles only (|e^{p ts}| <= 1);
+// an unstable pole makes the bound infinite and every sample exact.
+//  * Term drift. value() evaluates exp(fl(p ts_i)) with ts_i = fl(t_i - d)
+//    and t_i = fl(t0 + fl(fl(span i) / samples)): ts_i sits within 4uT of
+//    the ideal grid time, and each exp is within ~4u of its rounded
+//    argument. The recurrence is an exact seed at a sample j (also within
+//    4uT) times m <= K factors w, each within u(|p|h + 4) of e^{p h}
+//    (itself h within u h, m h <= T) and each multiply within ~3u. Summed:
+//    |estimate - exact| of one term <= |a| u ((8 + 7K) + 11 |p| T); the
+//    constants are rounded up to 16 + 7K and 16 |p| T.
+//  * Summation. Both paths add n terms of magnitude <= 2|a| (e - 1 for
+//    ramps) with one rounding per product/add: <= 4 (n + 4) u S for both
+//    together.
+//  * Assembly. A step contribution delta (dc + s) rounds twice per path
+//    against |delta| (|dc| + S). A ramp's z(x) = dc x + s rounds once per
+//    path against |dc x| + 2S; both z's and both paths give
+//    (4u |dc| ts + 8uS) |delta| / rise with ts <= |t| — the b1 term. The
+//    dc x products themselves are computed identically on both paths and
+//    contribute nothing. (z_on - z_off) / rise * delta rounds three times
+//    per path against |delta| (|dc| + 4S / rise).
+//  * Superposition adds each contribution to the running sum: one rounding
+//    per add per path against |dc_offset| + sum of contribution bounds.
+// The final factor 2 is slack for the first-order (1 + x)^K ~ 1 + Kx steps.
+class AnalyticResponse::Scanner {
+ public:
+  static constexpr int kReseed = 64;
+
+  Scanner(const AnalyticResponse& response, double t0, double span,
+          std::size_t samples)
+      : response_(response), t0_(t0), span_(span), samples_(samples) {
+    constexpr double u = std::numeric_limits<double>::epsilon() / 2.0;
+    const double h = span / static_cast<double>(samples);
+    const double t_max = std::max(std::fabs(t0), std::fabs(t0 + span));
+    double d_min = std::numeric_limits<double>::infinity();
+    double b0 = 0.0, b1 = 0.0, contribution_sum = 0.0;
+    bool stable = true;
+    for (const Contribution& c : response.contributions_) {
+      Piece piece;
+      piece.begin = poles_.size();
+      double s = 0.0, q = 0.0;
+      for (const auto& [p, a] : c.terms) {
+        const Complex w = std::exp(p * h);
+        poles_.push_back(p);
+        wr_.push_back(w.real());
+        wi_.push_back(w.imag());
+        ar_.push_back(a.real());
+        ai_.push_back(a.imag());
+        piece.sum_re_a += a.real();
+        s += std::abs(a);
+        q += std::abs(a) * std::abs(p);
+        stable = stable && p.real() <= 0.0;
+      }
+      piece.end = poles_.size();
+      pieces_.push_back(piece);
+      d_min = std::min(d_min, c.delay);
+
+      const double n = static_cast<double>(c.terms.size());
+      const double drift =
+          u * ((16.0 + 7.0 * kReseed + 4.0 * (n + 4.0)) * s + 16.0 * t_max * q);
+      const double delta = std::fabs(c.delta), dc = std::fabs(c.dc);
+      if (c.rise == 0.0) {
+        const double magnitude = delta * (dc + s);
+        b0 += delta * drift + 4.0 * u * magnitude;
+        contribution_sum += magnitude;
+      } else {
+        const double magnitude = delta * (dc + 4.0 * s / c.rise);
+        b0 += delta / c.rise * (2.0 * drift + 8.0 * u * s) +
+              6.0 * u * magnitude;
+        b1 += 4.0 * u * delta * dc / c.rise;
+        contribution_sum += magnitude;
+      }
+    }
+    b0 += 2.0 * u * static_cast<double>(pieces_.size()) *
+          (std::fabs(response.dc_offset_) + contribution_sum);
+    if (!stable || !std::isfinite(b0) || !std::isfinite(b1)) {
+      b0 = std::numeric_limits<double>::infinity();
+      b1 = 0.0;
+    }
+    bound0_ = 2.0 * b0;
+    bound1_ = 2.0 * b1;
+    zr_.assign(poles_.size(), 0.0);
+    zi_.assign(poles_.size(), 0.0);
+    zr_off_.assign(poles_.size(), 0.0);
+    zi_off_.assign(poles_.size(), 0.0);
+
+    // Dead time: before the earliest onset every contribution is exactly 0,
+    // so value() is dc_offset_ and no sample there can bracket a level or
+    // beat an extremum. The first live index is the first t_i > d_min
+    // (t_i - d > 0 iff t_i > d for finite doubles).
+    first_live_ = samples + 1;
+    if (point(samples) > d_min) {
+      const double x =
+          std::floor((d_min - t0) / span * static_cast<double>(samples));
+      std::size_t i = x < 1.0 ? 1
+                      : x > static_cast<double>(samples)
+                          ? samples
+                          : static_cast<std::size_t>(x);
+      while (i > 1 && point(i - 1) > d_min) --i;
+      while (!(point(i) > d_min)) ++i;
+      first_live_ = i;
+    }
+  }
+
+  // Grid time of sample i, in exactly the operation order the scans use.
+  double point(std::size_t i) const {
+    return t0_ + span_ * static_cast<double>(i) / static_cast<double>(samples_);
+  }
+  // First sample past the earliest onset (samples + 1 if none is).
+  std::size_t first_live() const { return first_live_; }
+  // |estimate(t) - value(t)| <= bound(t); +inf when no bound holds.
+  double bound(double t) const { return bound0_ + bound1_ * std::fabs(t); }
+
+  // Recurrence estimate of value(t) for t = point(i); successive calls must
+  // visit consecutive i starting at first_live().
+  double estimate(double t) {
+    double v = response_.dc_offset_;
+    for (std::size_t k = 0; k < pieces_.size(); ++k) {
+      const Contribution& c = response_.contributions_[k];
+      Piece& piece = pieces_[k];
+      const double ts = t - c.delay;
+      if (!(ts > 0.0)) continue;
+      const double on = advance(piece.on, piece, ts, zr_.data(), zi_.data());
+      if (c.rise == 0.0) {
+        v += c.delta * (c.dc + on);
+        continue;
+      }
+      const double tau = ts - c.rise;
+      const double z_on = c.dc * ts + (on - piece.sum_re_a);
+      const double z_off =
+          tau > 0.0
+              ? c.dc * tau + (advance(piece.off, piece, tau, zr_off_.data(),
+                                      zi_off_.data()) -
+                              piece.sum_re_a)
+              : 0.0;
+      v += c.delta * (z_on - z_off) / c.rise;
+    }
+    return v;
+  }
+
+ private:
+  struct Piece {
+    std::size_t begin = 0, end = 0;  // the contribution's terms
+    double sum_re_a = 0.0;           // sum Re(a): the ramp's "- 1" terms
+    int on = -1, off = -1;  // samples since the last seed; -1 = not yet live
+  };
+
+  // Moves one term set to the current sample — a direct exp at onset and
+  // every kReseed samples, one multiply by w otherwise — and returns
+  // sum Re(a z).
+  double advance(int& age, const Piece& piece, double x, double* zr,
+                 double* zi) {
+    double sum = 0.0;
+    if (age < 0 || age == kReseed) {
+      age = 0;
+      for (std::size_t k = piece.begin; k < piece.end; ++k) {
+        const Complex z = std::exp(poles_[k] * x);
+        zr[k] = z.real();
+        zi[k] = z.imag();
+        sum += ar_[k] * zr[k] - ai_[k] * zi[k];
+      }
+      return sum;
+    }
+    ++age;
+    for (std::size_t k = piece.begin; k < piece.end; ++k) {
+      const double re = zr[k] * wr_[k] - zi[k] * wi_[k];
+      const double im = zr[k] * wi_[k] + zi[k] * wr_[k];
+      zr[k] = re;
+      zi[k] = im;
+      sum += ar_[k] * re - ai_[k] * im;
+    }
+    return sum;
+  }
+
+  const AnalyticResponse& response_;
+  double t0_, span_;
+  std::size_t samples_;
+  std::size_t first_live_ = 0;
+  double bound0_ = 0.0, bound1_ = 0.0;
+  std::vector<Piece> pieces_;
+  std::vector<Complex> poles_;
+  // Structure of arrays over every term of every contribution.
+  std::vector<double> wr_, wi_, ar_, ai_, zr_, zi_, zr_off_, zi_off_;
+};
+
 std::optional<double> AnalyticResponse::first_crossing(double level,
                                                        int direction,
                                                        double t_from) const {
   double window = suggested_horizon();
-  for (int attempt = 0; attempt < 4; ++attempt) {
-    // Enough samples to bracket every half-oscillation in the window, with a
-    // floor for smooth responses and a cap against pathological requests.
-    // The floor only needs to BRACKET the crossing (Brent refines it), and a
-    // smooth exponential sum's features span many samples at 512 across a
-    // 12-tau window — this scan is the repeater-bus composition's hot path.
-    std::size_t samples = 512;
-    if (max_omega_ > 0.0) {
-      const double oscillations = window * max_omega_ / (2.0 * 3.14159265358979323846);
-      samples = std::clamp<std::size_t>(
-          static_cast<std::size_t>(32.0 * oscillations), samples, 1u << 18);
-    }
-    double prev_t = t_from;
-    double prev_v = value(prev_t);
-    // Coarse scan in blocks: sample times are batch-evaluated (values() is
-    // bit-identical to per-sample value() calls), then the bracket test
-    // walks the block scalar — so the bracket found, and the Brent result
-    // refined from it, match the sample-at-a-time scan exactly.
-    std::array<double, 8> block_t, block_v;
-    for (std::size_t i = 1; i <= samples; i += block_t.size()) {
-      const std::size_t w = std::min(block_t.size(), samples - i + 1);
-      for (std::size_t k = 0; k < w; ++k)
-        block_t[k] = t_from + window * static_cast<double>(i + k) /
-                                  static_cast<double>(samples);
-      values(block_t.data(), block_v.data(), w);
-      for (std::size_t k = 0; k < w; ++k) {
-        const double t = block_t[k];
-        const double v = block_v[k];
-        const bool rising = prev_v < level && v >= level;
-        const bool falling = prev_v > level && v <= level;
-        if ((direction >= 0 && rising) || (direction <= 0 && falling)) {
-          // Absolute x tolerance scaled to the time window: the default
-          // 1e-12 is meant for O(1) roots and would stop 3 decades early on
-          // nanosecond-scale crossings.
-          numeric::RootOptions tolerance;
-          tolerance.x_tolerance = 1e-14 * window;
-          return numeric::brent([&](double x) { return value(x) - level; },
-                                prev_t, t, tolerance);
-        }
-        prev_t = t;
-        prev_v = v;
+  std::uint64_t walked = 0, exact = 0;
+  std::optional<double> crossing;
+  for (int attempt = 0; attempt < 4 && !crossing; ++attempt, window *= 4.0) {
+    const std::size_t samples = grid_samples(window, max_omega_, 512);
+    Scanner scan(*this, t_from, window, samples);
+    // Samples before first_live() all equal value(t_from), so none of them
+    // brackets: the walk resumes at the last dead grid point with its side.
+    std::size_t i = scan.first_live();
+    double prev_t = i > 1 ? scan.point(i - 1) : t_from;
+    Side prev = side_of(value(t_from), level);
+    for (; i <= samples; ++i) {
+      const double t = scan.point(i);
+      const double gap = scan.estimate(t) - level;
+      const double bound = scan.bound(t);
+      Side side;
+      if (gap > bound) {
+        side = Side::kAbove;
+      } else if (gap < -bound) {
+        side = Side::kBelow;
+      } else {
+        ++exact;
+        side = side_of(value(t), level);
       }
+      const bool rising =
+          prev == Side::kBelow && (side == Side::kAt || side == Side::kAbove);
+      const bool falling =
+          prev == Side::kAbove && (side == Side::kAt || side == Side::kBelow);
+      if ((direction >= 0 && rising) || (direction <= 0 && falling)) {
+        // Absolute x tolerance scaled to the time window: the default 1e-12
+        // is meant for O(1) roots and would stop 3 decades early on
+        // nanosecond-scale crossings.
+        numeric::RootOptions tolerance;
+        tolerance.x_tolerance = 1e-14 * window;
+        crossing = numeric::brent([&](double x) { return value(x) - level; },
+                                  prev_t, t, tolerance);
+        ++i;
+        break;
+      }
+      prev_t = t;
+      prev = side;
     }
-    window *= 4.0;
+    walked += i - std::min(i, scan.first_live());
   }
-  return std::nullopt;
+  OBS_COUNTER_ADD("mor.scan_samples", walked);
+  OBS_COUNTER_ADD("mor.scan_exact_fallbacks", exact);
+  return crossing;
 }
 
 ResponseMetrics AnalyticResponse::measure(double drive_lo, double drive_hi,
@@ -225,34 +455,57 @@ ResponseMetrics AnalyticResponse::measure(double drive_lo, double drive_hi,
   // floor mirrors first_crossing's: Brent sharpens whatever the coarse scan
   // brackets, and peaks of a smooth exponential sum span many samples).
   const double horizon = suggested_horizon();
-  std::size_t samples = 1024;
-  if (max_omega_ > 0.0) {
-    const double oscillations =
-        horizon * max_omega_ / (2.0 * 3.14159265358979323846);
-    samples = std::clamp<std::size_t>(
-        static_cast<std::size_t>(32.0 * oscillations), samples, 1u << 18);
-  }
-  double max_v = value(0.0), min_v = max_v;
-  std::size_t max_i = 0, min_i = 0;
-  std::array<double, 8> block_t, block_v;
-  for (std::size_t i = 1; i <= samples; i += block_t.size()) {
-    const std::size_t w = std::min(block_t.size(), samples - i + 1);
-    for (std::size_t k = 0; k < w; ++k)
-      block_t[k] = horizon * static_cast<double>(i + k) /
-                   static_cast<double>(samples);
-    values(block_t.data(), block_v.data(), w);
-    for (std::size_t k = 0; k < w; ++k) {
-      const double v = block_v[k];
-      if (v > max_v) {
-        max_v = v;
-        max_i = i + k;
+  const std::size_t samples = grid_samples(horizon, max_omega_, 1024);
+  Scanner scan(*this, 0.0, horizon, samples);
+  // A running extremum is held either exactly or as an estimate (error <=
+  // bound, which only grows with t); a sample beats it for certain when the
+  // estimates differ by more than twice the bound, and is compared exactly
+  // otherwise. Dead-time samples equal value(0.0) and never beat it.
+  struct Extremum {
+    double v;
+    std::size_t i = 0;
+    bool exact = true;
+  };
+  Extremum hi{value(0.0)}, lo{hi.v};
+  std::uint64_t exact = 0;
+  const auto settle = [&](Extremum& e) {
+    if (e.exact) return;
+    e.v = value(scan.point(e.i));
+    e.exact = true;
+    ++exact;
+  };
+  for (std::size_t i = scan.first_live(); i <= samples; ++i) {
+    const double t = scan.point(i);
+    const double estimate = scan.estimate(t);
+    const double bound = 2.0 * scan.bound(t);
+    double v = 0.0;
+    bool evaluated = false;
+    const auto exact_v = [&] {
+      if (!evaluated) {
+        v = value(t);
+        evaluated = true;
+        ++exact;
       }
-      if (v < min_v) {
-        min_v = v;
-        min_i = i + k;
-      }
+      return v;
+    };
+    if (estimate - hi.v > bound) {
+      hi = {estimate, i, false};
+    } else if (!(estimate - hi.v < -bound)) {
+      settle(hi);
+      if (exact_v() > hi.v) hi = {v, i, true};
+    }
+    if (lo.v - estimate > bound) {
+      lo = {estimate, i, false};
+    } else if (!(lo.v - estimate < -bound)) {
+      settle(lo);
+      if (exact_v() < lo.v) lo = {v, i, true};
     }
   }
+  settle(hi);
+  settle(lo);
+  OBS_COUNTER_ADD("mor.scan_samples",
+                  samples + 1 - std::min(samples + 1, scan.first_live()));
+  OBS_COUNTER_ADD("mor.scan_exact_fallbacks", exact);
   const auto refine = [&](std::size_t i, int sign, double coarse) {
     if (i == 0 || i == samples) return coarse;
     const double dt = horizon / static_cast<double>(samples);
@@ -261,8 +514,8 @@ ResponseMetrics AnalyticResponse::measure(double drive_lo, double drive_hi,
                                      static_cast<double>(i + 1) * dt, sign);
     return sign > 0 ? std::max(coarse, value(t)) : std::min(coarse, value(t));
   };
-  metrics.peak_value = refine(max_i, +1, max_v);
-  metrics.min_value = refine(min_i, -1, min_v);
+  metrics.peak_value = refine(hi.i, +1, hi.v);
+  metrics.min_value = refine(lo.i, -1, lo.v);
 
   const double envelope_lo = std::min(drive_lo, drive_hi);
   const double envelope_hi = std::max(drive_lo, drive_hi);

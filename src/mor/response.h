@@ -16,7 +16,12 @@
 // Crossing searches mirror sim::run_until_crossing semantics: a scan window
 // derived from the model's own time constants, auto-extended x4 up to 4
 // attempts, then sub-sample refinement (Brent) — but each probe evaluates
-// the closed form directly.
+// the closed form directly. The coarse scans step every pole term along the
+// uniform grid by a geometric recurrence (one complex multiply per sample)
+// and start past the earliest onset; a sample whose recurrence value lies
+// within the scan's drift bound of the decision it feeds is re-evaluated
+// with value(), so brackets, extremum indices and every result bit equal an
+// exact scan's.
 #pragma once
 
 #include <complex>
@@ -59,12 +64,11 @@ class AnalyticResponse {
 
   double value(double t) const;
   // Batched evaluation: out[i] = value(times[i]) for `count` samples,
-  // evaluated ONE POLE-LOOP PASS PER CONTRIBUTION across a block of lanes
-  // (internally chunked to 8) instead of re-walking every contribution's
-  // term list per sample — the amortization the coarse crossing/extrema
-  // scans ride. Per-sample results are bit-identical to value(): each lane
-  // accumulates dc offset, contributions, and pole terms in the exact
-  // scalar order, with the same exact-zero onset guards.
+  // evaluated one pole-loop pass per contribution across a block of lanes
+  // (internally chunked to 8). Per-sample results are bit-identical to
+  // value(): each lane accumulates dc offset, contributions, and pole terms
+  // in the exact scalar order, with the same exact-zero onset guards. It is
+  // the exact reference the recurrence scans are tested against.
   void values(const double* times, double* out, std::size_t count) const;
   double initial_value() const { return value(0.0); }
   double final_value() const;
@@ -98,6 +102,8 @@ class AnalyticResponse {
     std::vector<std::pair<std::complex<double>, std::complex<double>>> terms;
   };
   double contribution_value(const Contribution& c, double t) const;
+  // The coarse scans' recurrence evaluator (response.cpp).
+  class Scanner;
 
   double dc_offset_ = 0.0;
   std::vector<Contribution> contributions_;

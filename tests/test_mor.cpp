@@ -3,9 +3,14 @@
 // reductions against the MNA transient oracle, the analytic response
 // metrics, the reduced crosstalk path, and the sweep engine's reduced
 // analyses (one symbolic factorization, bit-identical at any thread count).
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <cstring>
+#include <optional>
+#include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +20,8 @@
 #include "mor/moments.h"
 #include "mor/reduce.h"
 #include "mor/response.h"
+#include "numeric/optimize.h"
+#include "numeric/roots.h"
 #include "numeric/sparse.h"
 #include "sim/builders.h"
 #include "sweep/sweep.h"
@@ -343,6 +350,346 @@ TEST(AnalyticResponse, NeverCrossingIsAbsent) {
   mor::AnalyticResponse response;
   response.add_step(model, 1.0);
   EXPECT_FALSE(response.first_crossing(0.9).has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Recurrence scan vs exact scan (differential)
+// ---------------------------------------------------------------------------
+//
+// first_crossing() and measure() step pole terms by a geometric recurrence
+// and fall back to value() near a decision. The oracle below is the plain
+// exact scan: every grid sample through values(), every sample walked from
+// t = t_from. Results must agree BIT FOR BIT.
+
+std::size_t oracle_samples(double window, double max_omega,
+                           std::size_t floor) {
+  if (max_omega <= 0.0) return floor;
+  const double oscillations =
+      window * max_omega / (2.0 * 3.14159265358979323846);
+  return std::clamp<std::size_t>(
+      static_cast<std::size_t>(32.0 * oscillations), floor, 1u << 18);
+}
+
+// Exact scan grid t_i = t0 + span*i/samples (i = 0..samples), via values().
+std::vector<double> oracle_grid(const mor::AnalyticResponse& r, double t0,
+                                double span, std::size_t samples,
+                                std::vector<double>* values) {
+  std::vector<double> t(samples + 1);
+  for (std::size_t i = 0; i <= samples; ++i)
+    t[i] = t0 + span * static_cast<double>(i) / static_cast<double>(samples);
+  t[0] = t0;
+  values->assign(samples + 1, 0.0);
+  r.values(t.data(), values->data(), t.size());
+  return t;
+}
+
+std::optional<double> oracle_crossing(const mor::AnalyticResponse& r,
+                                      double max_omega, double level,
+                                      int direction, double t_from = 0.0) {
+  double window = r.suggested_horizon();
+  for (int attempt = 0; attempt < 4; ++attempt, window *= 4.0) {
+    const std::size_t samples = oracle_samples(window, max_omega, 512);
+    double prev_t = t_from;
+    double prev_v = r.value(t_from);
+    // Evaluated in chunks so an early bracket stops the exact work early.
+    std::vector<double> t, v;
+    for (std::size_t base = 1; base <= samples; base += 256) {
+      const std::size_t n = std::min<std::size_t>(256, samples - base + 1);
+      t.resize(n);
+      v.resize(n);
+      for (std::size_t k = 0; k < n; ++k)
+        t[k] = t_from + window * static_cast<double>(base + k) /
+                            static_cast<double>(samples);
+      r.values(t.data(), v.data(), n);
+      for (std::size_t k = 0; k < n; ++k) {
+        const bool rising = prev_v < level && v[k] >= level;
+        const bool falling = prev_v > level && v[k] <= level;
+        if ((direction >= 0 && rising) || (direction <= 0 && falling)) {
+          numeric::RootOptions tolerance;
+          tolerance.x_tolerance = 1e-14 * window;
+          return numeric::brent(
+              [&](double x) { return r.value(x) - level; }, prev_t, t[k],
+              tolerance);
+        }
+        prev_t = t[k];
+        prev_v = v[k];
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+mor::ResponseMetrics oracle_measure(const mor::AnalyticResponse& r,
+                                    double max_omega, double lo, double hi) {
+  mor::ResponseMetrics m;
+  const double swing = hi - lo;
+  const int direction = swing > 0.0 ? +1 : -1;
+  if (swing != 0.0) {
+    m.delay_50 = oracle_crossing(r, max_omega, lo + 0.5 * swing, direction);
+    const auto t10 = oracle_crossing(r, max_omega, lo + 0.1 * swing, direction);
+    if (t10) {
+      const auto t90 =
+          oracle_crossing(r, max_omega, lo + 0.9 * swing, direction, *t10);
+      if (t90) m.rise_10_90 = *t90 - *t10;
+    }
+  }
+  const double horizon = r.suggested_horizon();
+  const std::size_t samples = oracle_samples(horizon, max_omega, 1024);
+  std::vector<double> v;
+  oracle_grid(r, 0.0, horizon, samples, &v);
+  const std::size_t max_i = static_cast<std::size_t>(
+      std::max_element(v.begin(), v.end()) - v.begin());
+  const std::size_t min_i = static_cast<std::size_t>(
+      std::min_element(v.begin(), v.end()) - v.begin());
+  const auto refine = [&](std::size_t i, int sign, double coarse) {
+    if (i == 0 || i == samples) return coarse;
+    const double dt = horizon / static_cast<double>(samples);
+    numeric::MinimizeOptions options;
+    const double b = static_cast<double>(i + 1) * dt;
+    options.x_tolerance = 1e-14 * std::max(std::fabs(b), 1e-300);
+    const double t =
+        numeric::brent_min(
+            [&](double x) { return sign > 0 ? -r.value(x) : r.value(x); },
+            static_cast<double>(i - 1) * dt, b, options)
+            .x;
+    return sign > 0 ? std::max(coarse, r.value(t))
+                    : std::min(coarse, r.value(t));
+  };
+  m.peak_value = refine(max_i, +1, v[max_i]);
+  m.min_value = refine(min_i, -1, v[min_i]);
+  const double envelope_lo = std::min(lo, hi), envelope_hi = std::max(lo, hi);
+  m.peak_noise =
+      std::max({0.0, envelope_lo - m.min_value, m.peak_value - envelope_hi});
+  if (swing != 0.0) {
+    const double past_final =
+        direction > 0 ? m.peak_value - hi : hi - m.min_value;
+    m.overshoot = std::max(0.0, past_final / std::fabs(swing));
+  }
+  return m;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool same_bits(const std::optional<double>& a, const std::optional<double>& b) {
+  return a.has_value() == b.has_value() && (!a || same_bits(*a, *b));
+}
+
+::testing::AssertionResult same_metrics(const mor::ResponseMetrics& a,
+                                        const mor::ResponseMetrics& b) {
+  if (same_bits(a.delay_50, b.delay_50) &&
+      same_bits(a.rise_10_90, b.rise_10_90) &&
+      same_bits(a.overshoot, b.overshoot) &&
+      same_bits(a.peak_noise, b.peak_noise) &&
+      same_bits(a.peak_value, b.peak_value) &&
+      same_bits(a.min_value, b.min_value))
+    return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "peak " << a.peak_value << " vs " << b.peak_value << ", min "
+         << a.min_value << " vs " << b.min_value << ", delay "
+         << a.delay_50.value_or(-1) << " vs " << b.delay_50.value_or(-1);
+}
+
+// Seeded uniform draws from the raw 64-bit engine output (portable bits,
+// unlike the std distributions).
+struct Draw {
+  explicit Draw(std::uint64_t seed) : engine(seed) {}
+  double uniform(double lo, double hi) {
+    return lo + (hi - lo) * static_cast<double>(engine() >> 11) * 0x1p-53;
+  }
+  double log_uniform(double lo, double hi) {
+    return std::exp(uniform(std::log(lo), std::log(hi)));
+  }
+  bool coin(double p) { return uniform(0.0, 1.0) < p; }
+  std::mt19937_64 engine;
+};
+
+// A random stable pole-residue model: real poles and conjugate pairs with
+// time constants in [10 ps, 100 ps]; `cancel` adds a near-coincident real pair
+// whose residues are ~1e4 larger than the response they sum to.
+mor::PoleResidueModel random_model(Draw& draw, bool cancel) {
+  mor::PoleResidueModel m;
+  const int real = static_cast<int>(draw.uniform(0.0, 2.99));
+  const int pairs = static_cast<int>(draw.uniform(real == 0 ? 1.0 : 0.0, 2.99));
+  for (int k = 0; k < real; ++k) {
+    const double rate = 1.0 / draw.log_uniform(1e-11, 1e-10);
+    m.poles.emplace_back(-rate, 0.0);
+    m.residues.emplace_back(rate * draw.uniform(-0.5, 1.5), 0.0);
+  }
+  for (int k = 0; k < pairs; ++k) {
+    const double rate = 1.0 / draw.log_uniform(1e-11, 1e-10);
+    const std::complex<double> p(-rate, rate * draw.log_uniform(0.05, 3.0));
+    const std::complex<double> r(rate * draw.uniform(-1.0, 1.0),
+                                 rate * draw.uniform(-1.0, 1.0));
+    m.poles.push_back(p);
+    m.poles.push_back(std::conj(p));
+    m.residues.push_back(r);
+    m.residues.push_back(std::conj(r));
+  }
+  if (cancel) {
+    const double rate = 1.0 / draw.log_uniform(1e-11, 1e-10);
+    const double big = 1e4 * rate;
+    m.poles.emplace_back(-rate, 0.0);
+    m.residues.emplace_back(big, 0.0);
+    m.poles.emplace_back(-rate * (1.0 + 1e-4), 0.0);
+    m.residues.emplace_back(-big * (1.0 + 1e-4), 0.0);
+  }
+  for (std::size_t k = 0; k < m.poles.size(); ++k)
+    m.dc_gain -= (m.residues[k] / m.poles[k]).real();
+  m.order = static_cast<int>(m.poles.size());
+  m.requested_order = m.order;
+  m.delay = draw.coin(0.5) ? 0.0 : draw.log_uniform(1e-13, 1e-10);
+  return m;
+}
+
+double max_omega_of(const std::vector<mor::PoleResidueModel>& models) {
+  double w = 0.0;
+  for (const auto& m : models)
+    for (const auto& p : m.poles) w = std::max(w, std::fabs(p.imag()));
+  return w;
+}
+
+// Checks every scan entry point of `r` against the oracle at levels spread
+// over its range, the first-crossing levels at t_from = 0 and t_from > 0.
+void expect_scans_match(const mor::AnalyticResponse& r, double max_omega,
+                        double lo, std::vector<double> extra_levels,
+                        const std::string& label) {
+  const double hi = r.final_value();
+  EXPECT_TRUE(same_metrics(r.measure(lo, hi),
+                           oracle_measure(r, max_omega, lo, hi)))
+      << label;
+  const mor::ResponseMetrics quiet = r.measure(lo, lo, false);
+  EXPECT_TRUE(same_metrics(quiet, oracle_measure(r, max_omega, lo, lo)))
+      << label;
+  std::vector<double> levels = std::move(extra_levels);
+  for (double f : {0.1, 0.5, 0.9}) levels.push_back(lo + f * (hi - lo));
+  // Tangent to the extrema: the scan decides on an exact tie with, and a
+  // one-ulp margin inside, the coarse peak and trough samples.
+  levels.push_back(quiet.peak_value);
+  levels.push_back(std::nextafter(quiet.peak_value, -1e300));
+  levels.push_back(quiet.min_value);
+  levels.push_back(std::nextafter(quiet.min_value, 1e300));
+  for (const double level : levels)
+    EXPECT_TRUE(same_bits(r.first_crossing(level, 0),
+                          oracle_crossing(r, max_omega, level, 0)))
+        << label << " level " << level;
+  // A scan that starts mid-window, past some of the onsets.
+  const double level = lo + 0.5 * (hi - lo);
+  const double from = 0.37 * r.suggested_horizon();
+  EXPECT_TRUE(same_bits(r.first_crossing(level, 0, from),
+                        oracle_crossing(r, max_omega, level, 0, from)))
+      << label << " t_from " << from;
+}
+
+TEST(AnalyticScan, RecurrenceMatchesExactScanOnRandomModels) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    Draw draw(seed);
+    std::vector<mor::PoleResidueModel> models;
+    const int contributions = 1 + static_cast<int>(draw.uniform(0.0, 2.99));
+    for (int c = 0; c < contributions; ++c)
+      models.push_back(random_model(draw, draw.coin(0.3)));
+    const double lo = draw.uniform(-0.5, 0.5);
+    mor::AnalyticResponse r(lo);
+    for (const auto& m : models) {
+      const double delta = draw.uniform(-1.5, 1.5);
+      const double start =
+          draw.coin(0.4) ? 0.0 : draw.log_uniform(1e-13, 5e-10);
+      // Ramps from far below one scan step to a large share of the window.
+      const double rise = draw.coin(0.3) ? 0.0 : draw.log_uniform(1e-18, 5e-10);
+      r.add_ramp(m, delta, rise, start);
+    }
+    expect_scans_match(r, max_omega_of(models), lo, {},
+                       "seed " + std::to_string(seed));
+  }
+}
+
+TEST(AnalyticScan, OnsetsExactlyOnGridPoints) {
+  for (std::uint64_t seed = 200; seed < 230; ++seed) {
+    Draw draw(seed);
+    mor::PoleResidueModel m = random_model(draw, false);
+    m.delay = 0.0;
+    const std::vector<mor::PoleResidueModel> models = {m};
+    // The late onset fixes the horizon; the second onset then lands exactly
+    // on a grid point of the measure scan (even seeds) or of the first
+    // crossing scan (odd seeds) without moving it.
+    const double rise = draw.coin(0.5) ? 0.0 : draw.log_uniform(1e-13, 1e-10);
+    mor::AnalyticResponse r;
+    r.add_ramp(m, 0.6, rise, 4e-10);
+    const double horizon = r.suggested_horizon();
+    const std::size_t samples = oracle_samples(
+        horizon, max_omega_of(models), seed % 2 == 0 ? 1024 : 512);
+    const std::size_t i =
+        1 + static_cast<std::size_t>(draw.uniform(0.0, 0.3) *
+                                     static_cast<double>(samples));
+    const double onset =
+        horizon * static_cast<double>(i) / static_cast<double>(samples);
+    ASSERT_LT(onset, 4e-10);
+    r.add_ramp(m, 0.4, rise, onset);
+    expect_scans_match(r, max_omega_of(models), 0.0, {},
+                       "seed " + std::to_string(seed));
+  }
+}
+
+TEST(AnalyticScan, QuietVictimGlitchLevelTangentToPeak) {
+  // Opposite-sign aggressor contributions on a quiet victim: a bump that
+  // returns to the quiet level. The glitch test level sits exactly on, and
+  // one ulp inside, the coarse peak sample.
+  for (std::uint64_t seed = 300; seed < 320; ++seed) {
+    Draw draw(seed);
+    mor::PoleResidueModel m = random_model(draw, false);
+    const std::vector<mor::PoleResidueModel> models = {m};
+    mor::AnalyticResponse r(0.0);
+    const double rise = draw.log_uniform(1e-12, 1e-10);
+    r.add_ramp(m, 1.0, rise, 0.0);
+    r.add_ramp(m, -1.0, rise, draw.log_uniform(1e-12, 1e-10));
+    const mor::ResponseMetrics quiet = r.measure(0.0, 0.0, false);
+    expect_scans_match(r, max_omega_of(models), 0.0,
+                       {quiet.peak_value, 0.5 * quiet.peak_value},
+                       "seed " + std::to_string(seed));
+  }
+}
+
+TEST(AnalyticScan, WindowExtensionsAndNeverCrossing) {
+  // A slow tail: 1 - 1e-9 of the final value is reached only after the
+  // window has been extended; 1.5x is never reached at all.
+  mor::PoleResidueModel m;
+  m.poles = {{-1e9, 0.0}, {-3e10, 2e10}, {-3e10, -2e10}};
+  m.residues = {{1e9, 0.0}, {1e9, 5e8}, {1e9, -5e8}};
+  for (std::size_t k = 0; k < m.poles.size(); ++k)
+    m.dc_gain -= (m.residues[k] / m.poles[k]).real();
+  const std::vector<mor::PoleResidueModel> models = {m};
+  mor::AnalyticResponse r;
+  r.add_ramp(m, 1.0, 5e-11, 1e-10);
+  const double hi = r.final_value();
+  for (const double f : {1.0 - 1e-9, 1.0 - 1e-12, 1.5}) {
+    const auto fast = r.first_crossing(f * hi);
+    EXPECT_TRUE(same_bits(
+        fast, oracle_crossing(r, max_omega_of(models), f * hi, +1)))
+        << f;
+    if (f == 1.5) {
+      EXPECT_FALSE(fast.has_value());
+    }
+  }
+}
+
+TEST(AnalyticScan, LongestGridMatches) {
+  // A lightly damped ringing pair against a slow real pole: the scans hit
+  // the 2^18-sample cap.
+  mor::PoleResidueModel m;
+  const double slow = 1e8;
+  const double omega = 2.0 * 3.14159265358979323846 * 8192.0 /
+                       (12.0 / slow) * 2.0;
+  m.poles = {{-slow, 0.0}, {-omega * 1e-3, omega}, {-omega * 1e-3, -omega}};
+  m.residues = {{slow, 0.0}, {0.0, 1e-3 * omega}, {0.0, -1e-3 * omega}};
+  for (std::size_t k = 0; k < m.poles.size(); ++k)
+    m.dc_gain -= (m.residues[k] / m.poles[k]).real();
+  const std::vector<mor::PoleResidueModel> models = {m};
+  mor::AnalyticResponse r;
+  r.add_step(m, 1.0);
+  ASSERT_EQ(oracle_samples(r.suggested_horizon(), omega, 512), 1u << 18);
+  EXPECT_TRUE(same_metrics(r.measure(0.0, r.final_value()),
+                           oracle_measure(r, omega, 0.0, r.final_value())));
 }
 
 // ---------------------------------------------------------------------------

@@ -171,6 +171,10 @@ const std::vector<BenchCatalog>& catalog() {
             0.0, 0.0, true},
            {"graph.nodes_evaluated", "/metrics/counters/graph.nodes_evaluated",
             Direction::kExact, 0.0, 0.0, true},
+           // Analytic-scan grid points walked: any change to the sampling
+           // grid or the dead-time skip moves it.
+           {"mor.scan_samples", "/metrics/counters/mor.scan_samples",
+            Direction::kExact, 0.0, 0.0, true},
        }},
       {"sweep_batch",
        {
