@@ -1,38 +1,42 @@
-// Dense-vs-sparse solver scaling on the paper's core workload: N-segment
+// Dense-vs-sparse LU scaling on the paper's core workload: N-segment
 // distributed RLC ladders (gate + line + load) swept over segment count.
 //
-// For each N this runs (a) a transient (4000 steps, trapezoidal with
-// breakpoint BE damping) and (b) a 100-point logarithmic AC sweep, with the
-// solver forced dense and forced sparse, and emits one JSON document on
-// stdout: wall times, LU factorization counts, and the max abs waveform
-// deviation of the sparse path from the dense oracle. The dense runs are
-// skipped above the size where O(n^3) stops being benchmarkable (they would
-// dominate the total runtime by minutes); the JSON carries null there.
+// Every analysis solves with the sparse LU; this bench keeps that decision
+// measured. For each N it assembles the MNA system twice — the transient
+// companion matrix G + (2/dt)*C (trapezoidal, dt = horizon / 4000) and the
+// AC matrix G + s*C at 1 GHz — and times numeric::RealLu / ComplexLu against
+// numeric::SparseLu on the SAME assembled matrix: a full factorization, the
+// sparse numeric-only refactorization, and one solve. Both solve the same
+// unit excitation of the driver source; max_abs_err is the largest
+// difference between the two solutions. The dense LU is skipped above the
+// size where O(n^3) stops being benchmarkable (null in the JSON).
+//
+// Exit status: 1 if any max_abs_err exceeds 1e-9 (sparse vs dense oracle).
 //
 // Usage: solver_scaling [--fast]
 //   --fast   caps N at 500 (CI smoke run)
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <complex>
 #include <cstdio>
 #include <cstring>
-#include <string>
+#include <numbers>
 #include <vector>
 
 #include "bench_util.h"
-#include "sim/ac.h"
+#include "numeric/matrix.h"
+#include "numeric/sparse.h"
 #include "sim/builders.h"
-#include "sim/transient.h"
+#include "sim/mna.h"
 #include "tline/rc_line.h"
-#include "tline/transfer.h"
 
 namespace {
 
 using namespace rlcsim;
 using Clock = std::chrono::steady_clock;
 
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
+constexpr double kMaxAbsErr = 1e-9;
 
 // The benchmark workload: a strongly inductive on-chip line (same flavor as
 // the perf_models bench system) where the paper's analysis matters.
@@ -41,74 +45,75 @@ const tline::GateLineLoad& bench_system() {
   return system;
 }
 
-double transient_horizon() {
+double transient_dt() {
   const auto& s = bench_system();
   const double elmore =
       tline::elmore_delay(s.driver_resistance, s.line.total_resistance,
                           s.line.total_capacitance, s.load_capacitance);
   const double tof = std::sqrt(s.line.total_inductance *
                                (s.line.total_capacitance + s.load_capacitance));
-  return 8.0 * std::max(elmore, tof);
+  return 8.0 * std::max(elmore, tof) / 4000.0;
 }
 
-struct TransientRun {
-  double seconds = 0.0;
-  std::size_t factorizations = 0;
-  sim::TransientResult result;
+// Mean wall time of one fn() call: repeats until 50 ms have elapsed.
+template <typename Fn>
+double seconds_per_call(Fn&& fn) {
+  std::size_t calls = 0;
+  const auto start = Clock::now();
+  double elapsed = 0.0;
+  do {
+    fn();
+    ++calls;
+    elapsed = std::chrono::duration<double>(Clock::now() - start).count();
+  } while (elapsed < 0.05);
+  return elapsed / static_cast<double>(calls);
+}
+
+volatile std::size_t g_sink = 0;  // keeps timed factorizations observable
+
+struct Comparison {
+  int nnz = 0;
+  std::size_t factor_nnz = 0;
+  double sparse_factor_s = 0.0;
+  double sparse_refactor_s = 0.0;
+  double sparse_solve_s = 0.0;
+  bool have_dense = false;
+  double dense_factor_s = 0.0;
+  double dense_solve_s = 0.0;
+  double max_abs_err = 0.0;
 };
 
-TransientRun run_transient_with(int segments, sim::SolverKind solver) {
-  const sim::Circuit circuit = sim::build_gate_line_load(bench_system(), segments);
-  sim::TransientOptions options;
-  options.t_stop = transient_horizon();  // dt = 0 -> exactly 4000 nominal steps
-  options.solver = solver;
-  TransientRun run;
-  const auto start = Clock::now();
-  run.result = sim::run_transient(circuit, options);
-  run.seconds = seconds_since(start);
-  run.factorizations = run.result.lu_factorizations;
-  return run;
-}
+// Times SparseLu and (when with_dense) the dense LuFactorization on `a`,
+// solving a x = b with each.
+template <typename T>
+Comparison compare_solvers(const numeric::SparseMatrix<T>& a,
+                           const std::vector<T>& b, bool with_dense) {
+  Comparison c;
+  c.nnz = a.nnz();
+  c.sparse_factor_s = seconds_per_call([&] { g_sink = numeric::SparseLu<T>(a).factor_nnz(); });
+  numeric::SparseLu<T> sparse(a);
+  c.factor_nnz = sparse.factor_nnz();
+  c.sparse_refactor_s = seconds_per_call([&] { g_sink = sparse.refactor(a); });
+  std::vector<T> xs;
+  c.sparse_solve_s = seconds_per_call([&] {
+    xs = b;
+    sparse.solve_in_place(xs);
+  });
+  if (!with_dense) return c;
 
-// Max abs deviation between two runs over every recorded node waveform.
-double max_waveform_deviation(const sim::TransientResult& a,
-                              const sim::TransientResult& b) {
-  double max_err = 0.0;
-  for (const auto& node : a.waveforms.node_names()) {
-    const sim::Trace ta = a.waveforms.trace(node);
-    const sim::Trace tb = b.waveforms.trace(node);
-    const auto& va = ta.value();
-    const auto& vb = tb.value();
-    const std::size_t n = std::min(va.size(), vb.size());
-    for (std::size_t i = 0; i < n; ++i)
-      max_err = std::max(max_err, std::fabs(va[i] - vb[i]));
-    if (va.size() != vb.size()) max_err = 1.0;  // grid mismatch: flag loudly
-  }
-  return max_err;
-}
-
-struct AcRun {
-  double seconds = 0.0;
-  sim::AcSweepInfo info;
-  std::vector<sim::AcSample> samples;
-};
-
-AcRun run_ac_with(int segments, sim::SolverKind solver) {
-  const sim::Circuit circuit = sim::build_gate_line_load(bench_system(), segments);
-  const auto freqs = sim::log_frequencies(1e6, 1e11, 100);
-  AcRun run;
-  const auto start = Clock::now();
-  run.samples = sim::ac_transfer(circuit, "vsrc", "out", freqs,
-                                 solver, &run.info);
-  run.seconds = seconds_since(start);
-  return run;
-}
-
-double max_ac_deviation(const AcRun& a, const AcRun& b) {
-  double max_err = 0.0;
-  for (std::size_t i = 0; i < a.samples.size(); ++i)
-    max_err = std::max(max_err, std::abs(a.samples[i].value - b.samples[i].value));
-  return max_err;
+  c.have_dense = true;
+  const numeric::Matrix<T> dense_a = a.to_dense();
+  c.dense_factor_s = seconds_per_call(
+      [&] { g_sink = numeric::LuFactorization<T>(dense_a).size(); });
+  const numeric::LuFactorization<T> dense(dense_a);
+  std::vector<T> xd;
+  c.dense_solve_s = seconds_per_call([&] {
+    xd = b;
+    dense.solve_in_place(xd);
+  });
+  for (std::size_t i = 0; i < xs.size(); ++i)
+    c.max_abs_err = std::max(c.max_abs_err, std::abs(xs[i] - xd[i]));
+  return c;
 }
 
 void json_number_or_null(const char* key, double value, bool present) {
@@ -116,6 +121,30 @@ void json_number_or_null(const char* key, double value, bool present) {
     std::printf("\"%s\": %.6e", key, value);
   else
     std::printf("\"%s\": null", key);
+}
+
+void print_row(int segments, std::size_t unknowns, const Comparison& c, bool last) {
+  std::printf("    {\"segments\": %d, \"unknowns\": %zu, \"nnz\": %d, "
+              "\"factor_nnz\": %zu, ",
+              segments, unknowns, c.nnz, c.factor_nnz);
+  std::printf("\"sparse_factor_s\": %.6e, \"sparse_refactor_s\": %.6e, "
+              "\"sparse_solve_s\": %.6e, ",
+              c.sparse_factor_s, c.sparse_refactor_s, c.sparse_solve_s);
+  json_number_or_null("dense_factor_s", c.dense_factor_s, c.have_dense);
+  std::printf(", ");
+  json_number_or_null("dense_solve_s", c.dense_solve_s, c.have_dense);
+  std::printf(", ");
+  json_number_or_null("factor_speedup",
+                      c.have_dense ? c.dense_factor_s / c.sparse_factor_s : 0.0,
+                      c.have_dense);
+  std::printf(", ");
+  json_number_or_null("solve_speedup",
+                      c.have_dense ? c.dense_solve_s / c.sparse_solve_s : 0.0,
+                      c.have_dense);
+  std::printf(", ");
+  json_number_or_null("max_abs_err", c.max_abs_err, c.have_dense);
+  std::printf("}%s\n", last ? "" : ",");
+  std::fflush(stdout);
 }
 
 }  // namespace
@@ -126,77 +155,55 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "usage: %s [--fast]\n", argv[0]);
     return 2;
   }
-  const std::vector<int> sizes =
-      fast ? std::vector<int>{50, 100, 200, 500}
-           : std::vector<int>{50, 100, 200, 500, 1000, 2000};
-  // O(n^3) ceilings: beyond these the dense oracle takes minutes per point.
+  std::vector<int> sizes{1, 2, 5, 10, 20, 50, 100, 200, 500};
+  if (!fast) sizes.insert(sizes.end(), {1000, 2000});
+  // O(n^3) ceilings: beyond these the dense LU takes many seconds per call.
   const int dense_transient_cap = 1000;
-  const int dense_ac_cap = 200;
+  const int dense_ac_cap = 500;
+  const double dt = transient_dt();
+  const std::complex<double> s_ac(0.0, 2.0 * std::numbers::pi * 1e9);
 
   std::printf("{\n");
   benchutil::manifest_json_block("solver_scaling");
   std::printf("  \"workload\": \"gate + N-segment RLC ladder + load "
-              "(Rtr=500, Rt=500, Lt=1e-7, Ct=1e-12, CL=0.5e-12)\",\n");
+              "(Rtr=500, Rt=500, Lt=1e-7, Ct=1e-12, CL=0.5e-12); transient "
+              "trapezoidal dt=%.6e s, AC at 1 GHz\",\n", dt);
 
-  std::printf("  \"transient\": [\n");
-  for (std::size_t idx = 0; idx < sizes.size(); ++idx) {
-    const int n = sizes[idx];
-    const TransientRun sparse = run_transient_with(n, sim::SolverKind::kSparse);
-    const bool have_dense = n <= dense_transient_cap;
-    TransientRun dense;
-    double max_err = 0.0;
-    if (have_dense) {
-      dense = run_transient_with(n, sim::SolverKind::kDense);
-      max_err = max_waveform_deviation(dense.result, sparse.result);
+  bool accurate = true;
+  for (const bool ac : {false, true}) {
+    std::printf("  \"%s\": [\n", ac ? "ac" : "transient");
+    for (std::size_t idx = 0; idx < sizes.size(); ++idx) {
+      const int n = sizes[idx];
+      const sim::Circuit circuit = sim::build_gate_line_load(bench_system(), n);
+      const sim::MnaAssembler mna(circuit);
+      const std::size_t unknowns = mna.unknown_count();
+      const std::size_t drive = mna.vsource_branch(0);
+      Comparison c;
+      if (ac) {
+        numeric::ComplexSparse a(mna.system_pattern());
+        mna.system_values(s_ac, a.values());
+        std::vector<std::complex<double>> b(unknowns);
+        b[drive] = 1.0;
+        c = compare_solvers(a, b, n <= dense_ac_cap);
+      } else {
+        numeric::RealSparse a(mna.system_pattern());
+        mna.system_values(
+            sim::MnaAssembler::transient_scale(dt, sim::Integrator::kTrapezoidal),
+            a.values());
+        std::vector<double> b(unknowns);
+        b[drive] = 1.0;
+        c = compare_solvers(a, b, n <= dense_transient_cap);
+      }
+      accurate = accurate && c.max_abs_err <= kMaxAbsErr;
+      print_row(n, unknowns, c, idx + 1 == sizes.size());
     }
-    std::printf("    {\"segments\": %d, \"unknowns\": %zu, \"steps\": %zu, ",
-                n, sim::MnaAssembler(sim::build_gate_line_load(bench_system(), n))
-                       .unknown_count(),
-                sparse.result.steps_taken);
-    std::printf("\"sparse_s\": %.6e, \"sparse_factorizations\": %zu, ",
-                sparse.seconds, sparse.factorizations);
-    json_number_or_null("dense_s", dense.seconds, have_dense);
-    std::printf(", ");
-    if (have_dense)
-      std::printf("\"dense_factorizations\": %zu, ", dense.factorizations);
-    else
-      std::printf("\"dense_factorizations\": null, ");
-    json_number_or_null("speedup", have_dense ? dense.seconds / sparse.seconds : 0.0,
-                        have_dense);
-    std::printf(", ");
-    json_number_or_null("max_abs_err", max_err, have_dense);
-    std::printf("}%s\n", idx + 1 < sizes.size() ? "," : "");
-    std::fflush(stdout);
+    std::printf("  ],\n");
   }
-  std::printf("  ],\n");
-
-  std::printf("  \"ac\": [\n");
-  for (std::size_t idx = 0; idx < sizes.size(); ++idx) {
-    const int n = sizes[idx];
-    const AcRun sparse = run_ac_with(n, sim::SolverKind::kSparse);
-    const bool have_dense = n <= dense_ac_cap;
-    AcRun dense;
-    double max_err = 0.0;
-    if (have_dense) {
-      dense = run_ac_with(n, sim::SolverKind::kDense);
-      max_err = max_ac_deviation(dense, sparse);
-    }
-    std::printf("    {\"segments\": %d, \"points\": %zu, ", n, sparse.samples.size());
-    std::printf("\"sparse_s\": %.6e, \"symbolic_factorizations\": %zu, "
-                "\"numeric_factorizations\": %zu, ",
-                sparse.seconds, sparse.info.symbolic_factorizations,
-                sparse.info.numeric_factorizations);
-    json_number_or_null("dense_s", dense.seconds, have_dense);
-    std::printf(", ");
-    json_number_or_null("speedup", have_dense ? dense.seconds / sparse.seconds : 0.0,
-                        have_dense);
-    std::printf(", ");
-    json_number_or_null("max_abs_err", max_err, have_dense);
-    std::printf("}%s\n", idx + 1 < sizes.size() ? "," : "");
-    std::fflush(stdout);
-  }
-  std::printf("  ],\n");
+  std::printf("  \"max_abs_err_ok\": %s,\n", accurate ? "true" : "false");
   benchutil::metrics_json_block(/*last=*/true);
   std::printf("}\n");
-  return 0;
+  if (!accurate)
+    std::fprintf(stderr, "solver_scaling: sparse vs dense max_abs_err > %g\n",
+                 kMaxAbsErr);
+  return accurate ? 0 : 1;
 }

@@ -189,7 +189,6 @@ CrosstalkMetrics analyze_crosstalk(const tline::CoupledBus& bus,
                          ? options.t_stop
                          : sim::default_transient_horizon(isolated);
   transient.dt = options.dt;
-  transient.solver = options.solver;
   transient.reuse = options.reuse;
 
   CrosstalkMetrics metrics;

@@ -76,7 +76,6 @@ struct CrosstalkOptions {
   // (sim::default_transient_horizon of the isolated line; dt = t_stop/4000).
   double t_stop = 0.0;
   double dt = 0.0;
-  sim::SolverKind solver = sim::SolverKind::kAuto;
   // Optional cross-run symbolic-factorization reuse (sweep hot path).
   sim::SolverReuse* reuse = nullptr;
 };

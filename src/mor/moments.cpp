@@ -65,7 +65,9 @@ MomentGenerator::MomentGenerator(const numeric::RealSparse& g,
 
   // Reuse contract (mirrors sim/transient.cpp): seed an empty record, replay
   // a structurally identical one, and run WITHOUT reuse on a mismatch so the
-  // record never depends on which system a worker saw first.
+  // record never depends on which system a worker saw first. The record's
+  // count sees the factorization either way.
+  ConductanceReuse* const record = reuse;
   if (reuse) {
     if (!reuse->pattern) {
       reuse->pattern = g.pattern_ptr();
@@ -73,9 +75,10 @@ MomentGenerator::MomentGenerator(const numeric::RealSparse& g,
       reuse = nullptr;
     }
   }
+  bool full_factorization = true;
   if (reuse && reuse->symbolic) {
     lu_.emplace(*reuse->symbolic);  // copy factors: reuse the symbolic
-    lu_->refactor(g);
+    full_factorization = lu_->refactor(g);
     ++reuse->reuse_hits;
     OBS_COUNTER_ADD("reuse.conductance_hits", 1);
   } else {
@@ -84,6 +87,7 @@ MomentGenerator::MomentGenerator(const numeric::RealSparse& g,
     if (reuse)
       reuse->symbolic = std::make_shared<const numeric::RealSparseLu>(*lu_);
   }
+  if (record && full_factorization) ++record->symbolic_factorizations;
 }
 
 MomentGenerator::MomentGenerator(const LinearSystem& system,

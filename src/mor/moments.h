@@ -63,10 +63,14 @@ LinearSystem make_linear_system(const sim::MnaAssembler& mna,
 // symbolic and refactor numerically, and a mismatching pattern runs fresh
 // WITHOUT touching the record (so pivot orders never depend on evaluation
 // order — the sweep engine's bit-identical-at-any-thread-count guarantee).
+// symbolic_factorizations counts the full G factorizations (zero-pivot
+// re-pivots included) of every generator handed this record, mismatching
+// ones too.
 struct ConductanceReuse {
   numeric::SparsePatternPtr pattern;
   std::shared_ptr<const numeric::RealSparseLu> symbolic;
   std::size_t reuse_hits = 0;
+  std::size_t symbolic_factorizations = 0;
 };
 
 // --------------------------------------------------------------- generator

@@ -5,6 +5,8 @@
 #include <numeric>
 #include <queue>
 
+#include "obs/metrics.h"
+
 namespace rlcsim::numeric {
 namespace {
 
@@ -196,18 +198,6 @@ std::vector<int> rcm_ordering(const SparsePattern& pattern) {
   return order;
 }
 
-// ------------------------------------------------------------------- stats
-
-SparseLuStatsView& sparse_lu_stats() {
-  // One global view object; per-thread isolation lives in the obs
-  // registry's shards (each Cell access resolves the CALLING thread's
-  // cell), so concurrent sweeps never race on the counters and the same
-  // numbers aggregate into bench metrics blocks for free.
-  // Observability metadata only — never feeds result values.
-  static SparseLuStatsView view(/*live=*/true);
-  return view;
-}
-
 // --------------------------------------------------------------------- LU
 
 template <typename T>
@@ -380,8 +370,8 @@ void SparseLu<T>::full_factor(const SparseMatrix<T>& a) {
   // refactorization replay work entirely in final row order.
   for (auto& i : li_) i = pivot_inv_[static_cast<std::size_t>(i)];
 
-  ++sparse_lu_stats().symbolic;
-  ++sparse_lu_stats().numeric;
+  OBS_COUNTER_ADD("lu.symbolic", 1);
+  OBS_COUNTER_ADD("lu.numeric", 1);
 }
 
 template <typename T>
@@ -414,12 +404,12 @@ bool SparseLu<T>::numeric_refactor(const SparseMatrix<T>& a) {
       lx_[static_cast<std::size_t>(r)] = x[static_cast<std::size_t>(li_[r])] / pivot;
   }
 
-  ++sparse_lu_stats().numeric;
+  OBS_COUNTER_ADD("lu.numeric", 1);
   return true;
 }
 
 template <typename T>
-void SparseLu<T>::refactor(const SparseMatrix<T>& a) {
+bool SparseLu<T>::refactor(const SparseMatrix<T>& a) {
   if (a.pattern_ptr() != pattern_) {
     // Structurally identical patterns are as good as pointer-identical ones:
     // the recorded CSC scatter map (csc_src_) indexes CSR value positions,
@@ -433,7 +423,9 @@ void SparseLu<T>::refactor(const SparseMatrix<T>& a) {
       throw std::invalid_argument("SparseLu::refactor: pattern mismatch");
     pattern_ = a.pattern_ptr();
   }
-  if (!numeric_refactor(a)) full_factor(a);
+  if (numeric_refactor(a)) return false;
+  full_factor(a);
+  return true;
 }
 
 template <typename T>

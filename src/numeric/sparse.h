@@ -18,8 +18,9 @@
 //    the KLU-style refactorization that turns an AC sweep or a multi-dt
 //    transient into one symbolic analysis plus cheap numeric passes.
 //
-// The dense LuFactorization in matrix.h remains the correctness oracle; the
-// simulator selects between the two by system size (see sim/transient.h).
+// The simulator's transient, DC and AC analyses all solve through this
+// sparse LU. The dense LuFactorization in matrix.h stays as the tests'
+// correctness oracle and the solver for small dense (MOR q x q) systems.
 #pragma once
 
 #include <complex>
@@ -31,7 +32,6 @@
 #include <vector>
 
 #include "numeric/matrix.h"
-#include "obs/metrics.h"
 
 namespace rlcsim::numeric {
 
@@ -113,104 +113,6 @@ using ComplexSparse = SparseMatrix<std::complex<double>>;
 // pseudo-peripheral vertex found by repeated BFS.
 std::vector<int> rcm_ordering(const SparsePattern& pattern);
 
-// ------------------------------------------------------------------- stats
-
-// Per-thread factorization counters, for verifying symbolic reuse (an AC
-// sweep must perform exactly ONE symbolic analysis however many frequency
-// points it visits). Per-thread: each thread sees only its own work, so
-// concurrent sweeps never race. Reset with `sparse_lu_stats() = {};`.
-//
-// Batch accounting: a W-lane SparseLuBatch::refactor counts as W numeric
-// passes (one per lane), so the counters stay comparable across lane widths;
-// a lane that hits the zero-pivot ejection counts under ejected_lanes and
-// its scalar-fallback factorization adds to symbolic/numeric as usual.
-
-// Plain value snapshot of the counters (also the reset token: assigning a
-// default-constructed SparseLuStats to the view zeroes this thread's cells).
-struct SparseLuStats {
-  std::size_t symbolic = 0;  // full factorizations (pattern + pivot search)
-  std::size_t numeric = 0;   // total numeric passes (full + refactor)
-  std::size_t ejected_lanes = 0;  // batch lanes ejected to the scalar path
-};
-
-// Live per-thread view over the obs metrics registry (counters
-// "lu.symbolic", "lu.numeric", "lu.ejected_lanes" — what used to be a
-// justified thread_local here now lives in the registry's per-thread
-// shards, so the same numbers surface in every BENCH_*.json metrics
-// block). The legacy call patterns keep working unchanged:
-//
-//   ++sparse_lu_stats().symbolic;                  // increment (live cell)
-//   sparse_lu_stats() = {};                        // reset this thread
-//   std::size_t n = sparse_lu_stats().numeric;     // read (live cell)
-//   const auto before = sparse_lu_stats();         // FREEZES a snapshot
-//
-// A copy of the view (or of a field) freezes the values at copy time, so
-// before/after diffing à la `after.symbolic - before.symbolic` still sees
-// the work done in between even though both copies came from the same
-// global accessor. These counters are load-bearing result metadata
-// (SweepResult, AC reuse verification), so they bypass the RLCSIM_METRICS
-// gate — see obs::Counter::add_always.
-class SparseLuStatsView {
- public:
-  class Cell {
-   public:
-    Cell(const Cell& other)  // freezing copy
-        : counter_(other.counter_),
-          frozen_(true),
-          frozen_value_(other.value()) {}
-    Cell& operator=(const Cell&) = delete;
-
-    operator std::size_t() const { return static_cast<std::size_t>(value()); }
-    Cell& operator++() {
-      counter_.add_always(1);
-      return *this;
-    }
-    Cell& operator+=(std::size_t n) {
-      counter_.add_always(n);
-      return *this;
-    }
-
-   private:
-    friend class SparseLuStatsView;
-    Cell(const char* name, bool live) : counter_(name), frozen_(!live) {}
-    std::uint64_t value() const {
-      return frozen_ ? frozen_value_ : counter_.this_thread_value();
-    }
-    obs::Counter counter_;
-    bool frozen_;
-    std::uint64_t frozen_value_ = 0;
-  };
-
-  Cell symbolic;
-  Cell numeric;
-  Cell ejected_lanes;
-
-  // A default-constructed view is a frozen ZERO snapshot — exactly the
-  // reset token `sparse_lu_stats() = {};` needs.
-  SparseLuStatsView() : SparseLuStatsView(/*live=*/false) {}
-  SparseLuStatsView(const SparseLuStatsView&) = default;  // freezes all cells
-  // Overwrites THIS thread's cells with the right-hand side's (frozen or
-  // live) values; with a default-constructed RHS this is the reset idiom.
-  SparseLuStatsView& operator=(const SparseLuStatsView& other) {
-    symbolic.counter_.this_thread_store(other.symbolic.value());
-    numeric.counter_.this_thread_store(other.numeric.value());
-    ejected_lanes.counter_.this_thread_store(other.ejected_lanes.value());
-    return *this;
-  }
-  operator SparseLuStats() const {
-    return SparseLuStats{symbolic, numeric, ejected_lanes};
-  }
-
- private:
-  friend SparseLuStatsView& sparse_lu_stats();
-  explicit SparseLuStatsView(bool live)
-      : symbolic("lu.symbolic", live),
-        numeric("lu.numeric", live),
-        ejected_lanes("lu.ejected_lanes", live) {}
-};
-
-SparseLuStatsView& sparse_lu_stats();
-
 // --------------------------------------------------------------------- LU
 
 // Sparse LU with partial pivoting and symbolic-factorization reuse.
@@ -224,7 +126,8 @@ SparseLuStatsView& sparse_lu_stats();
 // redoes only the numeric work along the recorded pattern with the recorded
 // pivot sequence — no graph traversal, no allocation. If the recorded pivot
 // sequence hits an exactly-zero pivot on the new values, refactor falls back
-// to a fresh full factorization (counted as symbolic) rather than failing.
+// to a fresh full factorization (a new symbolic analysis) rather than
+// failing, and reports that it did so.
 //
 // Copying a SparseLu copies the factors; copy + refactor is the cheap way to
 // hold several numeric factorizations (e.g. one per transient step size)
@@ -239,7 +142,9 @@ class SparseLu {
   explicit SparseLu(const SparseMatrix<T>& a, Options options = {});
 
   // Numeric-only refactorization; `a` must share the constructor's pattern.
-  void refactor(const SparseMatrix<T>& a);
+  // Returns true when the zero-pivot fallback re-pivoted, i.e. the call
+  // performed a full symbolic + numeric factorization instead.
+  bool refactor(const SparseMatrix<T>& a);
 
   std::size_t size() const { return static_cast<std::size_t>(n_); }
 

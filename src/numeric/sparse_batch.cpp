@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "obs/metrics.h"
 #include "runtime/env.h"
 
 // The bit-identity contract assumes double expressions evaluate at double
@@ -161,7 +162,7 @@ void SparseLuBatch::refactor_kernel(const BatchedValues& values) {
   }
 }
 
-void SparseLuBatch::refactor(const BatchedValues& values) {
+std::size_t SparseLuBatch::refactor(const BatchedValues& values) {
   if (values.lanes() != lanes_)
     throw std::invalid_argument("SparseLuBatch::refactor: lane count mismatch");
   if (values.slots() != static_cast<std::size_t>(donor_.pattern_->nnz()))
@@ -177,26 +178,28 @@ void SparseLuBatch::refactor(const BatchedValues& values) {
       throw std::logic_error("SparseLuBatch: unreachable lane width");
   }
 
+  // A W-lane refactor counts as one numeric pass per non-ejected lane, so
+  // lu.numeric stays comparable across lane widths.
   const std::size_t n_ejected = ejected_lane_count();
-  auto& stats = sparse_lu_stats();
-  stats.numeric += lanes_ - n_ejected;
-  stats.ejected_lanes += n_ejected;
+  OBS_COUNTER_ADD("lu.numeric", lanes_ - n_ejected);
+  OBS_COUNTER_ADD("lu.ejected_lanes", n_ejected);
   OBS_COUNTER_ADD("batch.refactors", 1);
   OBS_COUNTER_ADD("batch.lanes_refactored", lanes_ - n_ejected);
-  if (n_ejected == 0) return;
+  if (n_ejected == 0) return 0;
 
   // Ejected lanes fall back to exactly what the scalar path would do: a
   // SparseLu sharing the donor's symbolic analysis refactors the lane's
-  // values, hits the same zero stale pivot, and re-pivots via full_factor
-  // (counted as symbolic + numeric by the scalar code itself).
+  // values, hits the same zero stale pivot, and re-pivots via full_factor.
+  std::size_t repivots = 0;
   std::vector<double> lane_values;
   for (std::size_t lane = 0; lane < lanes_; ++lane) {
     if (!ejected_[lane]) continue;
     values.extract_lane(lane, lane_values);
     RealSparse a(donor_.pattern_, lane_values);
     if (!scalar_[lane]) scalar_[lane] = std::make_unique<RealSparseLu>(donor_);
-    scalar_[lane]->refactor(a);
+    repivots += scalar_[lane]->refactor(a) ? 1 : 0;
   }
+  return repivots;
 }
 
 // Batched triangular solves along the donor's factors; per-lane ops mirror

@@ -92,11 +92,11 @@ class SparseLuBatch {
   std::size_t lanes() const { return lanes_; }
 
   // Numeric-only refactorization of all W lanes: `values` must hold the CSR
-  // value arrays (donor pattern slot order, slots() == pattern nnz). Counts
-  // as one numeric pass PER NON-EJECTED LANE in sparse_lu_stats(); ejected
-  // lanes count under ejected_lanes plus whatever their scalar fallback
-  // factorization records.
-  void refactor(const BatchedValues& values);
+  // value arrays (donor pattern slot order, slots() == pattern nnz). Returns
+  // how many ejected lanes' scalar fallbacks re-pivoted (each one a full
+  // symbolic + numeric factorization); ejected_lane_count() says how many
+  // lanes ejected.
+  std::size_t refactor(const BatchedValues& values);
 
   // In-place batched triangular solves: x holds W right-hand sides
   // (slots() == size()) and receives the W solutions. Ejected lanes are

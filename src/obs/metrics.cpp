@@ -186,19 +186,7 @@ Counter::Counter(const char* name)
 
 void Counter::add(std::uint64_t n) const {
   if (!metrics_enabled()) return;
-  add_always(n);
-}
-
-void Counter::add_always(std::uint64_t n) const {
   this_shard().counters[id_].fetch_add(n, std::memory_order_relaxed);
-}
-
-std::uint64_t Counter::this_thread_value() const {
-  return this_shard().counters[id_].load(std::memory_order_relaxed);
-}
-
-void Counter::this_thread_store(std::uint64_t value) const {
-  this_shard().counters[id_].store(value, std::memory_order_relaxed);
 }
 
 std::uint64_t Counter::total() const {

@@ -10,18 +10,20 @@
 //
 // Determinism contract (the reason this subsystem exists at all, see
 // README "Determinism contract"): telemetry is WRITE-ONLY from compute's
-// perspective. Nothing in src/ outside src/obs/ may branch on a metric
-// value or on a clock; the registry records what happened, it never
-// steers what happens next. That is why tracing/metrics can be toggled
-// freely while every memcmp bit-identity gate keeps passing — and CI
-// re-runs those gates with telemetry ON to prove it.
+// perspective. Nothing in src/ outside src/obs/ may read a metric value
+// (rlcsim_lint's metric-read-scope rule) or branch on a clock; the
+// registry records what happened, it never steers what happens next.
+// That is why tracing/metrics can be toggled freely while every memcmp
+// bit-identity gate keeps passing — and CI re-runs those gates with
+// telemetry ON to prove it.
 //
 // Env knobs (runtime::parse_env_* junk-throws contract):
-//   RLCSIM_METRICS=0|1  gates the OBS_* macro instrumentation and span
-//                       duration histograms (default 1; junk throws).
-//                       Load-bearing legacy counters (sparse_lu_stats())
-//                       stay live either way — they feed SweepResult /
-//                       AcSweepInfo metadata that tests pin.
+//   RLCSIM_METRICS=0|1  gates every counter and histogram, span
+//                       durations included (default 1; junk throws). With
+//                       0 every metric reads 0: result metadata such as
+//                       SweepResult / AcSweepInfo factorization counts is
+//                       counted by the code that does the work, never
+//                       read back from here.
 //   RLCSIM_TRACE=<path> enables Chrome-trace span recording (obs/trace.h).
 //
 // Compile-time kill switch: defining RLCSIM_OBS_DISABLE (CMake
@@ -106,16 +108,8 @@ class Counter {
  public:
   explicit Counter(const char* name);
 
-  // Gated by metrics_enabled(): the general instrumentation entry point.
+  // Gated by metrics_enabled().
   void add(std::uint64_t n = 1) const;
-  // UNgated: for the load-bearing legacy counters (sparse_lu_stats()) whose
-  // values feed result METADATA that tests and benches pin. Still
-  // write-only telemetry — compute never branches on them.
-  void add_always(std::uint64_t n = 1) const;
-
-  // This thread's shard cell (the per-thread view sparse_lu_stats() keeps).
-  std::uint64_t this_thread_value() const;
-  void this_thread_store(std::uint64_t value) const;
 
   // Aggregated over every shard (live and retired threads).
   std::uint64_t total() const;

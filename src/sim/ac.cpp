@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
-#include <optional>
 #include <stdexcept>
 
-#include "numeric/matrix.h"
 #include "numeric/roots.h"
 #include "numeric/sparse.h"
 
@@ -34,89 +32,84 @@ std::vector<AcSample> ac_transfer(const Circuit& circuit,
                                   const std::string& source_name,
                                   const std::string& node,
                                   const std::vector<double>& frequencies,
-                                  SolverKind solver, AcSweepInfo* info) {
+                                  AcSweepInfo* info) {
   const MnaAssembler layout(circuit);
   const std::size_t source = find_source(circuit, source_name);
   const auto node_id = circuit.find_node(node);
   if (!node_id || *node_id == kGround)
     throw std::invalid_argument("ac_transfer: unknown (or ground) node '" + node + "'");
+  // Validate every frequency before the pivot factorization uses the largest.
+  for (double f : frequencies)
+    if (!std::isfinite(f) || f < 0.0)
+      throw std::invalid_argument(
+          "ac_transfer: frequencies must be finite and non-negative");
 
-  const std::size_t n = layout.unknown_count();
-  const bool sparse = use_sparse_solver(solver, n);
+  AcSweepInfo stats;
+  std::vector<AcSample> out;
+  if (frequencies.empty()) {
+    if (info) *info = stats;
+    return out;
+  }
 
   // Unit excitation on the chosen source; all other sources zeroed.
+  const std::size_t n = layout.unknown_count();
   std::vector<Complex> rhs(n, Complex{});
   rhs[layout.vsource_branch(source)] = Complex(1.0, 0.0);
 
-  AcSweepInfo stats;
-  stats.used_sparse_solver = sparse;
-  const auto global_before = numeric::sparse_lu_stats();
-
-  // One pattern for the whole sweep; only the values change per point.
+  // One pattern for the whole sweep; only the values change per point. The
+  // sweep's single symbolic factorization pivots at the HIGHEST frequency:
+  // that is where s*C swamps G and the pivot choice is stressed; at lower
+  // frequencies the system is closer to diagonally dominant and the same
+  // order stays accurate.
   numeric::ComplexSparse a(layout.system_pattern());
-  std::optional<numeric::ComplexSparseLu> lu;
-  if (sparse && !frequencies.empty()) {
-    // The sweep's single symbolic factorization. Pivot at the HIGHEST
-    // frequency: that is where s*C swamps G and the pivot choice is
-    // stressed; at lower frequencies the system is closer to diagonally
-    // dominant and the same order stays accurate.
-    const double f_max = *std::max_element(frequencies.begin(), frequencies.end());
-    layout.system_values(Complex(0.0, 2.0 * std::numbers::pi * f_max), a.values());
-    lu.emplace(a);
-  }
+  const double f_max = *std::max_element(frequencies.begin(), frequencies.end());
+  layout.system_values(Complex(0.0, 2.0 * std::numbers::pi * f_max), a.values());
+  numeric::ComplexSparseLu lu(a);
+  ++stats.symbolic_factorizations;
+  ++stats.numeric_factorizations;
 
-  std::vector<AcSample> out;
   out.reserve(frequencies.size());
   for (double f : frequencies) {
-    if (!(f >= 0.0)) throw std::invalid_argument("ac_transfer: negative frequency");
     const Complex s(0.0, 2.0 * std::numbers::pi * f);
     layout.system_values(s, a.values());
 
-    std::vector<Complex> x;
-    if (sparse) {
-      lu->refactor(a);
-      x = lu->solve(rhs);
-      // The pivot order is reused across the whole sweep. Iterative
-      // refinement through the existing factors recovers full accuracy at
-      // O(nnz) per pass without any new factorization; a fresh re-pivot
-      // (which costs a symbolic analysis) is reserved for outright
-      // breakdown. The residual r = A x - b doubles as the correction RHS,
-      // so each pass costs one sparse multiply and one solve. Thresholds
-      // scale with the attainable floor eps*||A||*||x|| so large-norm
-      // systems do not spin on unreachable absolute targets.
-      double a_norm = 0.0;
-      for (const auto& v : a.values()) a_norm = std::max(a_norm, std::abs(v));
-      double x_norm = 0.0;
-      for (const auto& v : x) x_norm = std::max(x_norm, std::abs(v));
-      const double floor_scale = std::max(1.0, a_norm * x_norm);
-      double res_norm = 0.0;
-      for (int pass = 0;; ++pass) {
-        auto r = a.multiply(x);
-        res_norm = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-          r[i] -= rhs[i];
-          res_norm = std::max(res_norm, std::abs(r[i]));
-        }
-        if (res_norm <= 1e-13 * floor_scale || pass == 3) break;
-        lu->solve_in_place(r);
-        for (std::size_t i = 0; i < n; ++i) x[i] -= r[i];
+    if (lu.refactor(a)) ++stats.symbolic_factorizations;
+    ++stats.numeric_factorizations;
+    std::vector<Complex> x = lu.solve(rhs);
+    // The pivot order is reused across the whole sweep. Iterative
+    // refinement through the existing factors recovers full accuracy at
+    // O(nnz) per pass without any new factorization; a fresh re-pivot
+    // (which costs a symbolic analysis) is reserved for outright
+    // breakdown. The residual r = A x - b doubles as the correction RHS,
+    // so each pass costs one sparse multiply and one solve. Thresholds
+    // scale with the attainable floor eps*||A||*||x|| so large-norm
+    // systems do not spin on unreachable absolute targets.
+    double a_norm = 0.0;
+    for (const auto& v : a.values()) a_norm = std::max(a_norm, std::abs(v));
+    double x_norm = 0.0;
+    for (const auto& v : x) x_norm = std::max(x_norm, std::abs(v));
+    const double floor_scale = std::max(1.0, a_norm * x_norm);
+    double res_norm = 0.0;
+    for (int pass = 0;; ++pass) {
+      auto r = a.multiply(x);
+      res_norm = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        r[i] -= rhs[i];
+        res_norm = std::max(res_norm, std::abs(r[i]));
       }
-      if (res_norm > 1e-6 * floor_scale) {
-        lu.emplace(a);
-        x = lu->solve(rhs);
-      }
-    } else {
-      x = numeric::ComplexLu(a.to_dense()).solve(rhs);
+      if (res_norm <= 1e-13 * floor_scale || pass == 3) break;
+      lu.solve_in_place(r);
+      for (std::size_t i = 0; i < n; ++i) x[i] -= r[i];
+    }
+    if (res_norm > 1e-6 * floor_scale) {
+      lu = numeric::ComplexSparseLu(a);
+      ++stats.symbolic_factorizations;
       ++stats.numeric_factorizations;
+      x = lu.solve(rhs);
     }
     out.push_back({f, x[static_cast<std::size_t>(*node_id)]});
   }
 
-  if (sparse) {
-    const auto& global_after = numeric::sparse_lu_stats();
-    stats.symbolic_factorizations = global_after.symbolic - global_before.symbolic;
-    stats.numeric_factorizations = global_after.numeric - global_before.numeric;
-  }
   if (info) *info = stats;
   return out;
 }

@@ -7,10 +7,9 @@
 //
 // The system at every frequency is G + s*C over ONE sparsity pattern (see
 // sim/mna.h), so a sweep assembles the pattern once, performs one symbolic
-// sparse factorization at the first point, and only refactorizes values at
-// each subsequent point. Small systems use the dense LU instead (same
-// size policy as the transient engine). Each sparse solve is residual-checked
-// and falls back to a fresh full factorization if the reused pivot order has
+// sparse factorization (pivoted at the highest frequency), and only
+// refactorizes values at each point. Each solve is residual-checked and
+// falls back to a fresh full factorization if the reused pivot order has
 // gone stale — accuracy never depends on the reuse heuristic.
 //
 // This shares the element stamps' topology with the transient engine but
@@ -41,19 +40,19 @@ struct AcSample {
 
 // Solver work performed by one AC sweep (for asserting pattern reuse).
 struct AcSweepInfo {
-  std::size_t symbolic_factorizations = 0;  // sparse full factorizations
-  std::size_t numeric_factorizations = 0;   // total factorizations (any kind)
-  bool used_sparse_solver = false;
+  // Full factorizations: the pivot-frequency one plus any re-pivots.
+  std::size_t symbolic_factorizations = 0;
+  std::size_t numeric_factorizations = 0;  // full + numeric-only passes
 };
 
 // Transfer from `source_name` (a voltage source) to `node`. Throws
-// std::invalid_argument if the source or node does not exist. `info`, when
-// non-null, receives the sweep's factorization counts.
+// std::invalid_argument if the source or node does not exist, or if any
+// frequency is negative or not finite (checked before any factorization).
+// `info`, when non-null, receives the sweep's factorization counts.
 std::vector<AcSample> ac_transfer(const Circuit& circuit,
                                   const std::string& source_name,
                                   const std::string& node,
                                   const std::vector<double>& frequencies,
-                                  SolverKind solver = SolverKind::kAuto,
                                   AcSweepInfo* info = nullptr);
 
 // Convenience single-frequency version.

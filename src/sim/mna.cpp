@@ -47,18 +47,6 @@ void stamp_branch_incidence(std::vector<numeric::Triplet<double>>& t, NodeId n1,
 
 }  // namespace
 
-bool use_sparse_solver(SolverKind solver, std::size_t unknowns) {
-  switch (solver) {
-    case SolverKind::kDense:
-      return false;
-    case SolverKind::kSparse:
-      return true;
-    case SolverKind::kAuto:
-      break;
-  }
-  return unknowns >= kSparseSolverThreshold;
-}
-
 MnaAssembler::MnaAssembler(const Circuit& circuit) : circuit_(circuit) {
   circuit_.validate();
   n_nodes_ = circuit_.node_count();

@@ -19,9 +19,11 @@
 //   AC:         G + s * C                (s = j*2*pi*f)
 //
 // so a transient run or an AC sweep assembles the pattern exactly once and
-// only rewrites the CSR value array afterwards. The dense matrices returned
-// by dc_matrix()/transient_matrix() are densified from the same triplets and
-// serve as the small-system fast path and the correctness oracle.
+// only rewrites the CSR value array afterwards. Every analysis solves those
+// systems with the sparse LU. The dense matrices returned by
+// dc_matrix()/transient_matrix() are densified from the same triplets; no
+// analysis uses them — they feed the tests' dense-LU correctness oracle and
+// the dense-vs-sparse benchmarks.
 #pragma once
 
 #include <complex>
@@ -41,21 +43,6 @@ enum class Integrator {
   kBackwardEuler,
   kTrapezoidal,
 };
-
-// Linear-solver selection for the analyses.
-enum class SolverKind {
-  kAuto,    // dense below kSparseSolverThreshold unknowns, sparse above
-  kDense,   // force the dense LU (correctness oracle)
-  kSparse,  // force the sparse LU
-};
-
-// Unknown count at/above which SolverKind::kAuto picks the sparse LU. Below
-// it the dense factorization wins on constant factors and doubles as the
-// correctness oracle.
-inline constexpr std::size_t kSparseSolverThreshold = 64;
-
-// Resolves a SolverKind against a system size.
-bool use_sparse_solver(SolverKind solver, std::size_t unknowns);
 
 // Dynamic state carried between transient steps.
 struct TransientState {

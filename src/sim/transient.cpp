@@ -5,12 +5,10 @@
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "numeric/matrix.h"
 #include "numeric/sparse.h"
 #include "obs/obs.h"
 
@@ -26,20 +24,6 @@ double node_voltage_of(const std::vector<double>& v, NodeId n) {
 bool same_structure(const numeric::SparsePattern& a, const numeric::SparsePattern& b) {
   return a.n == b.n && a.row_ptr == b.row_ptr && a.col_idx == b.col_idx;
 }
-
-// One cached transient-system factorization: dense LU or sparse LU,
-// whichever the run's solver policy selected.
-struct CachedFactor {
-  std::optional<numeric::RealLu> dense;
-  std::optional<numeric::RealSparseLu> sparse;
-
-  void solve_in_place(std::vector<double>& x) const {
-    if (dense)
-      dense->solve_in_place(x);
-    else
-      sparse->solve_in_place(x);
-  }
-};
 
 }  // namespace
 
@@ -88,10 +72,8 @@ std::vector<double> dc_operating_point(const Circuit& circuit, double gmin) {
   const MnaAssembler assembler(circuit);
   TransientState empty;
   empty.buffer_fire_time.assign(circuit.buffers().size(), kInf);
-  const auto rhs = assembler.dc_rhs(0.0, empty);
-  if (use_sparse_solver(SolverKind::kAuto, assembler.unknown_count()))
-    return numeric::RealSparseLu(assembler.dc_sparse(gmin)).solve(rhs);
-  return numeric::RealLu(assembler.dc_matrix(gmin)).solve(rhs);
+  return numeric::RealSparseLu(assembler.dc_sparse(gmin))
+      .solve(assembler.dc_rhs(0.0, empty));
 }
 
 TransientResult run_transient(const Circuit& circuit, const TransientOptions& options) {
@@ -110,13 +92,15 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
         "run_transient: min_dt_fraction must be in [1e-12, 1]");
 
   const MnaAssembler assembler(circuit);
-  const bool use_sparse = use_sparse_solver(options.solver, assembler.unknown_count());
 
   // --- cross-run symbolic reuse (sweep hot path) ---------------------------
   // Adopt the caller's recorded patterns when they structurally match this
   // circuit's, so the recorded symbolic factorizations can be replayed; on a
   // mismatch the reuse state is re-seeded from this run.
-  SolverReuse* reuse = use_sparse ? options.reuse : nullptr;
+  SolverReuse* reuse = options.reuse;
+  // Full factorizations this run performs; added to options.reuse's count
+  // at the end even when a pattern mismatch disabled replay.
+  std::size_t symbolic_factorizations = 0;
   numeric::SparsePatternPtr system_pattern = assembler.system_pattern();
   if (reuse) {
     if (!reuse->system_pattern) {
@@ -139,30 +123,27 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
     empty.buffer_fire_time.assign(circuit.buffers().size(), kInf);
     const auto rhs = assembler.dc_rhs(0.0, empty);
     std::vector<double> dc_solution;
-    if (use_sparse) {
-      numeric::RealSparse dc = assembler.dc_sparse(options.dc_gmin);
-      SolverReuse* dc_reuse = reuse;
-      if (dc_reuse) {
-        if (!dc_reuse->dc_pattern) {
-          dc_reuse->dc_pattern = dc.pattern_ptr();
-        } else if (same_structure(*dc_reuse->dc_pattern, dc.pattern())) {
-          dc = numeric::RealSparse(dc_reuse->dc_pattern, std::move(dc.values()));
-        } else {
-          dc_reuse = nullptr;  // same rationale as the system pattern above
-        }
-      }
-      if (dc_reuse && dc_reuse->dc_symbolic) {
-        numeric::RealSparseLu lu(*dc_reuse->dc_symbolic);  // copy: reuse symbolic
-        lu.refactor(dc);
-        dc_solution = lu.solve(rhs);
+    numeric::RealSparse dc = assembler.dc_sparse(options.dc_gmin);
+    SolverReuse* dc_reuse = reuse;
+    if (dc_reuse) {
+      if (!dc_reuse->dc_pattern) {
+        dc_reuse->dc_pattern = dc.pattern_ptr();
+      } else if (same_structure(*dc_reuse->dc_pattern, dc.pattern())) {
+        dc = numeric::RealSparse(dc_reuse->dc_pattern, std::move(dc.values()));
       } else {
-        numeric::RealSparseLu lu(dc);
-        if (dc_reuse)
-          dc_reuse->dc_symbolic = std::make_shared<const numeric::RealSparseLu>(lu);
-        dc_solution = lu.solve(rhs);
+        dc_reuse = nullptr;  // same rationale as the system pattern above
       }
+    }
+    if (dc_reuse && dc_reuse->dc_symbolic) {
+      numeric::RealSparseLu lu(*dc_reuse->dc_symbolic);  // copy: reuse symbolic
+      if (lu.refactor(dc)) ++symbolic_factorizations;
+      dc_solution = lu.solve(rhs);
     } else {
-      dc_solution = numeric::RealLu(assembler.dc_matrix(options.dc_gmin)).solve(rhs);
+      numeric::RealSparseLu lu(dc);
+      ++symbolic_factorizations;
+      if (dc_reuse)
+        dc_reuse->dc_symbolic = std::make_shared<const numeric::RealSparseLu>(lu);
+      dc_solution = lu.solve(rhs);
     }
     state = assembler.initial_state(dc_solution);
   }
@@ -187,9 +168,9 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
     return static_cast<std::int64_t>(std::llround(dt / dt_quantum));
   };
 
-  std::map<std::pair<std::int64_t, int>, CachedFactor> lu_cache;
+  std::map<std::pair<std::int64_t, int>, numeric::RealSparseLu> lu_cache;
   std::size_t factorizations = 0;
-  // All sparse numeric factorizations share one symbolic analysis: the one
+  // All numeric factorizations share one symbolic analysis: the one
   // recorded in `reuse` from a previous compatible run when available (the
   // pattern never changes within a run, and a sweep's does not change across
   // runs either), else the first factorization of this run.
@@ -203,7 +184,8 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
   }
   std::vector<double> system_values;  // reused CSR value buffer
 
-  const auto factorized = [&](double dt, Integrator method) -> const CachedFactor& {
+  const auto factorized = [&](double dt,
+                              Integrator method) -> const numeric::RealSparseLu& {
     const auto key = std::make_pair(quantize(dt), static_cast<int>(method));
     auto it = lu_cache.find(key);
     if (it != lu_cache.end()) {
@@ -212,26 +194,20 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
       OBS_COUNTER_ADD("cache.lu_dt.misses", 1);
     }
     if (it == lu_cache.end()) {
-      CachedFactor factor;
-      if (use_sparse) {
-        assembler.system_values(MnaAssembler::transient_scale(dt, method),
-                                system_values);
-        const numeric::RealSparse a(system_pattern, system_values);
-        if (symbolic_donor) {
-          factor.sparse.emplace(*symbolic_donor);  // copy factors: reuse symbolic
-          factor.sparse->refactor(a);
-        } else {
-          factor.sparse.emplace(a);
-        }
+      assembler.system_values(MnaAssembler::transient_scale(dt, method),
+                              system_values);
+      const numeric::RealSparse a(system_pattern, system_values);
+      if (symbolic_donor) {
+        numeric::RealSparseLu factor(*symbolic_donor);  // copy: reuse symbolic
+        if (factor.refactor(a)) ++symbolic_factorizations;
+        it = lu_cache.emplace(key, std::move(factor)).first;
       } else {
-        factor.dense.emplace(assembler.transient_matrix(dt, method));
-      }
-      it = lu_cache.emplace(key, std::move(factor)).first;
-      if (use_sparse && !symbolic_donor) {
-        symbolic_donor = &*it->second.sparse;
+        it = lu_cache.emplace(key, numeric::RealSparseLu(a)).first;
+        ++symbolic_factorizations;
+        symbolic_donor = &it->second;
         if (reuse)
           reuse->system_symbolic =
-              std::make_shared<const numeric::RealSparseLu>(*it->second.sparse);
+              std::make_shared<const numeric::RealSparseLu>(it->second);
       }
       ++factorizations;
     }
@@ -367,7 +343,8 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
   result.buffer_fire_times = state.buffer_fire_time;
   result.steps_taken = steps;
   result.lu_factorizations = factorizations;
-  result.used_sparse_solver = use_sparse;
+  if (options.reuse)
+    options.reuse->symbolic_factorizations += symbolic_factorizations;
   return result;
 }
 

@@ -11,15 +11,13 @@
 // (interpolated) crossing time, the buffer is marked fired there, and
 // integration restarts from that breakpoint.
 //
-// Solver policy: the assembled MNA system is G + (factor/dt)*C over one
-// fixed sparsity pattern (see sim/mna.h). Below kSparseSolverThreshold
-// unknowns the dense LU wins on constant factors and doubles as the
-// correctness oracle; at or above it the engine switches to the sparse LU,
-// whose symbolic factorization is computed once per run and shared by every
-// (dt, integrator) numeric factorization. Step sizes are quantized onto a
-// min_dt_fraction grid before keying the LU cache, so breakpoint-clipped dt
-// values that differ only by ulps reuse one factorization instead of
-// triggering spurious refactorizations.
+// Solver: the assembled MNA system is G + (factor/dt)*C over one fixed
+// sparsity pattern (see sim/mna.h), solved with the sparse LU at every
+// size. Its symbolic factorization is computed once per run and shared by
+// every (dt, integrator) numeric factorization. Step sizes are quantized
+// onto a min_dt_fraction grid before keying the LU cache, so
+// breakpoint-clipped dt values that differ only by ulps reuse one
+// factorization instead of triggering spurious refactorizations.
 #pragma once
 
 #include <memory>
@@ -49,12 +47,20 @@ namespace rlcsim::sim {
 // encounters a mismatching pattern; the sweep engine gives each worker its
 // own instance seeded from one reference run to keep results bit-identical
 // at any thread count.
+//
+// The counts tally the work of every run handed this record, including
+// runs whose pattern mismatched and therefore ran without replaying.
 struct SolverReuse {
   numeric::SparsePatternPtr system_pattern;
   std::shared_ptr<const numeric::RealSparseLu> system_symbolic;
   numeric::SparsePatternPtr dc_pattern;
   std::shared_ptr<const numeric::RealSparseLu> dc_symbolic;
   std::size_t reuse_hits = 0;  // runs that reused a recorded symbolic
+  // Full (symbolic + numeric) factorizations, zero-pivot re-pivots included.
+  std::size_t symbolic_factorizations = 0;
+  // Batch lanes ejected to the scalar zero-pivot fallback
+  // (sim/transient_batch.h).
+  std::size_t ejected_lanes = 0;
 };
 
 struct TransientOptions {
@@ -67,10 +73,8 @@ struct TransientOptions {
   // Also the LU-cache quantization grid: dt is snapped to multiples of
   // min_dt_fraction * dt before factorizing.
   double min_dt_fraction = 1e-9;  // min event step as a fraction of dt
-  SolverKind solver = SolverKind::kAuto;
   // Optional cross-run symbolic-factorization reuse (sweep hot path). The
-  // pointee must outlive the run; it is read and updated in place. Ignored
-  // on the dense solver path.
+  // pointee must outlive the run; it is read and updated in place.
   SolverReuse* reuse = nullptr;
 };
 
@@ -79,7 +83,6 @@ struct TransientResult {
   std::vector<double> buffer_fire_times;  // +inf where a buffer never fired
   std::size_t steps_taken = 0;
   std::size_t lu_factorizations = 0;  // numeric factorizations (cache misses)
-  bool used_sparse_solver = false;
 };
 
 // Runs a transient analysis. Throws std::invalid_argument for bad options
@@ -87,8 +90,7 @@ struct TransientResult {
 TransientResult run_transient(const Circuit& circuit, const TransientOptions& options);
 
 // DC operating point: node voltages (and branch currents) with capacitors
-// open and inductors shorted, sources evaluated at t = 0. Uses the same
-// size-based dense/sparse solver policy as run_transient.
+// open and inductors shorted, sources evaluated at t = 0.
 std::vector<double> dc_operating_point(const Circuit& circuit, double gmin = 1e-12);
 
 // Source discontinuity times within [0, t_stop]: step corners, PWL points,

@@ -82,7 +82,6 @@ std::optional<std::vector<double>> run_batched_crossings(
     assemblers.emplace_back(circuit);
   }
   const std::size_t unknowns = assemblers[0].unknown_count();
-  if (!use_sparse_solver(options.solver, unknowns)) return std::nullopt;
   for (const MnaAssembler& assembler : assemblers) {
     if (assembler.unknown_count() != unknowns) return std::nullopt;
     if (!same_structure(*reuse->system_pattern, *assembler.system_pattern()))
@@ -207,8 +206,15 @@ std::optional<std::vector<double>> run_batched_crossings(
     TransientState empty;  // buffer-free: no fire times to carry
     dc_solution.set_lane(lane, assemblers[lane].dc_rhs(0.0, empty));
   }
+  // Ejected lanes and their scalar re-pivots are counted into the record,
+  // like run_transient counts its own factorizations.
+  const auto refactor_counted = [&](numeric::SparseLuBatch& lu,
+                                    const numeric::BatchedValues& values) {
+    reuse->symbolic_factorizations += lu.refactor(values);
+    reuse->ejected_lanes += lu.ejected_lane_count();
+  };
   numeric::SparseLuBatch dc_lu(*reuse->dc_symbolic, lanes);
-  dc_lu.refactor(dc_values);
+  refactor_counted(dc_lu, dc_values);
   dc_lu.solve_in_place(dc_solution);
 
   // Lane-major SoA transient state (the batch-kernel mirror of
@@ -259,7 +265,7 @@ std::optional<std::vector<double>> run_batched_crossings(
       for (std::size_t lane = 0; lane < lanes; ++lane)
         assemblers[lane].stamp_values_into(scale, system_values, lane);
       numeric::SparseLuBatch factor(*reuse->system_symbolic, lanes);
-      factor.refactor(system_values);
+      refactor_counted(factor, system_values);
       it = lu_cache.emplace(key, std::move(factor)).first;
     }
     last_key = key;

@@ -21,8 +21,8 @@
 // too), so batched sweep results are memcmp-equal to scalar ones.
 //
 // Eligibility is checked, not assumed: a batch whose lanes cannot share the
-// grid (structural pattern mismatch, buffers, dense-solver sizes, missing
-// recorded symbolics, per-scenario horizons, differing breakpoint sets)
+// grid (structural pattern mismatch, buffers, missing recorded symbolics,
+// per-scenario horizons, differing breakpoint sets)
 // returns std::nullopt and the caller runs the points scalar.
 #pragma once
 

@@ -8,7 +8,6 @@
 #include "core/delay_model.h"
 #include "core/two_pole.h"
 #include "numeric/fp_env.h"
-#include "numeric/sparse.h"
 #include "numeric/sparse_batch.h"
 #include "obs/obs.h"
 #include "repbus/stage_compose.h"
@@ -92,7 +91,6 @@ core::CrosstalkOptions scenario_crosstalk_options(const Scenario& scenario,
   xt.shield_every = scenario.xtalk.shield_every;
   xt.t_stop = options.t_stop;
   xt.dt = options.dt;
-  xt.solver = options.solver;
   xt.reuse = reuse;
   return xt;
 }
@@ -106,7 +104,6 @@ double transient_delay_of(const Scenario& scenario, const EngineOptions& options
                          ? options.t_stop
                          : sim::default_transient_horizon(scenario.system);
   transient.dt = options.dt;
-  transient.solver = options.solver;
   transient.reuse = reuse;
   return sim::run_until_crossing(circuit, "out", 0.5, transient,
                                  "SweepEngine transient_delay")
@@ -399,17 +396,22 @@ struct SweepEngine::Impl {
 
   explicit Impl(EngineOptions opts) : options(opts), pool(opts.threads) {}
 
-  // Shared result epilogue for run()/run_custom(): stats + timing.
+  // Shared result epilogue for run()/run_custom(): stats + timing. The
+  // factorization counts are summed from the per-worker reuse records
+  // (run() adds the reference evaluation's before calling this).
   static void finalize(SweepResult& out, std::size_t points,
                        const std::vector<sim::SolverReuse>& reuse,
                        const std::vector<mor::ConductanceReuse>& mor_reuse,
-                       const std::atomic<std::size_t>& symbolic,
-                       const std::atomic<std::size_t>& ejected,
                        const obs::Stopwatch& started) {
-    out.symbolic_factorizations = symbolic.load();
-    out.ejected_lanes = ejected.load();
-    for (const auto& r : reuse) out.solver_reuse_hits += r.reuse_hits;
-    for (const auto& r : mor_reuse) out.solver_reuse_hits += r.reuse_hits;
+    for (const auto& r : reuse) {
+      out.solver_reuse_hits += r.reuse_hits;
+      out.symbolic_factorizations += r.symbolic_factorizations;
+      out.ejected_lanes += r.ejected_lanes;
+    }
+    for (const auto& r : mor_reuse) {
+      out.solver_reuse_hits += r.reuse_hits;
+      out.symbolic_factorizations += r.symbolic_factorizations;
+    }
     // Wall time feeds ONLY the elapsed/points-per-second observability
     // metadata, never a result value; obs::Stopwatch is the sanctioned
     // clock access (the lint wallclock-scope rule bans ::now() here).
@@ -443,8 +445,6 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
   SweepResult out;
   out.threads_used = impl_->pool.size();
   out.values.assign(n, kNaN);
-  std::atomic<std::size_t> symbolic{0};
-  std::atomic<std::size_t> ejected{0};
   std::atomic<std::size_t> batched_points{0};
   std::atomic<std::size_t> scalar_points{0};
 
@@ -471,7 +471,6 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
     // determines every numeric factorization.
     sim::SolverReuse reference;
     mor::ConductanceReuse mor_reference;
-    const std::size_t before = numeric::sparse_lu_stats().symbolic;
     if (project) {
       const Scenario nominal = spec.at(0);
       basis_order = nominal.xtalk.reduction_order;
@@ -485,7 +484,11 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
       out.values[0] = evaluate_point(spec.at(0), analysis, impl_->options,
                                      &reference, &mor_reference);
     }
-    symbolic += numeric::sparse_lu_stats().symbolic - before;
+    // Workers inherit the recorded state, not the reference's counts.
+    out.symbolic_factorizations =
+        reference.symbolic_factorizations + mor_reference.symbolic_factorizations;
+    reference.symbolic_factorizations = 0;
+    mor_reference.symbolic_factorizations = 0;
     for (auto& r : reuse) r = reference;
     for (auto& r : mor_reuse) r = mor_reference;
     scalar_points += 1;  // the reference point is always evaluated scalar
@@ -512,8 +515,6 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
       OBS_SPAN("sweep.tile");
       const std::size_t begin = first + tile * lane_width;
       const std::size_t count = std::min(lane_width, n - begin);
-      const std::size_t before = numeric::sparse_lu_stats().symbolic;
-      const std::size_t ejected_before = numeric::sparse_lu_stats().ejected_lanes;
       bool batched = false;
       if (count == lane_width) {
         std::vector<sim::Circuit> circuits;
@@ -524,7 +525,6 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
         sim::TransientOptions transient;
         transient.t_stop = options.t_stop;
         transient.dt = options.dt;
-        transient.solver = options.solver;
         transient.reuse = &reuse[worker];
         const auto crossings = sim::run_batched_crossings(
             circuits, "out", 0.5, transient, "SweepEngine transient_delay");
@@ -544,12 +544,10 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
                              &reuse[worker], &mor_reuse[worker]);
       }
       (batched ? batched_points : scalar_points).fetch_add(count);
-      symbolic.fetch_add(numeric::sparse_lu_stats().symbolic - before);
-      ejected.fetch_add(numeric::sparse_lu_stats().ejected_lanes - ejected_before);
     });
     out.batched_points = batched_points.load();
     out.scalar_points = scalar_points.load();
-    Impl::finalize(out, n, reuse, mor_reuse, symbolic, ejected, started);
+    Impl::finalize(out, n, reuse, mor_reuse, started);
     return out;
   }
 
@@ -564,17 +562,15 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
     const bool point_projects =
         project && scenario.xtalk.reduction_order == basis_order;
     if (point_projects) OBS_COUNTER_ADD("reuse.projection_points", 1);
-    const std::size_t before = numeric::sparse_lu_stats().symbolic;
     out.values[flat] = evaluate_point(scenario, analysis, options,
                                       seeded ? &reuse[worker] : nullptr,
                                       seeded ? &mor_reuse[worker] : nullptr,
                                       point_projects ? &basis : nullptr);
-    symbolic.fetch_add(numeric::sparse_lu_stats().symbolic - before);
   });
 
   out.batched_points = batched_points.load();
   out.scalar_points = scalar_points.load();
-  Impl::finalize(out, n, reuse, mor_reuse, symbolic, ejected, started);
+  Impl::finalize(out, n, reuse, mor_reuse, started);
   return out;
 }
 
@@ -589,21 +585,17 @@ SweepResult SweepEngine::run_custom(
   SweepResult out;
   out.threads_used = impl_->pool.size();
   out.values.assign(n, kNaN);
-  std::atomic<std::size_t> symbolic{0};
-  std::atomic<std::size_t> ejected{0};
   std::vector<sim::SolverReuse> reuse(impl_->pool.size());
   std::vector<mor::ConductanceReuse> mor_reuse(impl_->pool.size());
 
   impl_->pool.parallel_for(n, [&](std::size_t i, std::size_t worker) {
     OBS_SPAN("sweep.point");
     PointContext ctx{&reuse[worker], &mor_reuse[worker], worker};
-    const std::size_t before = numeric::sparse_lu_stats().symbolic;
     out.values[i] = eval(i, ctx);
-    symbolic.fetch_add(numeric::sparse_lu_stats().symbolic - before);
   });
 
   out.scalar_points = n;  // custom evaluators never batch
-  Impl::finalize(out, n, reuse, mor_reuse, symbolic, ejected, started);
+  Impl::finalize(out, n, reuse, mor_reuse, started);
   return out;
 }
 

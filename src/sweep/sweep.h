@@ -160,7 +160,6 @@ struct EngineOptions {
   int segments = 60;
   double t_stop = 0.0;
   double dt = 0.0;
-  sim::SolverKind solver = sim::SolverKind::kAuto;
   // Scenario-batched transient lanes (kTransientDelay sweeps): workers take
   // TILES of this many grid points and step them as one SIMD batch
   // (sim/transient_batch.h) instead of point-by-point. 0 resolves through
@@ -191,7 +190,11 @@ struct SweepResult {
   std::size_t threads_used = 0;
   // Sparse symbolic factorizations performed across all threads (transient
   // sweeps: 2 — one system, one DC; reduced sweeps: 1 — the G factorization
-  // — however many points and threads).
+  // — however many points and threads). Summed from the per-worker
+  // sim::SolverReuse / mor::ConductanceReuse records, so only work handed a
+  // record counts: analyses that take none (kAcBandwidth, the closed-form
+  // ones) report 0, and run_custom() counts what `eval` does through
+  // ctx.reuse / ctx.mor_reuse.
   std::size_t symbolic_factorizations = 0;
   std::size_t solver_reuse_hits = 0;  // runs that replayed a recorded symbolic
   // Batch lanes ejected to the scalar zero-pivot fallback across the sweep

@@ -2,7 +2,10 @@
 
 #include <cmath>
 #include <complex>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -85,6 +88,31 @@ TEST(Ac, Validation) {
   EXPECT_THROW(ac_transfer_at(c, "nope", "out", 1e6), std::invalid_argument);
   EXPECT_THROW(ac_transfer_at(c, "vin", "nope", 1e6), std::invalid_argument);
   EXPECT_THROW(ac_transfer(c, "vin", "out", {-1.0}), std::invalid_argument);
+}
+
+TEST(Ac, NonFiniteOrNegativeFrequencyThrowsBeforeFactorizing) {
+  // The sweep pivots at its largest frequency before visiting any point, so
+  // validation must come first: a NaN reaching the pivot factorization
+  // throws "SparseLu: matrix is singular" (std::runtime_error) instead of
+  // an argument error.
+  CoupledLinesSpec spec;
+  spec.line = {100.0, 5e-9, 1e-12};
+  spec.coupling_capacitance = 0.3e-12;
+  spec.inductive_k = 0.4;
+  spec.segments = 40;
+  const Circuit circuit = build_crosstalk_pair(spec, 100.0, 50e-15);
+  const std::string source = circuit.voltage_sources().front().name;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::vector<double>& freqs :
+       {std::vector<double>{nan, 1e6}, std::vector<double>{1e6, nan},
+        std::vector<double>{nan}, std::vector<double>{inf},
+        std::vector<double>{1e6, -1.0}}) {
+    AcSweepInfo info;
+    EXPECT_THROW(ac_transfer(circuit, source, "vic.out", freqs, &info),
+                 std::invalid_argument);
+    EXPECT_EQ(info.symbolic_factorizations, 0u);
+  }
 }
 
 TEST(Ac, LogFrequencies) {

@@ -11,6 +11,7 @@
 
 #include "core/crosstalk.h"
 #include "core/two_pole.h"
+#include "dense_oracle.h"
 #include "sim/ac.h"
 #include "sim/builders.h"
 #include "sim/transient.h"
@@ -122,7 +123,8 @@ TEST(CoupledBusBuilder, Validation) {
 }
 
 // ---------------------------------------------------------------------------
-// Acceptance: 2-line K-segment coupled transient, sparse vs dense <= 1e-9
+// Acceptance: 2-line K-segment coupled transient, sparse vs the dense-LU
+// oracle <= 1e-9
 // ---------------------------------------------------------------------------
 
 TEST(CoupledBusCrossValidate, SparseMatchesDenseOracle) {
@@ -133,17 +135,12 @@ TEST(CoupledBusCrossValidate, SparseMatchesDenseOracle) {
 
   sim::TransientOptions opt;
   opt.t_stop = 4e-9;
-  const auto run_with = [&](sim::SolverKind solver) {
-    opt.solver = solver;
-    return sim::run_transient(c, opt);
-  };
-  const auto dense = run_with(sim::SolverKind::kDense);
-  const auto sparse = run_with(sim::SolverKind::kSparse);
-  EXPECT_FALSE(dense.used_sparse_solver);
-  EXPECT_TRUE(sparse.used_sparse_solver);
+  const auto sparse = sim::run_transient(c, opt);
+  const sim::WaveformSet dense =
+      oracle::dense_transient(c, opt, sparse.waveforms.time());
 
   for (const char* node : {"line0.out", "line1.out", "line0.drv", "line1.drv"}) {
-    const sim::Trace dense_trace = dense.waveforms.trace(node);
+    const sim::Trace dense_trace = dense.trace(node);
     const sim::Trace sparse_trace = sparse.waveforms.trace(node);
     const auto& vd = dense_trace.value();
     const auto& vs = sparse_trace.value();

@@ -85,20 +85,22 @@ TEST(Moments, MakeLinearSystemRejectsUnknownNode) {
 TEST(Moments, ConductanceReuseReplaysOneSymbolic) {
   const mor::LinearSystem linear = linear_system_of(kSystem, 40);
   mor::ConductanceReuse reuse;
-  numeric::sparse_lu_stats() = {};
   const mor::MomentGenerator first(linear, &reuse);
-  EXPECT_EQ(numeric::sparse_lu_stats().symbolic, 1u);
+  EXPECT_EQ(reuse.symbolic_factorizations, 1u);
+  const auto recorded = reuse.symbolic;
   // Topologically identical rebuild: numeric-only refactorization.
   const mor::LinearSystem again =
       linear_system_of({600.0, {1200.0, 2e-7, 1.5e-12}, 0.4e-12}, 40);
   const mor::MomentGenerator second(again, &reuse);
-  EXPECT_EQ(numeric::sparse_lu_stats().symbolic, 1u);
+  EXPECT_EQ(reuse.symbolic_factorizations, 1u);
   EXPECT_EQ(reuse.reuse_hits, 1u);
-  // A structurally DIFFERENT system must not touch the record.
+  // A structurally DIFFERENT system still counts its factorization but must
+  // not touch the record.
   const mor::LinearSystem other = linear_system_of(kSystem, 17);
   const mor::MomentGenerator third(other, &reuse);
-  EXPECT_EQ(numeric::sparse_lu_stats().symbolic, 2u);
+  EXPECT_EQ(reuse.symbolic_factorizations, 2u);
   EXPECT_EQ(reuse.reuse_hits, 1u);
+  EXPECT_EQ(reuse.symbolic, recorded);
 }
 
 // ---------------------------------------------------------------------------

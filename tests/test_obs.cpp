@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include "numeric/sparse.h"
 #include "obs/obs.h"
 #include "runtime/thread_pool.h"
 
@@ -34,6 +33,8 @@ std::uint64_t counter_of(const obs::MetricsSnapshot& snap,
 // ------------------------------------------------------------ aggregation
 
 TEST(ObsRegistry, CrossThreadAggregationEqualsSingleThreadTotal) {
+  if (!obs::metrics_enabled())
+    GTEST_SKIP() << "RLCSIM_METRICS=0 in this environment";
   const obs::Counter parallel_counter("test.obs.cross_thread");
   const obs::Counter serial_counter("test.obs.single_thread");
   const std::uint64_t parallel_before = parallel_counter.total();
@@ -44,9 +45,9 @@ TEST(ObsRegistry, CrossThreadAggregationEqualsSingleThreadTotal) {
 
   runtime::ThreadPool pool(4);
   pool.parallel_for(kItems, [&](std::size_t, std::size_t) {
-    parallel_counter.add_always(kPerItem);
+    parallel_counter.add(kPerItem);
   });
-  for (std::size_t i = 0; i < kItems; ++i) serial_counter.add_always(kPerItem);
+  for (std::size_t i = 0; i < kItems; ++i) serial_counter.add(kPerItem);
 
   // However the items landed on shards, the aggregate is the serial total.
   EXPECT_EQ(parallel_counter.total() - parallel_before, kItems * kPerItem);
@@ -55,8 +56,10 @@ TEST(ObsRegistry, CrossThreadAggregationEqualsSingleThreadTotal) {
 }
 
 TEST(ObsRegistry, SnapshotAndJsonCarryRegisteredCounters) {
+  if (!obs::metrics_enabled())
+    GTEST_SKIP() << "RLCSIM_METRICS=0 in this environment";
   const obs::Counter counter("test.obs.json_counter");
-  counter.add_always(3);
+  counter.add(3);
   const obs::MetricsSnapshot snap = obs::snapshot();
   EXPECT_GE(counter_of(snap, "test.obs.json_counter"), 3u);
 
@@ -145,7 +148,7 @@ TEST(ObsHistogram, EmptySnapshotReportsZero) {
 
 TEST(ObsRegistry, NameKeyedTotalsMatchHandleTotals) {
   const obs::Counter counter("test.obs.named_counter");
-  counter.add_always(5);
+  counter.add(5);
   const auto by_name = obs::counter_total("test.obs.named_counter");
   ASSERT_TRUE(by_name.has_value());
   EXPECT_EQ(*by_name, counter.total());
@@ -290,30 +293,6 @@ TEST(ObsPool, TasksExecutedSumsToTasksSubmitted) {
                                  counter_of(before, "pool.tasks_executed");
   EXPECT_EQ(submitted, executed);
   EXPECT_GE(submitted, 64u + 64u * 4u);
-}
-
-// --------------------------------------------- legacy stats view semantics
-
-TEST(ObsLuStats, ViewCopiesFreezeAndLiveViewTracks) {
-  numeric::SparseLuStatsView& live = numeric::sparse_lu_stats();
-  live = {};  // reset: stores a frozen zero snapshot into this thread's cells
-  EXPECT_EQ(static_cast<std::size_t>(live.symbolic), 0u);
-
-  const numeric::SparseLuStatsView frozen_at_zero = live;
-  ++live.symbolic;
-  live.numeric += 2;
-
-  // The copy froze at the values it was taken at; the live view moved on.
-  EXPECT_EQ(static_cast<std::size_t>(frozen_at_zero.symbolic), 0u);
-  EXPECT_EQ(static_cast<std::size_t>(live.symbolic), 1u);
-  EXPECT_EQ(static_cast<std::size_t>(live.numeric), 2u);
-
-  // Conversion to the plain value struct snapshots the same numbers.
-  const numeric::SparseLuStats value = live;
-  EXPECT_EQ(value.symbolic, 1u);
-  EXPECT_EQ(value.numeric, 2u);
-  EXPECT_EQ(value.ejected_lanes, 0u);
-  live = {};
 }
 
 }  // namespace

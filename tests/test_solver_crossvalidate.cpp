@@ -1,11 +1,12 @@
 // Sparse-vs-dense cross-validation of the full simulator stack, plus the
-// solver-policy and LU-cache regressions introduced with the sparse MNA
-// subsystem.
+// LU-cache regressions introduced with the sparse MNA subsystem.
 //
 //  * Coupled RLC lines (capacitive + mutual-inductive coupling) simulated
-//    with the solver forced dense and forced sparse must agree to 1e-9 in
-//    both transient waveforms and AC transfer — the mutual-inductance cross
-//    stamps are the easiest thing for a sparse assembly path to get wrong.
+//    by the sparse engine must agree to 1e-9 with the dense-LU oracle
+//    (tests/dense_oracle.h) in both transient waveforms and AC transfer —
+//    the mutual-inductance cross stamps are the easiest thing for a sparse
+//    assembly path to get wrong. Small circuits (3 and 63 unknowns) are
+//    held to the same oracle.
 //  * An AC sweep must perform exactly one symbolic factorization however
 //    many frequency points it visits (pattern reuse).
 //  * A transient run must share one symbolic factorization across all its
@@ -20,10 +21,11 @@
 
 #include <gtest/gtest.h>
 
-#include "numeric/sparse.h"
+#include "dense_oracle.h"
 #include "sim/ac.h"
 #include "sim/builders.h"
 #include "sim/transient.h"
+#include "tline/coupled_bus.h"
 
 namespace {
 
@@ -39,39 +41,23 @@ CoupledLinesSpec coupled_spec(int segments) {
   return spec;
 }
 
-double max_trace_deviation(const TransientResult& a, const TransientResult& b) {
-  double max_err = 0.0;
-  for (const auto& node : a.waveforms.node_names()) {
-    const Trace ta = a.waveforms.trace(node);
-    const Trace tb = b.waveforms.trace(node);
-    const auto& va = ta.value();
-    const auto& vb = tb.value();
-    EXPECT_EQ(va.size(), vb.size()) << node;
-    for (std::size_t i = 0; i < std::min(va.size(), vb.size()); ++i)
-      max_err = std::max(max_err, std::fabs(va[i] - vb[i]));
-  }
-  return max_err;
+// Max deviation of a sparse run from the dense-LU oracle stepped on the
+// run's own grid.
+double oracle_deviation(const Circuit& circuit, const TransientOptions& options) {
+  const TransientResult sparse = run_transient(circuit, options);
+  const WaveformSet dense =
+      oracle::dense_transient(circuit, options, sparse.waveforms.time());
+  return oracle::max_abs_deviation(dense, sparse.waveforms);
 }
 
 TEST(CrossValidate, CoupledLinesTransientSparseMatchesDense) {
-  // 40 segments/line -> ~200 unknowns with 40 mutual couplings: big enough
-  // that kAuto picks sparse, rich enough to exercise every stamp type.
+  // 40 segments/line -> ~200 unknowns with 40 mutual couplings: rich enough
+  // to exercise every stamp type.
   const Circuit circuit = build_crosstalk_pair(coupled_spec(40), 100.0, 50e-15);
   TransientOptions options;
   options.t_stop = 2e-9;
   options.dt = 1e-12;
-
-  TransientOptions dense = options;
-  dense.solver = SolverKind::kDense;
-  TransientOptions sparse = options;
-  sparse.solver = SolverKind::kSparse;
-
-  const auto rd = run_transient(circuit, dense);
-  const auto rs = run_transient(circuit, sparse);
-  EXPECT_FALSE(rd.used_sparse_solver);
-  EXPECT_TRUE(rs.used_sparse_solver);
-  EXPECT_EQ(rd.steps_taken, rs.steps_taken);
-  EXPECT_LE(max_trace_deviation(rd, rs), 1e-9);
+  EXPECT_LE(oracle_deviation(circuit, options), 1e-9);
 }
 
 TEST(CrossValidate, CoupledLinesAcSparseMatchesDense) {
@@ -80,27 +66,52 @@ TEST(CrossValidate, CoupledLinesAcSparseMatchesDense) {
   // The aggressor driver is the "agg.drv" source; compare victim far end.
   const std::string source = circuit.voltage_sources().front().name;
   for (const char* node : {"agg.out", "vic.out"}) {
-    const auto hd = ac_transfer(circuit, source, node, freqs, SolverKind::kDense);
-    const auto hs = ac_transfer(circuit, source, node, freqs, SolverKind::kSparse);
+    const auto hd = oracle::dense_ac(circuit, source, node, freqs);
+    const auto hs = ac_transfer(circuit, source, node, freqs);
     ASSERT_EQ(hd.size(), hs.size());
     for (std::size_t i = 0; i < hd.size(); ++i)
-      EXPECT_LE(std::abs(hd[i].value - hs[i].value), 1e-9)
-          << node << " f=" << freqs[i];
+      EXPECT_LE(std::abs(hd[i] - hs[i].value), 1e-9) << node << " f=" << freqs[i];
   }
 }
 
-TEST(CrossValidate, AutoPolicyPicksBySize) {
-  // Tiny circuit -> dense; large ladder -> sparse.
+// Small systems, where a dense LU is competitive, run on the sparse LU too
+// and are held to the same oracle.
+TEST(CrossValidate, ThreeUnknownRcMatchesDenseOracle) {
   Circuit small;
-  small.add_voltage_source("in", "0", StepSpec{0.0, 1.0, 0.0, 0.0});
+  small.add_voltage_source("in", "0", StepSpec{0.0, 1.0, 0.0, 0.0}, "vin");
   small.add_resistor("in", "out", 100.0);
   small.add_capacitor("out", "0", 1e-12);
+  ASSERT_EQ(MnaAssembler(small).unknown_count(), 3u);
   TransientOptions options;
   options.t_stop = 1e-9;
-  EXPECT_FALSE(run_transient(small, options).used_sparse_solver);
+  EXPECT_LE(oracle_deviation(small, options), 1e-9);
 
-  const Circuit big = build_crosstalk_pair(coupled_spec(40), 100.0, 50e-15);
-  EXPECT_TRUE(run_transient(big, options).used_sparse_solver);
+  const auto freqs = log_frequencies(1e6, 1e11, 30);
+  const auto hd = oracle::dense_ac(small, "vin", "out", freqs);
+  const auto hs = ac_transfer(small, "vin", "out", freqs);
+  for (std::size_t i = 0; i < freqs.size(); ++i)
+    EXPECT_LE(std::abs(hd[i] - hs[i].value), 1e-9) << "f=" << freqs[i];
+}
+
+TEST(CrossValidate, SixtyThreeUnknownBusMatchesDenseOracle) {
+  // The 3-line, 6-segment coupled bus (63 unknowns), the size of the
+  // crosstalk benchmark's bus.
+  const tline::CoupledBus bus = tline::make_bus(3, {100.0, 5e-9, 1e-12}, 0.4, 0.3);
+  const Circuit circuit = build_coupled_bus(
+      bus, {BusDrive::kRising, BusDrive::kQuietLow, BusDrive::kFalling}, 100.0,
+      50e-15, 6);
+  ASSERT_EQ(MnaAssembler(circuit).unknown_count(), 63u);
+  TransientOptions options;
+  options.t_stop = 2e-9;
+  options.dt = 1e-12;
+  EXPECT_LE(oracle_deviation(circuit, options), 1e-9);
+
+  const auto freqs = log_frequencies(1e6, 1e11, 30);
+  const std::string source = circuit.voltage_sources().front().name;
+  const auto hd = oracle::dense_ac(circuit, source, "line1.out", freqs);
+  const auto hs = ac_transfer(circuit, source, "line1.out", freqs);
+  for (std::size_t i = 0; i < freqs.size(); ++i)
+    EXPECT_LE(std::abs(hd[i] - hs[i].value), 1e-9) << "f=" << freqs[i];
 }
 
 TEST(AcSweep, ExactlyOneSymbolicFactorizationPerSweep) {
@@ -109,8 +120,7 @@ TEST(AcSweep, ExactlyOneSymbolicFactorizationPerSweep) {
   const auto freqs = log_frequencies(1e6, 1e10, 100);
 
   AcSweepInfo info;
-  ac_transfer(circuit, source, "vic.out", freqs, SolverKind::kSparse, &info);
-  EXPECT_TRUE(info.used_sparse_solver);
+  ac_transfer(circuit, source, "vic.out", freqs, &info);
   EXPECT_EQ(info.symbolic_factorizations, 1u)
       << "a 100-point sweep must reuse one symbolic factorization";
   // One full factorization at the pivot frequency + one refactor per point.
@@ -119,21 +129,20 @@ TEST(AcSweep, ExactlyOneSymbolicFactorizationPerSweep) {
 
 TEST(TransientCache, SharesOneSymbolicAcrossDtAndIntegratorKeys) {
   // Trapezoidal with BE damping steps and a mid-run breakpoint produces
-  // several distinct (dt, integrator) cache keys; with the sparse solver all
-  // of them must share the first key's symbolic analysis.
+  // several distinct (dt, integrator) cache keys; all of them must share
+  // the first key's symbolic analysis.
   const Circuit circuit = build_crosstalk_pair(coupled_spec(40), 100.0, 50e-15);
+  SolverReuse record;
   TransientOptions options;
   options.t_stop = 2e-9;
   options.dt = 1e-12;
-  options.solver = SolverKind::kSparse;
+  options.reuse = &record;
 
-  numeric::sparse_lu_stats() = {};
   const auto result = run_transient(circuit, options);
-  EXPECT_TRUE(result.used_sparse_solver);
   EXPECT_GE(result.lu_factorizations, 2u);  // BE + trapezoidal at least
   // One symbolic for the DC operating point (different pattern) plus one for
   // the whole transient system — never one per cache key.
-  EXPECT_EQ(numeric::sparse_lu_stats().symbolic, 2u);
+  EXPECT_EQ(record.symbolic_factorizations, 2u);
 }
 
 TEST(TransientCache, UlpDifferentClippedStepsShareAFactorization) {
@@ -231,7 +240,7 @@ TEST(Transient, MinDtFractionValidation) {
 
 TEST(Transient, PulseDrivenLadderSparseMatchesDense) {
   // End-to-end: a repeating pulse through an RLC ladder (many breakpoint
-  // landings and clipped steps), both solvers, same grid.
+  // landings and clipped steps), sparse engine vs the dense oracle.
   Circuit circuit;
   circuit.add_voltage_source("vin", "0",
                              PulseSpec{0.0, 1.0, 0.1e-9, 10e-12, 10e-12, 0.4e-9, 1.1e-9},
@@ -242,14 +251,7 @@ TEST(Transient, PulseDrivenLadderSparseMatchesDense) {
   TransientOptions options;
   options.t_stop = 3e-9;
   options.dt = 1e-12;
-  TransientOptions dense = options;
-  dense.solver = SolverKind::kDense;
-  TransientOptions sparse = options;
-  sparse.solver = SolverKind::kSparse;
-  const auto rd = run_transient(circuit, dense);
-  const auto rs = run_transient(circuit, sparse);
-  EXPECT_EQ(rd.steps_taken, rs.steps_taken);
-  EXPECT_LE(max_trace_deviation(rd, rs), 1e-9);
+  EXPECT_LE(oracle_deviation(circuit, options), 1e-9);
 }
 
 }  // namespace

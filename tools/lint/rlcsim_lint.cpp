@@ -44,6 +44,12 @@
 //                         kernel files without __restrict — phantom
 //                         aliasing between the SoA buffers otherwise forces
 //                         scalar codegen (same gate as above).
+//   metric-read-scope     this_thread_value(, obs::snapshot( or
+//                         metrics_enabled( in src/ outside src/obs/ —
+//                         telemetry is write-only: library code that reads a
+//                         metric back can let it steer a result. Work counts
+//                         a caller needs are counted into caller-owned state
+//                         (reuse records, result structs) instead.
 //
 // Suppressions: append `// rlcsim-lint: allow(<rule>[, <rule>...])` to the
 // offending line or the line directly above it. Suppressions that suppress
@@ -214,6 +220,15 @@ std::string check_kernel_restrict(const std::string& code,
   return {};
 }
 
+std::string check_metric_read(const std::string& code, const std::string&) {
+  if (contains(code, "this_thread_value(") ||
+      contains(code, "obs::snapshot(") ||
+      contains_word(code, "metrics_enabled("))
+    return "metric read in library code; telemetry is write-only outside "
+           "src/obs/ — count work into caller-owned state instead";
+  return {};
+}
+
 constexpr Rule kRules[] = {
     {"wallclock-scope", Scope::kSrcOutsideObs,
      "no wall-clock reads in src/ outside src/obs/ (bench mains and the "
@@ -233,6 +248,10 @@ constexpr Rule kRules[] = {
     {"kernel-restrict", Scope::kBatchKernels,
      "batch-kernel .data() base pointers need __restrict",
      check_kernel_restrict},
+    {"metric-read-scope", Scope::kSrcOutsideObs,
+     "no metric reads (this_thread_value/obs::snapshot/metrics_enabled) in "
+     "src/ outside src/obs/",
+     check_metric_read},
 };
 
 // The two files whose lane kernels carry the load-bearing annotations.
@@ -305,9 +324,9 @@ void scan_file(const fs::path& path, const std::string& rel_path,
     const std::string& raw_prev = i > 0 ? raw_lines[i - 1] : std::string();
     for (const Rule& rule : kRules) {
       if (rule.scope == Scope::kSrcOnly && top_dir != "src") continue;
-      // The obs subsystem is the one sanctioned home for wall-clock reads
-      // in src/: its telemetry is write-only, so a clock there cannot feed
-      // a result. Everything else in src/obs/ is still linted.
+      // The obs subsystem is the one sanctioned home for wall-clock and
+      // metric reads in src/: its telemetry is write-only, so neither can
+      // feed a result there. Everything else in src/obs/ is still linted.
       if (rule.scope == Scope::kSrcOutsideObs &&
           (top_dir != "src" || rel_path.rfind("src/obs/", 0) == 0))
         continue;

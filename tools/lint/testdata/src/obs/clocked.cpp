@@ -15,4 +15,7 @@ double span_seconds() {
 
 std::unordered_map<int, double> planted;  // planted: unordered-container
 
+// The obs subsystem may read its own metrics: metric-read-scope is silent.
+bool gate() { return metrics_enabled() && !obs::snapshot().counters.empty(); }
+
 }  // namespace fixture::obs
