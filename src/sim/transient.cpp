@@ -97,10 +97,9 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
   // Adopt the caller's recorded patterns when they structurally match this
   // circuit's, so the recorded symbolic factorizations can be replayed; on a
   // mismatch the reuse state is re-seeded from this run.
+  // `reuse` is the replay pointer; options.reuse counts every full
+  // factorization this run performs, even when a mismatch disables replay.
   SolverReuse* reuse = options.reuse;
-  // Full factorizations this run performs; added to options.reuse's count
-  // at the end even when a pattern mismatch disabled replay.
-  std::size_t symbolic_factorizations = 0;
   numeric::SparsePatternPtr system_pattern = assembler.system_pattern();
   if (reuse) {
     if (!reuse->system_pattern) {
@@ -136,11 +135,11 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
     }
     if (dc_reuse && dc_reuse->dc_symbolic) {
       numeric::RealSparseLu lu(*dc_reuse->dc_symbolic);  // copy: reuse symbolic
-      if (lu.refactor(dc)) ++symbolic_factorizations;
+      if (lu.refactor(dc)) ++options.reuse->symbolic_factorizations;
       dc_solution = lu.solve(rhs);
     } else {
       numeric::RealSparseLu lu(dc);
-      ++symbolic_factorizations;
+      if (options.reuse) ++options.reuse->symbolic_factorizations;
       if (dc_reuse)
         dc_reuse->dc_symbolic = std::make_shared<const numeric::RealSparseLu>(lu);
       dc_solution = lu.solve(rhs);
@@ -199,11 +198,12 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
       const numeric::RealSparse a(system_pattern, system_values);
       if (symbolic_donor) {
         numeric::RealSparseLu factor(*symbolic_donor);  // copy: reuse symbolic
-        if (factor.refactor(a)) ++symbolic_factorizations;
+        if (factor.refactor(a) && options.reuse)
+          ++options.reuse->symbolic_factorizations;
         it = lu_cache.emplace(key, std::move(factor)).first;
       } else {
         it = lu_cache.emplace(key, numeric::RealSparseLu(a)).first;
-        ++symbolic_factorizations;
+        if (options.reuse) ++options.reuse->symbolic_factorizations;
         symbolic_donor = &it->second;
         if (reuse)
           reuse->system_symbolic =
@@ -343,8 +343,6 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
   result.buffer_fire_times = state.buffer_fire_time;
   result.steps_taken = steps;
   result.lu_factorizations = factorizations;
-  if (options.reuse)
-    options.reuse->symbolic_factorizations += symbolic_factorizations;
   return result;
 }
 

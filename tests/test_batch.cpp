@@ -21,6 +21,7 @@
 #include "mor/reduce.h"
 #include "mor/response.h"
 #include "numeric/sparse.h"
+#include "obs/metrics.h"
 #include "sim/builders.h"
 #include "sim/mna.h"
 #include "sweep/sweep.h"
@@ -153,6 +154,14 @@ TEST(SparseLuBatchTest, ZeroPivotLaneEjectsIndividually) {
   BatchedValues values(static_cast<std::size_t>(donor_matrix.nnz()), lanes);
   for (std::size_t w = 0; w < lanes; ++w) values.set_lane(w, lane_values[w]);
 
+  // Passes recorded in the write-only lu.* counters (0 under
+  // RLCSIM_METRICS=0, so those checks run only with metrics on).
+  const auto passes = [](const char* counter) {
+    return obs::Counter(counter).total();
+  };
+  const std::uint64_t ejected0 = passes("lu.ejected_lanes");
+  const std::uint64_t symbolic0 = passes("lu.symbolic");
+  const std::uint64_t numeric0 = passes("lu.numeric");
   SparseLuBatch batch(donor, lanes);
   // The ejected lane's scalar fallback re-pivots: 1 ejected lane plus 1
   // full (symbolic) factorization.
@@ -160,6 +169,13 @@ TEST(SparseLuBatchTest, ZeroPivotLaneEjectsIndividually) {
   EXPECT_EQ(batch.ejected_lane_count(), 1u);
   EXPECT_FALSE(batch.lane_ejected(0));
   EXPECT_TRUE(batch.lane_ejected(2));
+  if (obs::metrics_enabled()) {
+    // 3 batched numeric passes + the ejected lane's full scalar
+    // refactorization (1 symbolic + 1 numeric).
+    EXPECT_EQ(passes("lu.ejected_lanes") - ejected0, 1u);
+    EXPECT_EQ(passes("lu.symbolic") - symbolic0, 1u);
+    EXPECT_EQ(passes("lu.numeric") - numeric0, lanes);
+  }
 
   BatchedValues rhs(2, lanes);
   const std::vector<double> b{1.0, 2.0};

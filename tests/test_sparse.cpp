@@ -10,10 +10,16 @@
 #include <gtest/gtest.h>
 
 #include "numeric/matrix.h"
+#include "obs/metrics.h"
 
 namespace {
 
 using namespace rlcsim::numeric;
+namespace obs = rlcsim::obs;
+
+// Passes recorded so far in one of the write-only lu.* counters. They read 0
+// under RLCSIM_METRICS=0, so the pass-count checks run only with metrics on.
+std::uint64_t lu_passes(const char* counter) { return obs::Counter(counter).total(); }
 
 TEST(Pattern, MergesDuplicatesAndSorts) {
   std::vector<std::pair<int, int>> entries{{1, 2}, {0, 0}, {1, 2}, {1, 0}, {0, 0}};
@@ -149,11 +155,22 @@ TEST(SparseLuTest, SingularThrows) {
 TEST(SparseLuTest, RefactorReusesSymbolicAnalysis) {
   const int n = 40;
   RealSparse a(n, random_system(n, 0.1, 11));
+  const std::uint64_t symbolic0 = lu_passes("lu.symbolic");
+  const std::uint64_t numeric0 = lu_passes("lu.numeric");
   RealSparseLu lu(a);
+  if (obs::metrics_enabled()) {
+    EXPECT_EQ(lu_passes("lu.symbolic") - symbolic0, 1u);
+    EXPECT_EQ(lu_passes("lu.numeric") - numeric0, 1u);
+  }
 
   // Rescale the values (same pattern), refactor, and check against dense.
   for (auto& v : a.values()) v *= 1.7;
   EXPECT_FALSE(lu.refactor(a)) << "refactor must not redo symbolic analysis";
+  if (obs::metrics_enabled()) {
+    EXPECT_EQ(lu_passes("lu.symbolic") - symbolic0, 1u)
+        << "refactor must not redo symbolic analysis";
+    EXPECT_EQ(lu_passes("lu.numeric") - numeric0, 2u);
+  }
 
   const RealLu dense(a.to_dense());
   std::vector<double> b(n, 1.0);
@@ -184,7 +201,9 @@ TEST(SparseLuTest, RefactorAcceptsStructurallyIdenticalPattern) {
   ASSERT_NE(a.pattern_ptr(), b.pattern_ptr());
 
   RealSparseLu lu(a);
+  const std::uint64_t symbolic0 = lu_passes("lu.symbolic");
   EXPECT_FALSE(lu.refactor(b)) << "structural match must not re-analyze";
+  EXPECT_EQ(lu_passes("lu.symbolic"), symbolic0) << "structural match must not re-analyze";
   const RealLu dense(b.to_dense());
   std::vector<double> rhs(5, 1.0);
   const auto xs = lu.solve(rhs);
@@ -200,8 +219,12 @@ TEST(SparseLuTest, RefactorFallsBackOnZeroPivot) {
       {0, 0, 4.0}, {0, 1, 1.0}, {1, 0, 1.0}, {1, 1, 4.0}};
   RealSparse a(2, t);
   RealSparseLu lu(a);
+  const std::uint64_t symbolic0 = lu_passes("lu.symbolic");
   a.values() = {0.0, 1.0, 1.0, 0.0};  // anti-diagonal permutation matrix
   EXPECT_TRUE(lu.refactor(a));  // fallback full factorization
+  if (obs::metrics_enabled()) {
+    EXPECT_EQ(lu_passes("lu.symbolic") - symbolic0, 1u);
+  }
   const auto x = lu.solve({2.0, 3.0});
   EXPECT_NEAR(x[0], 3.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);

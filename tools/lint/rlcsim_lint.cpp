@@ -44,11 +44,15 @@
 //                         kernel files without __restrict — phantom
 //                         aliasing between the SoA buffers otherwise forces
 //                         scalar codegen (same gate as above).
-//   metric-read-scope     this_thread_value(, obs::snapshot( or
-//                         metrics_enabled( in src/ outside src/obs/ —
-//                         telemetry is write-only: library code that reads a
-//                         metric back can let it steer a result. Work counts
-//                         a caller needs are counted into caller-owned state
+//   metric-read-scope     a metric read in src/ outside src/obs/:
+//                         obs::snapshot(, counter_total(, histogram_total(,
+//                         metrics_json(, metrics_enabled(, or a `.total()` /
+//                         `->total()` call (the project's only total()
+//                         accessors are the obs::Counter / obs::Histogram
+//                         handles). Telemetry
+//                         is write-only: library code that reads a metric
+//                         back can let it steer a result. Work counts a
+//                         caller needs are counted into caller-owned state
 //                         (reuse records, result structs) instead.
 //
 // Suppressions: append `// rlcsim-lint: allow(<rule>[, <rule>...])` to the
@@ -221,9 +225,12 @@ std::string check_kernel_restrict(const std::string& code,
 }
 
 std::string check_metric_read(const std::string& code, const std::string&) {
-  if (contains(code, "this_thread_value(") ||
-      contains(code, "obs::snapshot(") ||
-      contains_word(code, "metrics_enabled("))
+  if (contains(code, "obs::snapshot(") ||
+      contains_word(code, "counter_total(") ||
+      contains_word(code, "histogram_total(") ||
+      contains_word(code, "metrics_json(") ||
+      contains_word(code, "metrics_enabled(") ||
+      contains(code, ".total()") || contains(code, "->total()"))
     return "metric read in library code; telemetry is write-only outside "
            "src/obs/ — count work into caller-owned state instead";
   return {};
@@ -249,8 +256,9 @@ constexpr Rule kRules[] = {
      "batch-kernel .data() base pointers need __restrict",
      check_kernel_restrict},
     {"metric-read-scope", Scope::kSrcOutsideObs,
-     "no metric reads (this_thread_value/obs::snapshot/metrics_enabled) in "
-     "src/ outside src/obs/",
+     "no metric reads (snapshot/counter_total/histogram_total/metrics_json/"
+     "metrics_enabled/handle total()) in src/ outside "
+     "src/obs/",
      check_metric_read},
 };
 
