@@ -13,7 +13,7 @@
 //   - configure time: CMakeLists.txt rejects -ffast-math/-ffp-contract=fast
 //     flag soup outright;
 //   - compile time: static_assert(FLT_EVAL_METHOD == 0) where the batch
-//     kernels live (numeric/sparse_batch.cpp, sim/transient_batch.cpp);
+//     kernels live (numeric/sparse_batch.cpp, sim/transient.cpp);
 //   - run time: fp_env_guard at sweep/graph entry (debug builds).
 #pragma once
 

@@ -105,22 +105,6 @@ double default_transient_horizon(const tline::GateLineLoad& system) {
   return 8.0 * std::max(elmore, tof);
 }
 
-DelayRun run_until_crossing(const Circuit& circuit, const std::string& node,
-                            double level, TransientOptions options,
-                            const char* context) {
-  const double dt0 = options.dt;
-  for (int attempt = 0; attempt < 4; ++attempt) {
-    TransientResult result = run_transient(circuit, options);
-    const auto crossing = result.waveforms.trace(node).crossing(level, 0.0, +1);
-    if (crossing) return {std::move(result), *crossing};
-    options.t_stop *= 4.0;
-    options.dt = dt0;  // keep caller's dt policy (0 re-derives from t_stop)
-  }
-  throw std::runtime_error(std::string(context) + ": '" + node +
-                           "' never crossed the threshold within the "
-                           "(auto-extended) horizon");
-}
-
 double simulate_gate_line_delay(const tline::GateLineLoad& system, int segments,
                                 double t_stop, double dt, double threshold) {
   const Circuit circuit = build_gate_line_load(system, segments);

@@ -76,7 +76,9 @@ double default_transient_horizon(const tline::GateLineLoad& system);
 // options.t_stop, the horizon is extended x4 (up to 4 attempts, resetting
 // dt to the caller's policy each time — 0 re-derives from t_stop); throws
 // std::runtime_error prefixed with `context` if it never crosses. The shared
-// auto-extend policy of every delay-measuring entry point.
+// auto-extend policy of every delay-measuring entry point; defined in
+// sim/transient.cpp, where run_batched_crossings continues the same loop for
+// lanes that miss the shared window.
 struct DelayRun {
   TransientResult result;
   double crossing = 0.0;  // s

@@ -1,28 +1,745 @@
 #include "sim/transient.h"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "numeric/sparse.h"
+#include "numeric/sparse_batch.h"
 #include "obs/obs.h"
+#include "sim/builders.h"
+#include "sim/transient_batch.h"
+
+// Every transient result is memcmp'd across lane widths; excess-precision
+// double evaluation would fork them (see numeric/fp_env.h).
+static_assert(FLT_EVAL_METHOD == 0,
+              "rlcsim batch kernels require FLT_EVAL_METHOD == 0 "
+              "(strict double evaluation)");
 
 namespace rlcsim::sim {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-double node_voltage_of(const std::vector<double>& v, NodeId n) {
-  return n == kGround ? 0.0 : v[static_cast<std::size_t>(n)];
-}
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 bool same_structure(const numeric::SparsePattern& a, const numeric::SparsePattern& b) {
   return a.n == b.n && a.row_ptr == b.row_ptr && a.col_idx == b.col_idx;
+}
+
+double nominal_dt(const TransientOptions& options) {
+  return options.dt > 0.0 ? options.dt : options.t_stop / 4000.0;
+}
+
+// The option diagnostics run_transient throws; nullptr when the options are
+// valid. run_batched_crossings declines instead, so the scalar path raises
+// them.
+const char* option_error(const TransientOptions& options) {
+  if (!(options.t_stop > 0.0)) return "run_transient: t_stop must be > 0";
+  if (!(options.dt >= 0.0))
+    return "run_transient: dt must be >= 0 (0 selects t_stop / 4000)";
+  if (nominal_dt(options) >= options.t_stop)
+    return "run_transient: dt must be < t_stop";
+  // The lower bound keeps dt/dt_quantum inside int64 range for the LU-cache
+  // quantization (1e-12 still allows million-fold event-step refinement).
+  if (!(options.min_dt_fraction >= 1e-12) || options.min_dt_fraction > 1.0)
+    return "run_transient: min_dt_fraction must be in [1e-12, 1]";
+  return nullptr;
+}
+
+std::set<double> breakpoints_of(const Circuit& circuit, double t_stop) {
+  std::set<double> breakpoints;
+  breakpoints.insert(0.0);
+  breakpoints.insert(t_stop);
+  for (const auto& v : circuit.voltage_sources())
+    collect_source_breakpoints(v.spec, t_stop, breakpoints);
+  for (const auto& i : circuit.current_sources())
+    collect_source_breakpoints(i.spec, t_stop, breakpoints);
+  return breakpoints;
+}
+
+bool specs_equal(const SourceSpec& a, const SourceSpec& b) {
+  if (a.index() != b.index()) return false;
+  return std::visit(
+      [&](const auto& sa) {
+        using T = std::decay_t<decltype(sa)>;
+        const auto& sb = std::get<T>(b);
+        if constexpr (std::is_same_v<T, DcSpec>) {
+          return sa.value == sb.value;
+        } else if constexpr (std::is_same_v<T, StepSpec>) {
+          return sa.v0 == sb.v0 && sa.v1 == sb.v1 && sa.delay == sb.delay &&
+                 sa.rise == sb.rise;
+        } else if constexpr (std::is_same_v<T, PwlSpec>) {
+          return sa.points == sb.points;
+        } else {
+          return sa.v0 == sb.v0 && sa.v1 == sb.v1 && sa.delay == sb.delay &&
+                 sa.rise == sb.rise && sa.fall == sb.fall && sa.width == sb.width &&
+                 sa.period == sb.period;
+        }
+      },
+      a);
+}
+
+// True when `b` has `a`'s element counts and node/branch indices, so the
+// kernels can walk lane 0's topology for every lane. Only VALUES may differ.
+bool same_topology(const Circuit& a, const Circuit& b) {
+  const auto same = [](const auto& x, const auto& y, auto&& equal) {
+    if (x.size() != y.size()) return false;
+    for (std::size_t k = 0; k < x.size(); ++k)
+      if (!equal(x[k], y[k])) return false;
+    return true;
+  };
+  const auto two_nodes = [](const auto& x, const auto& y) {
+    return x.n1 == y.n1 && x.n2 == y.n2;
+  };
+  return a.node_count() == b.node_count() &&
+         same(a.capacitors(), b.capacitors(), two_nodes) &&
+         same(a.inductors(), b.inductors(), two_nodes) &&
+         same(a.mutuals(), b.mutuals(),
+              [](const auto& x, const auto& y) {
+                return x.inductor_a == y.inductor_a && x.inductor_b == y.inductor_b;
+              }) &&
+         same(a.voltage_sources(), b.voltage_sources(),
+              [](const auto& x, const auto& y) {
+                return x.positive == y.positive && x.negative == y.negative;
+              }) &&
+         same(a.current_sources(), b.current_sources(), [](const auto& x, const auto& y) {
+           return x.to == y.to && x.from == y.from;
+         });
+}
+
+// The auto-extend loop behind run_until_crossing: attempt k runs with
+// t_stop * 4^k and the caller's dt policy (0 re-derives the step from each
+// horizon). A batch starts at attempt 1, because its shared window was
+// attempt 0.
+DelayRun extend_until_crossing(const Circuit& circuit, const std::string& node,
+                               double level, TransientOptions options,
+                               const char* context, int first_attempt) {
+  for (int attempt = 0; attempt < 4; ++attempt) {
+    if (attempt >= first_attempt) {
+      TransientResult result = run_transient(circuit, options);
+      const auto crossing = result.waveforms.trace(node).crossing(level, 0.0, +1);
+      if (crossing) return {std::move(result), *crossing};
+    }
+    options.t_stop *= 4.0;
+  }
+  throw std::runtime_error(std::string(context) + ": '" + node +
+                           "' never crossed the threshold within the "
+                           "(auto-extended) horizon");
+}
+
+// Which entry point drives the engine. Both step the same way; they differ
+// in bookkeeping. A scalar run (run_transient, one lane) may seed an empty
+// SolverReuse and factorizes fresh when nothing is recorded. A batch
+// (run_batched_crossings) only replays a complete record, declines lanes
+// that cannot share one step grid, and counts ejected lanes.
+enum class Caller { kScalar, kBatch };
+
+// The one transient engine: W circuits of one topology stepped in lockstep
+// over one step grid, every solve a SparseLuBatch over one symbolic
+// factorization. The state and element values are lane-major SoA arrays
+// (value[element * W + lane]), and each kernel performs, per lane, the
+// arithmetic of MnaAssembler::transient_rhs_into / advance_state in the same
+// order, so a lane's bits do not depend on W.
+class Lockstep {
+ public:
+  Lockstep(std::vector<const Circuit*> circuits, const TransientOptions& options,
+           Caller caller)
+      : options_(options),
+        caller_(caller),
+        lanes_(circuits.size()),
+        circuits_(std::move(circuits)),
+        dt_nominal_(nominal_dt(options)),
+        dt_quantum_(dt_nominal_ * options.min_dt_fraction) {}
+
+  // Builds the lane tables, adopts the caller's SolverReuse record and
+  // solves the DC operating point. Returns false when a batch cannot run;
+  // the caller then steps its circuits one by one.
+  bool prepare();
+
+  // Steps to t_stop; record(time, node_voltages) sees the initial state
+  // and every accepted step (node voltages lane-major, W per node).
+  template <std::size_t W, typename Record>
+  void run(Record&& record);
+
+  std::size_t steps() const { return steps_; }
+  std::size_t factorizations() const { return factorizations_; }
+  const std::vector<double>& buffer_fire_times() const { return fire_; }
+  // Upper estimate of the recorded samples, for reserving.
+  std::size_t expected_samples() const {
+    return static_cast<std::size_t>(options_.t_stop / dt_nominal_) +
+           2 * breakpoints_.size() + 16;
+  }
+
+ private:
+  // Companion coefficients of one (dt, integrator) key, per element and
+  // lane: g = (trap ? 2 : 1) * C / dt for capacitors, the inductor and
+  // mutual history factors likewise, each the exact expression of the
+  // scalar reference. Every dt the engine steps with is a whole number of
+  // quanta, so the key determines dt and caching by key is value-exact.
+  struct StepCoeffs {
+    std::int64_t key = std::numeric_limits<std::int64_t>::min();
+    int method = -1;
+    std::vector<double> cap_g, ind_h, mut_h;
+  };
+
+  std::int64_t quantize(double dt) const {
+    return static_cast<std::int64_t>(std::llround(dt / dt_quantum_));
+  }
+  void count_refactor(const numeric::SparseLuBatch& lu, std::size_t repivots);
+  void count_full_factorization();
+  const StepCoeffs& coeffs_for(double dt, Integrator method);
+  const numeric::SparseLuBatch& factorized(double dt, Integrator method);
+
+  const TransientOptions& options_;
+  const Caller caller_;
+  const std::size_t lanes_;
+  const std::vector<const Circuit*> circuits_;
+  std::vector<MnaAssembler> assemblers_;
+  const double dt_nominal_, dt_quantum_;
+  std::set<double> breakpoints_;
+
+  // Cross-run solver state: `replay_` is the record this run replays or
+  // seeds (null on a pattern mismatch); options_.reuse counts every
+  // factorization either way.
+  SolverReuse* replay_ = nullptr;
+  numeric::SparsePatternPtr system_pattern_;
+  std::shared_ptr<const numeric::RealSparseLu> system_symbolic_;
+
+  // Lane 0's topology. Buffer input capacitances (lane 0 only: buffered
+  // circuits never batch) extend the capacitor table to ground, so the
+  // capacitor kernel carries their companions too.
+  std::vector<NodeId> cap_n1_, cap_n2_;
+  std::vector<std::size_t> ind_branch_, vsrc_branch_;
+  const std::vector<Buffer>* buffers_ = nullptr;
+  // Sources whose spec is the same in every lane are evaluated once per
+  // step (value-exact: identical spec, identical t, identical result).
+  std::vector<char> vsrc_shared_, isrc_shared_;
+  // Lane-major element values.
+  std::vector<double> cap_c_, ind_l_, mut_m_;
+
+  // Lane-major state.
+  double time_ = 0.0;
+  std::vector<double> nv_, cap_i_, ind_i_;
+  std::vector<double> fire_;  // per buffer of lane 0; +inf until fired
+
+  // LU cache keyed by (quantized dt, integrator); last_* short-circuits the
+  // map on the steady run of equal steps.
+  std::map<std::pair<std::int64_t, int>, numeric::SparseLuBatch> lu_cache_;
+  std::pair<std::int64_t, int> last_key_{std::numeric_limits<std::int64_t>::min(), -1};
+  const numeric::SparseLuBatch* last_factor_ = nullptr;
+  numeric::BatchedValues system_values_;
+  std::vector<double> lane_values_;
+  StepCoeffs coeffs_;
+
+  std::size_t steps_ = 0;
+  std::size_t factorizations_ = 0;
+};
+
+void Lockstep::count_refactor(const numeric::SparseLuBatch& lu, std::size_t repivots) {
+  if (!options_.reuse) return;
+  options_.reuse->symbolic_factorizations += repivots;
+  if (caller_ == Caller::kBatch)
+    options_.reuse->ejected_lanes += lu.ejected_lane_count();
+}
+
+void Lockstep::count_full_factorization() {
+  if (options_.reuse) ++options_.reuse->symbolic_factorizations;
+}
+
+bool Lockstep::prepare() {
+  const bool batch = caller_ == Caller::kBatch;
+  // A batch replays RECORDED symbolic factorizations; without a complete
+  // record each lane would pay (and pivot) its own analysis, which is
+  // exactly the scalar path.
+  replay_ = options_.reuse;
+  if (batch && !(replay_ && replay_->system_pattern && replay_->system_symbolic &&
+                 replay_->dc_pattern && replay_->dc_symbolic))
+    return false;
+
+  const Circuit& c0 = *circuits_[0];
+  assemblers_.reserve(lanes_);
+  for (const Circuit* circuit : circuits_) {
+    // Buffers move the step grid by state-dependent events, so only
+    // buffer-free lanes can share one grid.
+    if (batch && !circuit->buffers().empty()) return false;
+    if (circuit != &c0 && !same_topology(c0, *circuit)) return false;
+    assemblers_.emplace_back(*circuit);
+  }
+  const std::size_t unknowns = assemblers_[0].unknown_count();
+
+  // Buffer-free lanes step on source corners only, so equal breakpoint sets
+  // mean one (state-independent) step grid.
+  breakpoints_ = breakpoints_of(c0, options_.t_stop);
+  for (std::size_t lane = 1; lane < lanes_; ++lane)
+    if (breakpoints_of(*circuits_[lane], options_.t_stop) != breakpoints_)
+      return false;
+
+  // --- cross-run symbolic reuse -------------------------------------------
+  // Adopt the recorded pattern when every lane structurally matches it. A
+  // scalar run seeds an empty record; on a mismatch it runs without
+  // replaying and leaves the record alone: re-seeding would make later
+  // runs' pivot order depend on which circuit a worker happened to see
+  // first, breaking the sweeps' bit-identity at any thread count.
+  system_pattern_ = assemblers_[0].system_pattern();
+  if (replay_) {
+    if (!replay_->system_pattern) {
+      replay_->system_pattern = system_pattern_;
+    } else if (std::all_of(assemblers_.begin(), assemblers_.end(),
+                           [&](const MnaAssembler& a) {
+                             return same_structure(*replay_->system_pattern,
+                                                   *a.system_pattern());
+                           })) {
+      system_pattern_ = replay_->system_pattern;
+    } else {
+      if (batch) return false;
+      replay_ = nullptr;
+    }
+  }
+
+  // --- DC operating point (same adoption rules, DC pattern) ---------------
+  std::vector<numeric::RealSparse> dc;
+  dc.reserve(lanes_);
+  for (const MnaAssembler& assembler : assemblers_)
+    dc.push_back(assembler.dc_sparse(options_.dc_gmin));
+  SolverReuse* dc_replay = replay_;
+  if (dc_replay) {
+    if (!dc_replay->dc_pattern) {
+      dc_replay->dc_pattern = dc[0].pattern_ptr();
+    } else if (!std::all_of(dc.begin(), dc.end(), [&](const numeric::RealSparse& m) {
+                 return same_structure(*dc_replay->dc_pattern, m.pattern());
+               })) {
+      if (batch) return false;
+      dc_replay = nullptr;
+    }
+  }
+  numeric::BatchedValues dc_values(dc[0].values().size(), lanes_);
+  numeric::BatchedValues dc_solution(unknowns, lanes_);
+  for (std::size_t lane = 0; lane < lanes_; ++lane) {
+    dc_values.set_lane(lane, dc[lane].values());
+    dc_solution.set_lane(lane, assemblers_[lane].dc_rhs(0.0, TransientState{}));
+  }
+  std::shared_ptr<const numeric::RealSparseLu> dc_symbolic =
+      dc_replay ? dc_replay->dc_symbolic : nullptr;
+  if (!dc_symbolic) {
+    dc_symbolic = std::make_shared<const numeric::RealSparseLu>(dc[0]);
+    count_full_factorization();
+    if (dc_replay) dc_replay->dc_symbolic = dc_symbolic;
+  }
+  numeric::SparseLuBatch dc_lu(*dc_symbolic, lanes_);
+  count_refactor(dc_lu, dc_lu.refactor(dc_values));
+  dc_lu.solve_in_place(dc_solution);
+
+  // Every numeric factorization shares one symbolic analysis: the recorded
+  // one when available, else this run's first factorization.
+  system_symbolic_ = replay_ ? replay_->system_symbolic : nullptr;
+  if (system_symbolic_) {
+    replay_->reuse_hits += lanes_;
+    OBS_COUNTER_ADD("reuse.solver_hits", lanes_);
+  } else {
+    OBS_COUNTER_ADD("reuse.solver_misses", 1);
+  }
+
+  // --- lane-major tables ---------------------------------------------------
+  const auto& caps0 = c0.capacitors();
+  const auto& inductors0 = c0.inductors();
+  const auto& mutuals0 = c0.mutuals();
+  buffers_ = &c0.buffers();
+  for (const auto& c : caps0) {
+    cap_n1_.push_back(c.n1);
+    cap_n2_.push_back(c.n2);
+  }
+  std::vector<double> buffer_cap;
+  for (const Buffer& b : *buffers_) {
+    if (b.input_capacitance <= 0.0) continue;
+    cap_n1_.push_back(b.input);
+    cap_n2_.push_back(kGround);
+    buffer_cap.push_back(b.input_capacitance);
+  }
+  cap_c_.resize(cap_n1_.size() * lanes_);
+  ind_l_.resize(inductors0.size() * lanes_);
+  mut_m_.resize(mutuals0.size() * lanes_);
+  for (std::size_t lane = 0; lane < lanes_; ++lane) {
+    const Circuit& c = *circuits_[lane];
+    for (std::size_t k = 0; k < caps0.size(); ++k)
+      cap_c_[k * lanes_ + lane] = c.capacitors()[k].capacitance;
+    for (std::size_t k = 0; k < inductors0.size(); ++k)
+      ind_l_[k * lanes_ + lane] = c.inductors()[k].inductance;
+    for (std::size_t k = 0; k < mutuals0.size(); ++k)
+      mut_m_[k * lanes_ + lane] = c.mutuals()[k].mutual;
+  }
+  for (std::size_t k = 0; k < buffer_cap.size(); ++k)
+    cap_c_[(caps0.size() + k) * lanes_] = buffer_cap[k];
+  for (std::size_t k = 0; k < inductors0.size(); ++k)
+    ind_branch_.push_back(assemblers_[0].inductor_branch(k));
+  for (std::size_t k = 0; k < c0.voltage_sources().size(); ++k)
+    vsrc_branch_.push_back(assemblers_[0].vsource_branch(k));
+  vsrc_shared_.assign(c0.voltage_sources().size(), 1);
+  isrc_shared_.assign(c0.current_sources().size(), 1);
+  for (std::size_t lane = 1; lane < lanes_; ++lane) {
+    const Circuit& c = *circuits_[lane];
+    for (std::size_t k = 0; k < vsrc_shared_.size(); ++k)
+      if (!specs_equal(c.voltage_sources()[k].spec, c0.voltage_sources()[k].spec))
+        vsrc_shared_[k] = 0;
+    for (std::size_t k = 0; k < isrc_shared_.size(); ++k)
+      if (!specs_equal(c.current_sources()[k].spec, c0.current_sources()[k].spec))
+        isrc_shared_[k] = 0;
+  }
+  coeffs_.cap_g.resize(cap_c_.size());
+  coeffs_.ind_h.resize(ind_l_.size());
+  coeffs_.mut_h.resize(mut_m_.size());
+  system_values_ =
+      numeric::BatchedValues(static_cast<std::size_t>(system_pattern_->nnz()), lanes_);
+
+  // --- initial state (MnaAssembler::initial_state, lane-major) ------------
+  // Node voltages are the first node_count() solution slots, capacitor
+  // histories start at zero, inductor currents come from their branch
+  // unknowns, and no buffer has fired.
+  nv_.assign(dc_solution.data(), dc_solution.data() + c0.node_count() * lanes_);
+  cap_i_.assign(cap_c_.size(), 0.0);
+  ind_i_.resize(ind_l_.size());
+  for (std::size_t k = 0; k < inductors0.size(); ++k)
+    for (std::size_t lane = 0; lane < lanes_; ++lane)
+      ind_i_[k * lanes_ + lane] = dc_solution.at(ind_branch_[k], lane);
+  fire_.assign(buffers_->size(), kInf);
+  return true;
+}
+
+const Lockstep::StepCoeffs& Lockstep::coeffs_for(double dt, Integrator method) {
+  const std::int64_t key = quantize(dt);
+  if (coeffs_.key == key && coeffs_.method == static_cast<int>(method)) return coeffs_;
+  const bool trap = method == Integrator::kTrapezoidal;
+  for (std::size_t i = 0; i < cap_c_.size(); ++i)
+    coeffs_.cap_g[i] = (trap ? 2.0 : 1.0) * cap_c_[i] / dt;
+  for (std::size_t i = 0; i < ind_l_.size(); ++i)
+    coeffs_.ind_h[i] = trap ? 2.0 * ind_l_[i] / dt : ind_l_[i] / dt;
+  const double mutual_factor = trap ? 2.0 : 1.0;
+  for (std::size_t i = 0; i < mut_m_.size(); ++i)
+    coeffs_.mut_h[i] = mutual_factor * mut_m_[i] / dt;
+  coeffs_.key = key;
+  coeffs_.method = static_cast<int>(method);
+  return coeffs_;
+}
+
+const numeric::SparseLuBatch& Lockstep::factorized(double dt, Integrator method) {
+  const auto key = std::make_pair(quantize(dt), static_cast<int>(method));
+  const bool last = last_factor_ != nullptr && key == last_key_;
+  auto it = last ? lu_cache_.end() : lu_cache_.find(key);
+  const bool hit = last || it != lu_cache_.end();
+  if (caller_ == Caller::kBatch) {
+    if (hit) OBS_COUNTER_ADD("cache.lu_dt_batch.hits", 1);
+    else OBS_COUNTER_ADD("cache.lu_dt_batch.misses", 1);
+  } else {
+    if (hit) OBS_COUNTER_ADD("cache.lu_dt.hits", 1);
+    else OBS_COUNTER_ADD("cache.lu_dt.misses", 1);
+  }
+  if (last) return *last_factor_;
+
+  if (!hit) {
+    const double scale = MnaAssembler::transient_scale(dt, method);
+    for (std::size_t lane = 0; lane < lanes_; ++lane)
+      assemblers_[lane].stamp_values_into(scale, system_values_, lane);
+    if (!system_symbolic_) {
+      system_values_.extract_lane(0, lane_values_);
+      system_symbolic_ = std::make_shared<const numeric::RealSparseLu>(
+          numeric::RealSparse(system_pattern_, lane_values_));
+      count_full_factorization();
+      if (replay_) replay_->system_symbolic = system_symbolic_;
+    }
+    numeric::SparseLuBatch factor(*system_symbolic_, lanes_);
+    count_refactor(factor, factor.refactor(system_values_));
+    it = lu_cache_.emplace(key, std::move(factor)).first;
+    ++factorizations_;
+  }
+  last_key_ = key;
+  last_factor_ = &it->second;
+  return *last_factor_;
+}
+
+template <std::size_t W, typename Record>
+void Lockstep::run(Record&& record) {
+  const Circuit& c0 = *circuits_[0];
+  const std::size_t n_nodes = c0.node_count();
+  const auto& mutuals0 = c0.mutuals();
+  const auto& vsources0 = c0.voltage_sources();
+  const auto& isources0 = c0.current_sources();
+  const std::vector<Buffer>& buffers = *buffers_;
+  const std::size_t n_caps = cap_n1_.size();
+  const std::size_t n_inductors = ind_branch_.size();
+
+  // Transient RHS: transient_rhs_into with the lane loop innermost. The
+  // kernels use SparseLuBatch::solve_kernel's vectorization recipe —
+  // restrict-qualified base pointers, per-element staging arrays, and
+  // `#pragma GCC unroll 1` to keep the lane loops as loops — because the
+  // same phantom store/load aliasing otherwise compiles them scalar.
+  const auto rhs_into = [&](double dt, Integrator method, const StepCoeffs& coeff,
+                            numeric::BatchedValues& rhs) {
+    // Only the node rows accumulate (+=) and need clearing: every branch
+    // row, inductor and voltage source alike, is assigned (=) below.
+    std::fill_n(rhs.data(), n_nodes * W, 0.0);
+    double* __restrict const r = rhs.data();
+    const double* __restrict const nvp = nv_.data();
+    const double* __restrict const ci = cap_i_.data();
+    const double* __restrict const ii = ind_i_.data();
+    const double* __restrict const cg = coeff.cap_g.data();
+    const double* __restrict const ih = coeff.ind_h.data();
+    const double* __restrict const mh = coeff.mut_h.data();
+    const double t_next = time_ + dt;
+    const bool trap = method == Integrator::kTrapezoidal;
+
+    // Capacitor companions, buffer input capacitances included.
+    double hist[W];
+    for (std::size_t k = 0; k < n_caps; ++k) {
+      const NodeId n1 = cap_n1_[k], n2 = cap_n2_[k];
+#pragma GCC unroll 1
+      for (std::size_t lane = 0; lane < W; ++lane) {
+        const double v_prev =
+            (n1 == kGround ? 0.0 : nvp[static_cast<std::size_t>(n1) * W + lane]) -
+            (n2 == kGround ? 0.0 : nvp[static_cast<std::size_t>(n2) * W + lane]);
+        const double g = cg[k * W + lane];
+        hist[lane] = trap ? g * v_prev + ci[k * W + lane] : g * v_prev;
+      }
+      if (n1 != kGround) {
+        double* __restrict const rn = r + static_cast<std::size_t>(n1) * W;
+#pragma GCC unroll 1
+        for (std::size_t lane = 0; lane < W; ++lane) rn[lane] += hist[lane];
+      }
+      if (n2 != kGround) {
+        double* __restrict const rn = r + static_cast<std::size_t>(n2) * W;
+#pragma GCC unroll 1
+        for (std::size_t lane = 0; lane < W; ++lane) rn[lane] -= hist[lane];
+      }
+    }
+
+    // Inductor branch histories.
+    const auto& inductors0 = c0.inductors();
+    for (std::size_t k = 0; k < n_inductors; ++k) {
+      const NodeId n1 = inductors0[k].n1, n2 = inductors0[k].n2;
+      double* __restrict const rj = r + ind_branch_[k] * W;
+#pragma GCC unroll 1
+      for (std::size_t lane = 0; lane < W; ++lane) {
+        const double v_prev =
+            (n1 == kGround ? 0.0 : nvp[static_cast<std::size_t>(n1) * W + lane]) -
+            (n2 == kGround ? 0.0 : nvp[static_cast<std::size_t>(n2) * W + lane]);
+        if (trap)
+          rj[lane] = -v_prev - ih[k * W + lane] * ii[k * W + lane];
+        else
+          rj[lane] = -ih[k * W + lane] * ii[k * W + lane];
+      }
+    }
+    // Mutual-coupling history terms mirror the matrix cross stamps. The two
+    // updates hit two DIFFERENT branch rows (ia != ib), so splitting them
+    // into separate lane loops preserves each row's += sequence.
+    for (std::size_t k = 0; k < mutuals0.size(); ++k) {
+      const std::size_t ia = mutuals0[k].inductor_a, ib = mutuals0[k].inductor_b;
+      double* __restrict const ra = r + ind_branch_[ia] * W;
+      double* __restrict const rb = r + ind_branch_[ib] * W;
+#pragma GCC unroll 1
+      for (std::size_t lane = 0; lane < W; ++lane)
+        ra[lane] -= mh[k * W + lane] * ii[ib * W + lane];
+#pragma GCC unroll 1
+      for (std::size_t lane = 0; lane < W; ++lane)
+        rb[lane] -= mh[k * W + lane] * ii[ia * W + lane];
+    }
+
+    // Sources evaluated at the END of the step (implicit methods); a
+    // lane-shared spec is evaluated once and broadcast.
+    for (std::size_t k = 0; k < vsources0.size(); ++k) {
+      double* __restrict const rj = r + vsrc_branch_[k] * W;
+      if (vsrc_shared_[k]) {
+        const double v = source_value(vsources0[k].spec, t_next);
+#pragma GCC unroll 1
+        for (std::size_t lane = 0; lane < W; ++lane) rj[lane] = v;
+      } else {
+#pragma GCC unroll 1
+        for (std::size_t lane = 0; lane < W; ++lane)
+          rj[lane] = source_value(circuits_[lane]->voltage_sources()[k].spec, t_next);
+      }
+    }
+    for (std::size_t k = 0; k < isources0.size(); ++k) {
+      const NodeId to = isources0[k].to, from = isources0[k].from;
+      if (isrc_shared_[k]) {
+        const double i = source_value(isources0[k].spec, t_next);
+        if (to != kGround) {
+          double* __restrict const rn = r + static_cast<std::size_t>(to) * W;
+#pragma GCC unroll 1
+          for (std::size_t lane = 0; lane < W; ++lane) rn[lane] += i;
+        }
+        if (from != kGround) {
+          double* __restrict const rn = r + static_cast<std::size_t>(from) * W;
+#pragma GCC unroll 1
+          for (std::size_t lane = 0; lane < W; ++lane) rn[lane] -= i;
+        }
+      } else {
+#pragma GCC unroll 1
+        for (std::size_t lane = 0; lane < W; ++lane) {
+          const double i =
+              source_value(circuits_[lane]->current_sources()[k].spec, t_next);
+          if (to != kGround) r[static_cast<std::size_t>(to) * W + lane] += i;
+          if (from != kGround) r[static_cast<std::size_t>(from) * W + lane] -= i;
+        }
+      }
+    }
+    // Buffer Norton drives (lane 0; buffered circuits never batch).
+    for (std::size_t k = 0; k < buffers.size(); ++k) {
+      const Buffer& b = buffers[k];
+      const double v = MnaAssembler::buffer_drive(b, fire_[k], t_next);
+      if (b.output != kGround)
+        r[static_cast<std::size_t>(b.output) * W] += v / b.output_resistance;
+    }
+  };
+
+  // Post-solve update: advance_state's history recurrences over the SoA
+  // state. The capacitor loop reads the OLD node voltages, which are only
+  // overwritten afterwards. The restrict locals live in an inner block so
+  // the trailing copy through nv_.data() does not overlap their scope.
+  const auto advance = [&](const numeric::BatchedValues& sol, double dt,
+                           Integrator method, const StepCoeffs& coeff) {
+    const bool trap = method == Integrator::kTrapezoidal;
+    {
+      const double* __restrict const s = sol.data();
+      const double* __restrict const nvp = nv_.data();
+      double* __restrict const ci = cap_i_.data();
+      double* __restrict const ii = ind_i_.data();
+      const double* __restrict const cg = coeff.cap_g.data();
+      for (std::size_t k = 0; k < n_caps; ++k) {
+        const NodeId n1 = cap_n1_[k], n2 = cap_n2_[k];
+#pragma GCC unroll 1
+        for (std::size_t lane = 0; lane < W; ++lane) {
+          const double v_old =
+              (n1 == kGround ? 0.0 : nvp[static_cast<std::size_t>(n1) * W + lane]) -
+              (n2 == kGround ? 0.0 : nvp[static_cast<std::size_t>(n2) * W + lane]);
+          const double v_new =
+              (n1 == kGround ? 0.0 : s[static_cast<std::size_t>(n1) * W + lane]) -
+              (n2 == kGround ? 0.0 : s[static_cast<std::size_t>(n2) * W + lane]);
+          const double g = cg[k * W + lane];
+          ci[k * W + lane] =
+              trap ? g * (v_new - v_old) - ci[k * W + lane] : g * (v_new - v_old);
+        }
+      }
+      for (std::size_t k = 0; k < n_inductors; ++k) {
+        const double* __restrict const sj = s + ind_branch_[k] * W;
+#pragma GCC unroll 1
+        for (std::size_t lane = 0; lane < W; ++lane) ii[k * W + lane] = sj[lane];
+      }
+    }
+    std::copy_n(sol.data(), n_nodes * W, nv_.data());
+    time_ += dt;
+  };
+
+  // Marks a buffer fired at the CURRENT time: the fire instant becomes a
+  // breakpoint, and so does the end of its output ramp (a slope
+  // discontinuity the step grid must land on, like a StepSpec corner).
+  const auto fire_buffer = [&](std::size_t k) {
+    fire_[k] = time_;
+    breakpoints_.insert(time_);
+    const double rise = buffers[k].output_rise;
+    if (rise > 0.0 && time_ + rise < options_.t_stop) breakpoints_.insert(time_ + rise);
+  };
+  const auto lane0_voltage = [](const double* v, NodeId n) {
+    return n == kGround ? 0.0 : v[static_cast<std::size_t>(n) * W];
+  };
+
+  record(time_, nv_.data());
+  const double min_dt = dt_quantum_;
+  int be_steps_left = options_.be_steps_after_breakpoint;
+  numeric::BatchedValues solution(assemblers_[0].unknown_count(), W);
+  std::vector<std::pair<double, std::size_t>> crossings;  // (tc, buffer)
+  while (time_ < options_.t_stop - 0.5 * min_dt) {
+    // Distance to the next breakpoint bounds the step; snap to the cache
+    // quantization grid so the factorization and the RHS use the same dt.
+    const auto next_bp = breakpoints_.upper_bound(time_ + 0.5 * min_dt);
+    const double bp_time = (next_bp != breakpoints_.end()) ? *next_bp : options_.t_stop;
+    double dt = std::min(dt_nominal_, bp_time - time_);
+    dt = std::min(dt, options_.t_stop - time_);
+    dt = static_cast<double>(quantize(dt)) * dt_quantum_;
+    if (dt <= 0.0) break;
+
+    const Integrator method =
+        (be_steps_left > 0) ? Integrator::kBackwardEuler : options_.integrator;
+    const StepCoeffs& coeff = coeffs_for(dt, method);
+    rhs_into(dt, method, coeff, solution);
+    factorized(dt, method).solve_in_place(solution);
+
+    // Buffer event detection: did any unfired buffer's input cross its
+    // threshold during this step? On a symmetric bus several buffers cross
+    // SIMULTANEOUSLY (identical lines switching together), so events are a
+    // cluster, not a single buffer: everything within a small fraction of
+    // the step of the earliest crossing fires together (the interpolated
+    // times of "identical" crossings differ by rounding noise only). Firing
+    // one alone would leave its twins parked exactly AT their threshold,
+    // where a strict crossing test can never trigger again — so an unfired
+    // buffer already at/past its threshold also counts as a crossing, at
+    // the step start (the belt-and-braces recovery for any parked state).
+    double earliest_event = kInf;  // earliest INTERPOLATED crossing
+    crossings.clear();
+    for (std::size_t k = 0; k < buffers.size(); ++k) {
+      if (fire_[k] != kInf) continue;
+      const Buffer& b = buffers[k];
+      const double level = b.threshold * b.vdd;
+      const double v_old = lane0_voltage(nv_.data(), b.input);
+      const double v_new = lane0_voltage(solution.data(), b.input);
+      const bool past_old = b.input_direction >= 0 ? v_old >= level : v_old <= level;
+      const bool past_new = b.input_direction >= 0 ? v_new >= level : v_new <= level;
+      if (!past_old && !past_new) continue;
+      if (past_old) {
+        // Parked at/past threshold (the simultaneity recovery): fires at
+        // whatever time this step settles on, and does NOT enter the
+        // subdivision decision, or its step-start tc would mask a genuine
+        // mid-step crossing of another buffer.
+        crossings.emplace_back(time_, k);
+        continue;
+      }
+      const double tc = time_ + dt * (level - v_old) / (v_new - v_old);
+      crossings.emplace_back(tc, k);
+      earliest_event = std::min(earliest_event, tc);
+    }
+    const bool have_event = !crossings.empty();
+    const double cluster_window = 1e-6 * dt;
+
+    if (have_event && earliest_event > time_ + min_dt &&
+        earliest_event < time_ + dt * (1.0 - 1e-9)) {
+      // Reject; re-take the step so it ends exactly at the crossing, firing
+      // the whole cluster there, parked buffers included (later crossings
+      // stay unfired and are re-detected from the shortened step's end).
+      const double dt_event =
+          static_cast<double>(quantize(earliest_event - time_)) * dt_quantum_;
+      // coeffs_for re-keys the one coefficient slot `coeff` refers to.
+      const StepCoeffs& event_coeff = coeffs_for(dt_event, method);
+      rhs_into(dt_event, method, event_coeff, solution);
+      factorized(dt_event, method).solve_in_place(solution);
+      advance(solution, dt_event, method, event_coeff);
+      for (const auto& [tc, k] : crossings)
+        if (tc <= earliest_event + cluster_window) fire_buffer(k);
+      be_steps_left = options_.be_steps_after_breakpoint;
+      record(time_, nv_.data());
+      ++steps_;
+      continue;
+    }
+
+    const bool lands_on_breakpoint = std::fabs((time_ + dt) - bp_time) <= 0.5 * min_dt;
+    advance(solution, dt, method, coeff);
+    if (have_event) {
+      // Crossing at (or numerically at) the step end, or too close to the
+      // step start to subdivide: fire every detected crossing here.
+      for (const auto& [tc, k] : crossings) fire_buffer(k);
+      be_steps_left = options_.be_steps_after_breakpoint;
+    } else if (lands_on_breakpoint) {
+      be_steps_left = options_.be_steps_after_breakpoint;
+    } else if (be_steps_left > 0) {
+      --be_steps_left;
+    }
+    record(time_, nv_.data());
+    ++steps_;
+  }
 }
 
 }  // namespace
@@ -70,280 +787,100 @@ void collect_source_breakpoints(const SourceSpec& spec, double t_stop,
 
 std::vector<double> dc_operating_point(const Circuit& circuit, double gmin) {
   const MnaAssembler assembler(circuit);
-  TransientState empty;
-  empty.buffer_fire_time.assign(circuit.buffers().size(), kInf);
   return numeric::RealSparseLu(assembler.dc_sparse(gmin))
-      .solve(assembler.dc_rhs(0.0, empty));
+      .solve(assembler.dc_rhs(0.0, TransientState{}));
 }
 
 TransientResult run_transient(const Circuit& circuit, const TransientOptions& options) {
   OBS_SPAN("transient.run");
   OBS_COUNTER_ADD("transient.runs", 1);
-  if (!(options.t_stop > 0.0))
-    throw std::invalid_argument("run_transient: t_stop must be > 0");
-  const double dt_nominal =
-      options.dt > 0.0 ? options.dt : options.t_stop / 4000.0;
-  if (dt_nominal >= options.t_stop)
-    throw std::invalid_argument("run_transient: dt must be < t_stop");
-  // The lower bound keeps dt/dt_quantum inside int64 range for the LU-cache
-  // quantization below (1e-12 still allows million-fold event-step refinement).
-  if (!(options.min_dt_fraction >= 1e-12) || options.min_dt_fraction > 1.0)
-    throw std::invalid_argument(
-        "run_transient: min_dt_fraction must be in [1e-12, 1]");
+  if (const char* error = option_error(options)) throw std::invalid_argument(error);
 
-  const MnaAssembler assembler(circuit);
-
-  // --- cross-run symbolic reuse (sweep hot path) ---------------------------
-  // Adopt the caller's recorded patterns when they structurally match this
-  // circuit's, so the recorded symbolic factorizations can be replayed; on a
-  // mismatch the reuse state is re-seeded from this run.
-  // `reuse` is the replay pointer; options.reuse counts every full
-  // factorization this run performs, even when a mismatch disables replay.
-  SolverReuse* reuse = options.reuse;
-  numeric::SparsePatternPtr system_pattern = assembler.system_pattern();
-  if (reuse) {
-    if (!reuse->system_pattern) {
-      reuse->system_pattern = system_pattern;  // first run seeds the record
-    } else if (same_structure(*reuse->system_pattern, *system_pattern)) {
-      system_pattern = reuse->system_pattern;
-    } else {
-      // Different topology: run without reuse and leave the record alone.
-      // Re-seeding here would make later runs' pivot order depend on which
-      // circuit a worker happened to see first — breaking the sweep
-      // engine's bit-identical-at-any-thread-count guarantee.
-      reuse = nullptr;
-    }
-  }
-
-  // --- initial state from the DC operating point --------------------------
-  TransientState state;
-  {
-    TransientState empty;
-    empty.buffer_fire_time.assign(circuit.buffers().size(), kInf);
-    const auto rhs = assembler.dc_rhs(0.0, empty);
-    std::vector<double> dc_solution;
-    numeric::RealSparse dc = assembler.dc_sparse(options.dc_gmin);
-    SolverReuse* dc_reuse = reuse;
-    if (dc_reuse) {
-      if (!dc_reuse->dc_pattern) {
-        dc_reuse->dc_pattern = dc.pattern_ptr();
-      } else if (same_structure(*dc_reuse->dc_pattern, dc.pattern())) {
-        dc = numeric::RealSparse(dc_reuse->dc_pattern, std::move(dc.values()));
-      } else {
-        dc_reuse = nullptr;  // same rationale as the system pattern above
-      }
-    }
-    if (dc_reuse && dc_reuse->dc_symbolic) {
-      numeric::RealSparseLu lu(*dc_reuse->dc_symbolic);  // copy: reuse symbolic
-      if (lu.refactor(dc)) ++options.reuse->symbolic_factorizations;
-      dc_solution = lu.solve(rhs);
-    } else {
-      numeric::RealSparseLu lu(dc);
-      if (options.reuse) ++options.reuse->symbolic_factorizations;
-      if (dc_reuse)
-        dc_reuse->dc_symbolic = std::make_shared<const numeric::RealSparseLu>(lu);
-      dc_solution = lu.solve(rhs);
-    }
-    state = assembler.initial_state(dc_solution);
-  }
-
-  // --- breakpoints ---------------------------------------------------------
-  std::set<double> breakpoints;
-  breakpoints.insert(0.0);
-  breakpoints.insert(options.t_stop);
-  for (const auto& v : circuit.voltage_sources())
-    collect_source_breakpoints(v.spec, options.t_stop, breakpoints);
-  for (const auto& i : circuit.current_sources())
-    collect_source_breakpoints(i.spec, options.t_stop, breakpoints);
-
-  // --- LU cache keyed by (quantized dt, integrator) ------------------------
-  // Step sizes are snapped to multiples of `dt_quantum` before factorizing,
-  // so breakpoint-clipped dts that differ only in the last few ulps share a
-  // factorization instead of each paying a fresh one. The snap error is at
-  // most half a quantum (= 0.5 * min_dt_fraction * dt_nominal), far below
-  // the breakpoint landing tolerance.
-  const double dt_quantum = dt_nominal * options.min_dt_fraction;
-  const auto quantize = [&](double dt) {
-    return static_cast<std::int64_t>(std::llround(dt / dt_quantum));
-  };
-
-  std::map<std::pair<std::int64_t, int>, numeric::RealSparseLu> lu_cache;
-  std::size_t factorizations = 0;
-  // All numeric factorizations share one symbolic analysis: the one
-  // recorded in `reuse` from a previous compatible run when available (the
-  // pattern never changes within a run, and a sweep's does not change across
-  // runs either), else the first factorization of this run.
-  const numeric::RealSparseLu* symbolic_donor =
-      (reuse && reuse->system_symbolic) ? reuse->system_symbolic.get() : nullptr;
-  if (symbolic_donor) {
-    ++reuse->reuse_hits;
-    OBS_COUNTER_ADD("reuse.solver_hits", 1);
-  } else {
-    OBS_COUNTER_ADD("reuse.solver_misses", 1);
-  }
-  std::vector<double> system_values;  // reused CSR value buffer
-
-  const auto factorized = [&](double dt,
-                              Integrator method) -> const numeric::RealSparseLu& {
-    const auto key = std::make_pair(quantize(dt), static_cast<int>(method));
-    auto it = lu_cache.find(key);
-    if (it != lu_cache.end()) {
-      OBS_COUNTER_ADD("cache.lu_dt.hits", 1);
-    } else {
-      OBS_COUNTER_ADD("cache.lu_dt.misses", 1);
-    }
-    if (it == lu_cache.end()) {
-      assembler.system_values(MnaAssembler::transient_scale(dt, method),
-                              system_values);
-      const numeric::RealSparse a(system_pattern, system_values);
-      if (symbolic_donor) {
-        numeric::RealSparseLu factor(*symbolic_donor);  // copy: reuse symbolic
-        if (factor.refactor(a) && options.reuse)
-          ++options.reuse->symbolic_factorizations;
-        it = lu_cache.emplace(key, std::move(factor)).first;
-      } else {
-        it = lu_cache.emplace(key, numeric::RealSparseLu(a)).first;
-        if (options.reuse) ++options.reuse->symbolic_factorizations;
-        symbolic_donor = &it->second;
-        if (reuse)
-          reuse->system_symbolic =
-              std::make_shared<const numeric::RealSparseLu>(it->second);
-      }
-      ++factorizations;
-    }
-    return it->second;
-  };
-
-  // --- recording -----------------------------------------------------------
-  std::vector<double> times;
-  std::map<std::string, std::vector<double>> node_values;
+  Lockstep engine({&circuit}, options, Caller::kScalar);
+  engine.prepare();
   const std::size_t n_nodes = circuit.node_count();
-  std::vector<std::vector<double>*> columns(n_nodes);
+  std::vector<double> times;
+  std::vector<std::vector<double>> columns(n_nodes);
+  times.reserve(engine.expected_samples());
+  for (auto& column : columns) column.reserve(engine.expected_samples());
+  engine.run<1>([&](double time, const double* node_voltage) {
+    times.push_back(time);
+    for (std::size_t i = 0; i < n_nodes; ++i) columns[i].push_back(node_voltage[i]);
+  });
+
+  OBS_COUNTER_ADD("transient.steps", engine.steps());
+  std::map<std::string, std::vector<double>> node_values;
   for (std::size_t i = 0; i < n_nodes; ++i)
-    columns[i] = &node_values[circuit.node_name(static_cast<NodeId>(i))];
-  const auto record = [&](const TransientState& s) {
-    times.push_back(s.time);
-    for (std::size_t i = 0; i < n_nodes; ++i) columns[i]->push_back(s.node_voltage[i]);
-  };
-  record(state);
-
-  // --- main loop -----------------------------------------------------------
-  const double min_dt = dt_nominal * options.min_dt_fraction;
-  int be_steps_left = options.be_steps_after_breakpoint;
-  std::size_t steps = 0;
-  const auto& buffers = circuit.buffers();
-  std::vector<double> solution;  // reused RHS/solution buffer
-
-  // Marks a buffer fired at the CURRENT state time: the fire instant becomes
-  // a breakpoint, and so does the end of its output ramp (a slope
-  // discontinuity the step grid must land on, like a StepSpec corner).
-  const auto fire_buffer = [&](int k) {
-    state.buffer_fire_time[static_cast<std::size_t>(k)] = state.time;
-    breakpoints.insert(state.time);
-    const double rise = buffers[static_cast<std::size_t>(k)].output_rise;
-    if (rise > 0.0 && state.time + rise < options.t_stop)
-      breakpoints.insert(state.time + rise);
-  };
-
-  while (state.time < options.t_stop - 0.5 * min_dt) {
-    // Distance to the next breakpoint bounds the step; snap to the cache
-    // quantization grid so the factorization and the RHS use the same dt.
-    const auto next_bp = breakpoints.upper_bound(state.time + 0.5 * min_dt);
-    const double bp_time = (next_bp != breakpoints.end()) ? *next_bp : options.t_stop;
-    double dt = std::min(dt_nominal, bp_time - state.time);
-    dt = std::min(dt, options.t_stop - state.time);
-    dt = static_cast<double>(quantize(dt)) * dt_quantum;
-    if (dt <= 0.0) break;
-
-    const Integrator method =
-        (be_steps_left > 0) ? Integrator::kBackwardEuler : options.integrator;
-
-    assembler.transient_rhs_into(dt, method, state, solution);
-    factorized(dt, method).solve_in_place(solution);
-
-    // Buffer event detection: did any unfired buffer's input cross its
-    // threshold during this step? On a symmetric bus several buffers cross
-    // SIMULTANEOUSLY (identical lines switching together), so events are a
-    // cluster, not a single buffer: everything within a small fraction of
-    // the step of the earliest crossing fires together (the interpolated
-    // times of "identical" crossings differ by rounding noise only). Firing
-    // one alone would leave its twins parked exactly AT their threshold,
-    // where a strict crossing test can never trigger again — so an unfired
-    // buffer already at/past its threshold also counts as a crossing, at
-    // the step start (the belt-and-braces recovery for any parked state).
-    double earliest_event = kInf;  // earliest INTERPOLATED crossing
-    std::vector<std::pair<double, std::size_t>> crossings;  // (tc, buffer)
-    for (std::size_t k = 0; k < buffers.size(); ++k) {
-      if (state.buffer_fire_time[k] != kInf) continue;
-      const auto& b = buffers[k];
-      const double level = b.threshold * b.vdd;
-      const double v_old = node_voltage_of(state.node_voltage, b.input);
-      const double v_new = node_voltage_of(solution, b.input);
-      const bool past_old =
-          b.input_direction >= 0 ? v_old >= level : v_old <= level;
-      const bool past_new =
-          b.input_direction >= 0 ? v_new >= level : v_new <= level;
-      if (!past_old && !past_new) continue;
-      if (past_old) {
-        // Parked at/past threshold (the simultaneity recovery): fires at
-        // whatever time this step settles on, and — crucially — does NOT
-        // enter the subdivision decision, or its step-start tc would mask a
-        // genuine mid-step crossing of another buffer.
-        crossings.emplace_back(state.time, k);
-        continue;
-      }
-      const double tc =
-          state.time + dt * (level - v_old) / (v_new - v_old);
-      crossings.emplace_back(tc, k);
-      earliest_event = std::min(earliest_event, tc);
-    }
-    const bool have_event = !crossings.empty();
-    const double cluster_window = 1e-6 * dt;
-
-    if (have_event && earliest_event > state.time + min_dt &&
-        earliest_event < state.time + dt * (1.0 - 1e-9)) {
-      // Reject; re-take the step so it ends exactly at the crossing, firing
-      // the whole cluster there — parked buffers included (later crossings
-      // stay unfired and are re-detected from the shortened step's end
-      // state).
-      const double dt_event =
-          static_cast<double>(quantize(earliest_event - state.time)) * dt_quantum;
-      assembler.transient_rhs_into(dt_event, method, state, solution);
-      factorized(dt_event, method).solve_in_place(solution);
-      assembler.advance_state(solution, dt_event, method, state);
-      for (const auto& [tc, k] : crossings)
-        if (tc <= earliest_event + cluster_window)
-          fire_buffer(static_cast<int>(k));
-      be_steps_left = options.be_steps_after_breakpoint;
-      record(state);
-      ++steps;
-      continue;
-    }
-
-    const bool lands_on_breakpoint =
-        std::fabs((state.time + dt) - bp_time) <= 0.5 * min_dt;
-    assembler.advance_state(solution, dt, method, state);
-    if (have_event) {
-      // Crossing at (or numerically at) the step end — or too close to the
-      // step start to subdivide: fire every detected crossing here.
-      for (const auto& [tc, k] : crossings) fire_buffer(static_cast<int>(k));
-      be_steps_left = options.be_steps_after_breakpoint;
-    } else if (lands_on_breakpoint) {
-      be_steps_left = options.be_steps_after_breakpoint;
-    } else if (be_steps_left > 0) {
-      --be_steps_left;
-    }
-    record(state);
-    ++steps;
-  }
-
-  OBS_COUNTER_ADD("transient.steps", steps);
+    node_values[circuit.node_name(static_cast<NodeId>(i))] = std::move(columns[i]);
   TransientResult result;
   result.waveforms = WaveformSet(std::move(times), std::move(node_values));
-  result.buffer_fire_times = state.buffer_fire_time;
-  result.steps_taken = steps;
-  result.lu_factorizations = factorizations;
+  result.buffer_fire_times = engine.buffer_fire_times();
+  result.steps_taken = engine.steps();
+  result.lu_factorizations = engine.factorizations();
   return result;
+}
+
+DelayRun run_until_crossing(const Circuit& circuit, const std::string& node,
+                            double level, TransientOptions options,
+                            const char* context) {
+  return extend_until_crossing(circuit, node, level, std::move(options), context, 0);
+}
+
+std::optional<std::vector<double>> run_batched_crossings(
+    const std::vector<Circuit>& circuits, const std::string& node, double level,
+    const TransientOptions& options, const char* context) {
+  OBS_SPAN("transient.batch");
+  const std::size_t lanes = circuits.size();
+  if (!numeric::is_supported_lane_width(lanes) || option_error(options) != nullptr)
+    return std::nullopt;
+  std::vector<const Circuit*> lane_circuits;
+  std::vector<NodeId> node_id;
+  for (const Circuit& circuit : circuits) {
+    const auto found = circuit.find_node(node);
+    if (!found || *found == kGround) return std::nullopt;
+    lane_circuits.push_back(&circuit);
+    node_id.push_back(*found);
+  }
+
+  Lockstep engine(std::move(lane_circuits), options, Caller::kBatch);
+  if (!engine.prepare()) return std::nullopt;
+  OBS_COUNTER_ADD("batch.tiles", 1);
+  OBS_COUNTER_ADD("batch.lanes", lanes);
+
+  // The shared time grid and ONE node column per lane.
+  std::vector<double> times;
+  std::vector<std::vector<double>> values(lanes);
+  times.reserve(engine.expected_samples());
+  for (auto& column : values) column.reserve(engine.expected_samples());
+  const auto run = [&](auto width) {
+    constexpr std::size_t W = decltype(width)::value;
+    engine.run<W>([&](double time, const double* node_voltage) {
+      times.push_back(time);
+#pragma GCC unroll 1
+      for (std::size_t lane = 0; lane < W; ++lane)
+        values[lane].push_back(
+            node_voltage[static_cast<std::size_t>(node_id[lane]) * W + lane]);
+    });
+  };
+  switch (lanes) {
+    case 1: run(std::integral_constant<std::size_t, 1>{}); break;
+    case 4: run(std::integral_constant<std::size_t, 4>{}); break;
+    case 8: run(std::integral_constant<std::size_t, 8>{}); break;
+    default: return std::nullopt;  // unreachable: width validated on entry
+  }
+
+  // A lane that does not cross in the shared window continues with
+  // run_until_crossing's later attempts, so its value stays bit-identical
+  // to the scalar path's.
+  std::vector<double> crossings(lanes, kNaN);
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    const auto crossing = Trace(times, values[lane]).crossing(level, 0.0, +1);
+    crossings[lane] = crossing ? *crossing
+                               : extend_until_crossing(circuits[lane], node, level,
+                                                       options, context, 1)
+                                     .crossing;
+  }
+  return crossings;
 }
 
 }  // namespace rlcsim::sim

@@ -11,13 +11,18 @@
 // (interpolated) crossing time, the buffer is marked fired there, and
 // integration restarts from that breakpoint.
 //
-// Solver: the assembled MNA system is G + (factor/dt)*C over one fixed
-// sparsity pattern (see sim/mna.h), solved with the sparse LU at every
-// size. Its symbolic factorization is computed once per run and shared by
-// every (dt, integrator) numeric factorization. Step sizes are quantized
-// onto a min_dt_fraction grid before keying the LU cache, so
-// breakpoint-clipped dt values that differ only by ulps reuse one
-// factorization instead of triggering spurious refactorizations.
+// One stepping core serves run_transient and run_batched_crossings
+// (sim/transient_batch.h): W circuits of one topology stepped in lockstep,
+// with run_transient as its 1-lane case that records every node. The
+// assembled MNA system is G + (factor/dt)*C over one fixed sparsity pattern
+// (see sim/mna.h). Every solve is a numeric::SparseLuBatch over one symbolic
+// factorization per run: the one a SolverReuse recorded, or else the run's
+// first full sparse LU. Step sizes are quantized onto a min_dt_fraction grid
+// before keying the LU cache, so breakpoint-clipped dt values that differ
+// only by ulps reuse one factorization instead of triggering spurious
+// refactorizations. MnaAssembler::transient_rhs_into / advance_state remain
+// the scalar reference of the per-lane arithmetic (tests/dense_oracle.h
+// steps with them).
 #pragma once
 
 #include <memory>
@@ -58,14 +63,15 @@ struct SolverReuse {
   std::size_t reuse_hits = 0;  // runs that reused a recorded symbolic
   // Full (symbolic + numeric) factorizations, zero-pivot re-pivots included.
   std::size_t symbolic_factorizations = 0;
-  // Batch lanes ejected to the scalar zero-pivot fallback
-  // (sim/transient_batch.h).
+  // Lanes of run_batched_crossings ejected to the scalar zero-pivot
+  // fallback (numeric/sparse_batch.h). A run_transient whose factorization
+  // hits a zero pivot counts only the re-pivot above, as it has no lanes.
   std::size_t ejected_lanes = 0;
 };
 
 struct TransientOptions {
   double t_stop = 0.0;      // required, > 0
-  double dt = 0.0;          // 0 -> t_stop / 4000
+  double dt = 0.0;          // 0 -> t_stop / 4000; negative or NaN is rejected
   Integrator integrator = Integrator::kTrapezoidal;
   int be_steps_after_breakpoint = 2;  // BE steps before switching back to trap
   double dc_gmin = 1e-12;

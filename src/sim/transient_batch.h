@@ -3,26 +3,25 @@
 // The sweep engine's transient hot path runs W topologically identical
 // circuits that differ only in element VALUES, on one shared time grid
 // (explicit t_stop/dt, no buffers, identical source breakpoints). This
-// entry point steps all W of them in lockstep: per step it assembles W
-// right-hand sides, performs ONE batched numeric refactor/solve over the
-// recorded symbolic factorization (numeric::SparseLuBatch, lane-major SoA
-// values the autovectorizer turns into SIMD), and records only the single
-// node the caller asked about — instead of W independent scalar runs each
-// recording every node.
+// entry point runs them through the transient engine (sim/transient.cpp) at
+// lane width W: per step it assembles W right-hand sides, performs ONE
+// batched numeric refactor/solve over the recorded symbolic factorization
+// (numeric::SparseLuBatch, lane-major SoA values the autovectorizer turns
+// into SIMD), and records only the single node the caller asked about —
+// instead of W scalar runs each recording every node.
 //
-// Bit-identity contract: every per-lane number is produced by the same
-// arithmetic, in the same order, as the scalar run_until_crossing path —
-// the batched kernels guarantee it per solve (see numeric/sparse_batch.h),
-// the stamping seam guarantees it per matrix (MnaAssembler::
-// stamp_values_into), and the shared step-size sequence is state-
-// independent for buffer-free circuits. A lane that does not cross within
-// the shared horizon falls back to the scalar auto-extend attempts exactly
-// as run_until_crossing would (the failed first window is discarded there
-// too), so batched sweep results are memcmp-equal to scalar ones.
+// Bit-identity contract: a lane's numbers do not depend on the lane width.
+// The engine's kernels perform each lane's arithmetic in the scalar order
+// (see numeric/sparse_batch.h for the solves and MnaAssembler::
+// stamp_values_into for the matrices), and the shared step-size sequence is
+// state-independent for buffer-free circuits. A lane that does not cross
+// within the shared horizon continues with run_until_crossing's auto-extend
+// attempts (the failed first window is discarded there too), so batched
+// sweep results are memcmp-equal to scalar ones.
 //
 // Eligibility is checked, not assumed: a batch whose lanes cannot share the
 // grid (structural pattern mismatch, buffers, missing recorded symbolics,
-// per-scenario horizons, differing breakpoint sets)
+// per-scenario horizons, differing breakpoint sets, invalid options)
 // returns std::nullopt and the caller runs the points scalar.
 #pragma once
 

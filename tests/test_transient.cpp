@@ -1,4 +1,5 @@
 #include "sim/transient.h"
+#include "sim/transient_batch.h"
 
 #include <cmath>
 #include <limits>
@@ -164,6 +165,22 @@ TEST(Transient, OptionValidation) {
   bad.t_stop = 1e-9;
   bad.dt = 2e-9;
   EXPECT_THROW(run_transient(c, bad), std::invalid_argument);
+
+  // dt = 0 selects t_stop / 4000; a negative or NaN dt is an error, not a
+  // request for the default. The batched entry point declines such options
+  // (even with a fully seeded record), so the scalar diagnostic fires.
+  SolverReuse reuse;
+  TransientOptions good;
+  good.t_stop = 1e-9;
+  good.reuse = &reuse;
+  EXPECT_EQ(run_transient(c, good).steps_taken, 4000u);
+  for (const double dt : {-1e-12, std::numeric_limits<double>::quiet_NaN()}) {
+    TransientOptions options = good;
+    options.dt = dt;
+    EXPECT_THROW(run_transient(c, options), std::invalid_argument) << dt;
+    EXPECT_FALSE(run_batched_crossings({c}, "out", 0.5, options, "test")) << dt;
+  }
+  EXPECT_TRUE(run_batched_crossings({c}, "out", 0.5, good, "test"));
 }
 
 TEST(DcOperatingPoint, MatchesHandAnalysis) {

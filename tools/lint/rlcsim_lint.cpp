@@ -33,13 +33,14 @@
 //                         justified (observability counters and the pool's
 //                         own worker identity are the sanctioned cases).
 //   lane-unroll           a batch-kernel lane loop (`for (... lane ... < W;`
-//                         in numeric/sparse_batch.cpp or
-//                         sim/transient_batch.cpp) without `#pragma GCC
-//                         unroll 1` directly above it — the pragma is
-//                         load-bearing: GCC fully peels W-trip loops before
-//                         the vectorizer runs and cannot re-roll them, so a
-//                         missing pragma silently de-vectorizes the kernel
-//                         the ≥4x throughput gate is calibrated on.
+//                         in numeric/sparse_batch.cpp or sim/transient.cpp,
+//                         home of the transient engine's kernels) without
+//                         `#pragma GCC unroll 1` directly above it — the
+//                         pragma is load-bearing: GCC fully peels W-trip
+//                         loops before the vectorizer runs and cannot
+//                         re-roll them, so a missing pragma silently
+//                         de-vectorizes the kernel the ≥4x throughput gate
+//                         is calibrated on.
 //   kernel-restrict       a `.data()`-derived raw double* base in those two
 //                         kernel files without __restrict — phantom
 //                         aliasing between the SoA buffers otherwise forces
@@ -265,7 +266,7 @@ constexpr Rule kRules[] = {
 // The two files whose lane kernels carry the load-bearing annotations.
 bool is_batch_kernel_file(const std::string& rel_path) {
   return rel_path == "src/numeric/sparse_batch.cpp" ||
-         rel_path == "src/sim/transient_batch.cpp";
+         rel_path == "src/sim/transient.cpp";
 }
 
 struct Finding {

@@ -1,0 +1,20 @@
+// Fixture standing in for the REAL src/sim/transient.cpp, home of the
+// transient engine's lane kernels (the batch-kernel rules key on this
+// path): a lane loop missing its load-bearing pragma and a kernel base
+// pointer missing __restrict.
+#include <vector>
+
+namespace fixture {
+
+template <std::size_t W>
+void rhs_kernel(std::vector<double>& rhs, const std::vector<double>& state) {
+  const double* s = state.data();  // planted: kernel-restrict
+  double* __restrict const r = rhs.data();  // compliant: not flagged
+  for (std::size_t lane = 0; lane < W; ++lane) r[lane] = s[lane];  // planted: lane-unroll
+#pragma GCC unroll 1
+  for (std::size_t lane = 0; lane < W; ++lane) r[lane] += 1.0;  // compliant
+}
+
+template void rhs_kernel<8>(std::vector<double>&, const std::vector<double>&);
+
+}  // namespace fixture

@@ -234,10 +234,15 @@ int main(int argc, char** argv) {
     };
     report.push_back("derived rates (counters over covered wall):");
     const double covered_s = covered_us / 1e6;
+    // Transient solves are batched solves (W lanes each, W = 1 for a
+    // scalar run), so they count as batch.solves; lu.solves covers the
+    // direct SparseLu solves (DC, AC, reduction).
     std::snprintf(line, sizeof line,
-                  "  lu.numeric/s: %.0f   lu.solves/s: %.0f",
+                  "  lu.numeric/s: %.0f   lu.solves/s: %.0f   "
+                  "batch.solves/s: %.0f",
                   counter("lu.numeric") / covered_s,
-                  counter("lu.solves") / covered_s);
+                  counter("lu.solves") / covered_s,
+                  counter("batch.solves") / covered_s);
     report.push_back(line);
     const double tasks = counter("pool.tasks_executed");
     std::snprintf(line, sizeof line,
