@@ -29,7 +29,6 @@ namespace rlcsim::sim {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 bool same_structure(const numeric::SparsePattern& a, const numeric::SparsePattern& b) {
   return a.n == b.n && a.row_ptr == b.row_ptr && a.col_idx == b.col_idx;
@@ -64,28 +63,6 @@ std::set<double> breakpoints_of(const Circuit& circuit, double t_stop) {
   for (const auto& i : circuit.current_sources())
     collect_source_breakpoints(i.spec, t_stop, breakpoints);
   return breakpoints;
-}
-
-bool specs_equal(const SourceSpec& a, const SourceSpec& b) {
-  if (a.index() != b.index()) return false;
-  return std::visit(
-      [&](const auto& sa) {
-        using T = std::decay_t<decltype(sa)>;
-        const auto& sb = std::get<T>(b);
-        if constexpr (std::is_same_v<T, DcSpec>) {
-          return sa.value == sb.value;
-        } else if constexpr (std::is_same_v<T, StepSpec>) {
-          return sa.v0 == sb.v0 && sa.v1 == sb.v1 && sa.delay == sb.delay &&
-                 sa.rise == sb.rise;
-        } else if constexpr (std::is_same_v<T, PwlSpec>) {
-          return sa.points == sb.points;
-        } else {
-          return sa.v0 == sb.v0 && sa.v1 == sb.v1 && sa.delay == sb.delay &&
-                 sa.rise == sb.rise && sa.fall == sb.fall && sa.width == sb.width &&
-                 sa.period == sb.period;
-        }
-      },
-      a);
 }
 
 // True when `b` has `a`'s element counts and node/branch indices, so the
@@ -136,196 +113,126 @@ DelayRun extend_until_crossing(const Circuit& circuit, const std::string& node,
                            "(auto-extended) horizon");
 }
 
-// Which entry point drives the engine. Both step the same way; they differ
-// in bookkeeping. A scalar run (run_transient, one lane) may seed an empty
-// SolverReuse and factorizes fresh when nothing is recorded. A batch
+// Which entry point drives the engine. Both step the same way and differ in
+// bookkeeping: a scalar run (run_transient, one lane) may seed an empty
+// SolverReuse and factorizes fresh when nothing is recorded; a batch
 // (run_batched_crossings) only replays a complete record, declines lanes
 // that cannot share one step grid, and counts ejected lanes.
 enum class Caller { kScalar, kBatch };
 
-// The one transient engine: W circuits of one topology stepped in lockstep
-// over one step grid, every solve a SparseLuBatch over one symbolic
-// factorization. The state and element values are lane-major SoA arrays
-// (value[element * W + lane]), and each kernel performs, per lane, the
-// arithmetic of MnaAssembler::transient_rhs_into / advance_state in the same
-// order, so a lane's bits do not depend on W.
-class Lockstep {
- public:
-  Lockstep(std::vector<const Circuit*> circuits, const TransientOptions& options,
-           Caller caller)
-      : options_(options),
-        caller_(caller),
-        lanes_(circuits.size()),
-        circuits_(std::move(circuits)),
-        dt_nominal_(nominal_dt(options)),
-        dt_quantum_(dt_nominal_ * options.min_dt_fraction) {}
-
-  // Builds the lane tables, adopts the caller's SolverReuse record and
-  // solves the DC operating point. Returns false when a batch cannot run;
-  // the caller then steps its circuits one by one.
-  bool prepare();
-
-  // Steps to t_stop; record(time, node_voltages) sees the initial state
-  // and every accepted step (node voltages lane-major, W per node).
-  template <std::size_t W, typename Record>
-  void run(Record&& record);
-
-  std::size_t steps() const { return steps_; }
-  std::size_t factorizations() const { return factorizations_; }
-  const std::vector<double>& buffer_fire_times() const { return fire_; }
-  // Upper estimate of the recorded samples, for reserving.
-  std::size_t expected_samples() const {
-    return static_cast<std::size_t>(options_.t_stop / dt_nominal_) +
-           2 * breakpoints_.size() + 16;
-  }
-
- private:
-  // Companion coefficients of one (dt, integrator) key, per element and
-  // lane: g = (trap ? 2 : 1) * C / dt for capacitors, the inductor and
-  // mutual history factors likewise, each the exact expression of the
-  // scalar reference. Every dt the engine steps with is a whole number of
-  // quanta, so the key determines dt and caching by key is value-exact.
-  struct StepCoeffs {
-    std::int64_t key = std::numeric_limits<std::int64_t>::min();
-    int method = -1;
-    std::vector<double> cap_g, ind_h, mut_h;
-  };
-
-  std::int64_t quantize(double dt) const {
-    return static_cast<std::int64_t>(std::llround(dt / dt_quantum_));
-  }
-  void count_refactor(const numeric::SparseLuBatch& lu, std::size_t repivots);
-  void count_full_factorization();
-  const StepCoeffs& coeffs_for(double dt, Integrator method);
-  const numeric::SparseLuBatch& factorized(double dt, Integrator method);
-
-  const TransientOptions& options_;
-  const Caller caller_;
-  const std::size_t lanes_;
-  const std::vector<const Circuit*> circuits_;
-  std::vector<MnaAssembler> assemblers_;
-  const double dt_nominal_, dt_quantum_;
-  std::set<double> breakpoints_;
-
-  // Cross-run solver state: `replay_` is the record this run replays or
-  // seeds (null on a pattern mismatch); options_.reuse counts every
-  // factorization either way.
-  SolverReuse* replay_ = nullptr;
-  numeric::SparsePatternPtr system_pattern_;
-  std::shared_ptr<const numeric::RealSparseLu> system_symbolic_;
-
-  // Lane 0's topology. Buffer input capacitances (lane 0 only: buffered
-  // circuits never batch) extend the capacitor table to ground, so the
-  // capacitor kernel carries their companions too.
-  std::vector<NodeId> cap_n1_, cap_n2_;
-  std::vector<std::size_t> ind_branch_, vsrc_branch_;
-  const std::vector<Buffer>* buffers_ = nullptr;
-  // Sources whose spec is the same in every lane are evaluated once per
-  // step (value-exact: identical spec, identical t, identical result).
-  std::vector<char> vsrc_shared_, isrc_shared_;
-  // Lane-major element values.
-  std::vector<double> cap_c_, ind_l_, mut_m_;
-
-  // Lane-major state.
-  double time_ = 0.0;
-  std::vector<double> nv_, cap_i_, ind_i_;
-  std::vector<double> fire_;  // per buffer of lane 0; +inf until fired
-
-  // LU cache keyed by (quantized dt, integrator); last_* short-circuits the
-  // map on the steady run of equal steps.
-  std::map<std::pair<std::int64_t, int>, numeric::SparseLuBatch> lu_cache_;
-  std::pair<std::int64_t, int> last_key_{std::numeric_limits<std::int64_t>::min(), -1};
-  const numeric::SparseLuBatch* last_factor_ = nullptr;
-  numeric::BatchedValues system_values_;
-  std::vector<double> lane_values_;
-  StepCoeffs coeffs_;
-
-  std::size_t steps_ = 0;
-  std::size_t factorizations_ = 0;
+struct LockstepStats {
+  std::size_t steps = 0;
+  std::size_t factorizations = 0;  // LU-cache misses
+  std::vector<double> buffer_fire_times;
 };
 
-void Lockstep::count_refactor(const numeric::SparseLuBatch& lu, std::size_t repivots) {
-  if (!options_.reuse) return;
-  options_.reuse->symbolic_factorizations += repivots;
-  if (caller_ == Caller::kBatch)
-    options_.reuse->ejected_lanes += lu.ejected_lane_count();
+// Companion coefficients of one (dt, integrator) key, per element and lane:
+// g = (trap ? 2 : 1) * C / dt for capacitors, the inductor and mutual
+// history factors likewise, each the exact expression of the scalar
+// reference. Every dt the engine steps with is a whole number of quanta, so
+// the key determines dt and caching by key is value-exact.
+struct StepCoeffs {
+  std::int64_t key = std::numeric_limits<std::int64_t>::min();
+  int method = -1;
+  std::vector<double> cap_g, ind_h, mut_h;
+};
+
+// Adopts a SolverReuse pattern slot for lanes with `patterns`: an empty slot
+// is seeded with lane 0's, a recorded one must match every lane
+// structurally. A mismatch returns false and leaves the slot alone:
+// re-seeding would make later runs' pivot order depend on which circuit a
+// worker saw first, breaking the sweeps' bit-identity at any thread count.
+bool adopt_pattern(numeric::SparsePatternPtr& slot,
+                   const std::vector<numeric::SparsePatternPtr>& patterns) {
+  if (!slot) {
+    slot = patterns[0];
+    return true;
+  }
+  return std::all_of(patterns.begin(), patterns.end(),
+                     [&](const auto& p) { return same_structure(*slot, *p); });
 }
 
-void Lockstep::count_full_factorization() {
-  if (options_.reuse) ++options_.reuse->symbolic_factorizations;
-}
-
-bool Lockstep::prepare() {
-  const bool batch = caller_ == Caller::kBatch;
+// The one transient engine: W circuits of one topology stepped in lockstep
+// over one step grid, every solve a SparseLuBatch over one symbolic
+// factorization. State and element values are lane-major SoA arrays
+// (value[element * W + lane]); each kernel performs, per lane, the
+// arithmetic of MnaAssembler::transient_rhs_into / advance_state in the same
+// order, so a lane's bits do not depend on W. record(time, node_voltages)
+// sees the initial state and every accepted step (W values per node).
+// Returns std::nullopt when a batch cannot run; the caller then steps its
+// circuits one by one. A scalar run never declines.
+template <std::size_t W, typename Record>
+std::optional<LockstepStats> run_lockstep(const std::vector<const Circuit*>& circuits,
+                                          const TransientOptions& options,
+                                          Caller caller, Record&& record) {
+  const bool batch = caller == Caller::kBatch;
+  const std::size_t lanes = circuits.size();  // == W
   // A batch replays RECORDED symbolic factorizations; without a complete
   // record each lane would pay (and pivot) its own analysis, which is
   // exactly the scalar path.
-  replay_ = options_.reuse;
-  if (batch && !(replay_ && replay_->system_pattern && replay_->system_symbolic &&
-                 replay_->dc_pattern && replay_->dc_symbolic))
-    return false;
+  SolverReuse* replay = options.reuse;
+  if (batch && !(replay && replay->system_pattern && replay->system_symbolic &&
+                 replay->dc_pattern && replay->dc_symbolic))
+    return std::nullopt;
 
-  const Circuit& c0 = *circuits_[0];
-  assemblers_.reserve(lanes_);
-  for (const Circuit* circuit : circuits_) {
+  const Circuit& c0 = *circuits[0];
+  std::vector<MnaAssembler> assemblers;
+  assemblers.reserve(lanes);
+  for (const Circuit* circuit : circuits) {
     // Buffers move the step grid by state-dependent events, so only
-    // buffer-free lanes can share one grid.
-    if (batch && !circuit->buffers().empty()) return false;
-    if (circuit != &c0 && !same_topology(c0, *circuit)) return false;
-    assemblers_.emplace_back(*circuit);
+    // buffer-free lanes can share one.
+    if (batch && !circuit->buffers().empty()) return std::nullopt;
+    if (circuit != &c0 && !same_topology(c0, *circuit)) return std::nullopt;
+    assemblers.emplace_back(*circuit);
   }
-  const std::size_t unknowns = assemblers_[0].unknown_count();
-
   // Buffer-free lanes step on source corners only, so equal breakpoint sets
   // mean one (state-independent) step grid.
-  breakpoints_ = breakpoints_of(c0, options_.t_stop);
-  for (std::size_t lane = 1; lane < lanes_; ++lane)
-    if (breakpoints_of(*circuits_[lane], options_.t_stop) != breakpoints_)
-      return false;
+  std::set<double> breakpoints = breakpoints_of(c0, options.t_stop);
+  for (const Circuit* circuit : circuits)
+    if (circuit != &c0 && breakpoints_of(*circuit, options.t_stop) != breakpoints)
+      return std::nullopt;
 
-  // --- cross-run symbolic reuse -------------------------------------------
-  // Adopt the recorded pattern when every lane structurally matches it. A
-  // scalar run seeds an empty record; on a mismatch it runs without
-  // replaying and leaves the record alone: re-seeding would make later
-  // runs' pivot order depend on which circuit a worker happened to see
-  // first, breaking the sweeps' bit-identity at any thread count.
-  system_pattern_ = assemblers_[0].system_pattern();
-  if (replay_) {
-    if (!replay_->system_pattern) {
-      replay_->system_pattern = system_pattern_;
-    } else if (std::all_of(assemblers_.begin(), assemblers_.end(),
-                           [&](const MnaAssembler& a) {
-                             return same_structure(*replay_->system_pattern,
-                                                   *a.system_pattern());
-                           })) {
-      system_pattern_ = replay_->system_pattern;
-    } else {
-      if (batch) return false;
-      replay_ = nullptr;
-    }
+  // --- cross-run symbolic reuse: `replay` is the record this run replays or
+  // seeds (null after a mismatch); options.reuse counts every factorization.
+  std::vector<numeric::SparsePatternPtr> patterns;
+  for (const MnaAssembler& a : assemblers) patterns.push_back(a.system_pattern());
+  if (replay && !adopt_pattern(replay->system_pattern, patterns)) {
+    if (batch) return std::nullopt;
+    replay = nullptr;
   }
-
-  // --- DC operating point (same adoption rules, DC pattern) ---------------
+  const numeric::SparsePatternPtr system_pattern =
+      replay ? replay->system_pattern : patterns[0];
   std::vector<numeric::RealSparse> dc;
-  dc.reserve(lanes_);
-  for (const MnaAssembler& assembler : assemblers_)
-    dc.push_back(assembler.dc_sparse(options_.dc_gmin));
-  SolverReuse* dc_replay = replay_;
-  if (dc_replay) {
-    if (!dc_replay->dc_pattern) {
-      dc_replay->dc_pattern = dc[0].pattern_ptr();
-    } else if (!std::all_of(dc.begin(), dc.end(), [&](const numeric::RealSparse& m) {
-                 return same_structure(*dc_replay->dc_pattern, m.pattern());
-               })) {
-      if (batch) return false;
-      dc_replay = nullptr;
-    }
+  patterns.clear();
+  for (const MnaAssembler& a : assemblers) {
+    dc.push_back(a.dc_sparse(options.dc_gmin));
+    patterns.push_back(dc.back().pattern_ptr());
   }
-  numeric::BatchedValues dc_values(dc[0].values().size(), lanes_);
-  numeric::BatchedValues dc_solution(unknowns, lanes_);
-  for (std::size_t lane = 0; lane < lanes_; ++lane) {
+  SolverReuse* dc_replay = replay;
+  if (dc_replay && !adopt_pattern(dc_replay->dc_pattern, patterns)) {
+    if (batch) return std::nullopt;
+    dc_replay = nullptr;
+  }
+  const auto count_full_factorization = [&] {
+    if (options.reuse) ++options.reuse->symbolic_factorizations;
+  };
+  // Zero-pivot re-pivots are full factorizations too. Ejected lanes count
+  // for batches only: a scalar run has no lanes to eject.
+  const auto refactor_counted = [&](numeric::SparseLuBatch& lu,
+                                    const numeric::BatchedValues& values) {
+    const std::size_t repivots = lu.refactor(values);
+    if (!options.reuse) return;
+    options.reuse->symbolic_factorizations += repivots;
+    if (batch) options.reuse->ejected_lanes += lu.ejected_lane_count();
+  };
+
+  // --- DC operating point --------------------------------------------------
+  const std::size_t unknowns = assemblers[0].unknown_count();
+  numeric::BatchedValues dc_values(dc[0].values().size(), lanes);
+  numeric::BatchedValues dc_solution(unknowns, lanes);
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
     dc_values.set_lane(lane, dc[lane].values());
-    dc_solution.set_lane(lane, assemblers_[lane].dc_rhs(0.0, TransientState{}));
+    dc_solution.set_lane(lane, assemblers[lane].dc_rhs(0.0, TransientState{}));
   }
   std::shared_ptr<const numeric::RealSparseLu> dc_symbolic =
       dc_replay ? dc_replay->dc_symbolic : nullptr;
@@ -334,146 +241,146 @@ bool Lockstep::prepare() {
     count_full_factorization();
     if (dc_replay) dc_replay->dc_symbolic = dc_symbolic;
   }
-  numeric::SparseLuBatch dc_lu(*dc_symbolic, lanes_);
-  count_refactor(dc_lu, dc_lu.refactor(dc_values));
+  numeric::SparseLuBatch dc_lu(*dc_symbolic, lanes);
+  refactor_counted(dc_lu, dc_values);
   dc_lu.solve_in_place(dc_solution);
 
   // Every numeric factorization shares one symbolic analysis: the recorded
   // one when available, else this run's first factorization.
-  system_symbolic_ = replay_ ? replay_->system_symbolic : nullptr;
-  if (system_symbolic_) {
-    replay_->reuse_hits += lanes_;
-    OBS_COUNTER_ADD("reuse.solver_hits", lanes_);
+  std::shared_ptr<const numeric::RealSparseLu> symbolic =
+      replay ? replay->system_symbolic : nullptr;
+  if (symbolic) {
+    replay->reuse_hits += lanes;
+    OBS_COUNTER_ADD("reuse.solver_hits", lanes);
   } else {
     OBS_COUNTER_ADD("reuse.solver_misses", 1);
   }
 
-  // --- lane-major tables ---------------------------------------------------
-  const auto& caps0 = c0.capacitors();
-  const auto& inductors0 = c0.inductors();
-  const auto& mutuals0 = c0.mutuals();
-  buffers_ = &c0.buffers();
-  for (const auto& c : caps0) {
-    cap_n1_.push_back(c.n1);
-    cap_n2_.push_back(c.n2);
-  }
-  std::vector<double> buffer_cap;
-  for (const Buffer& b : *buffers_) {
-    if (b.input_capacitance <= 0.0) continue;
-    cap_n1_.push_back(b.input);
-    cap_n2_.push_back(kGround);
-    buffer_cap.push_back(b.input_capacitance);
-  }
-  cap_c_.resize(cap_n1_.size() * lanes_);
-  ind_l_.resize(inductors0.size() * lanes_);
-  mut_m_.resize(mutuals0.size() * lanes_);
-  for (std::size_t lane = 0; lane < lanes_; ++lane) {
-    const Circuit& c = *circuits_[lane];
-    for (std::size_t k = 0; k < caps0.size(); ++k)
-      cap_c_[k * lanes_ + lane] = c.capacitors()[k].capacitance;
-    for (std::size_t k = 0; k < inductors0.size(); ++k)
-      ind_l_[k * lanes_ + lane] = c.inductors()[k].inductance;
-    for (std::size_t k = 0; k < mutuals0.size(); ++k)
-      mut_m_[k * lanes_ + lane] = c.mutuals()[k].mutual;
-  }
-  for (std::size_t k = 0; k < buffer_cap.size(); ++k)
-    cap_c_[(caps0.size() + k) * lanes_] = buffer_cap[k];
-  for (std::size_t k = 0; k < inductors0.size(); ++k)
-    ind_branch_.push_back(assemblers_[0].inductor_branch(k));
-  for (std::size_t k = 0; k < c0.voltage_sources().size(); ++k)
-    vsrc_branch_.push_back(assemblers_[0].vsource_branch(k));
-  vsrc_shared_.assign(c0.voltage_sources().size(), 1);
-  isrc_shared_.assign(c0.current_sources().size(), 1);
-  for (std::size_t lane = 1; lane < lanes_; ++lane) {
-    const Circuit& c = *circuits_[lane];
-    for (std::size_t k = 0; k < vsrc_shared_.size(); ++k)
-      if (!specs_equal(c.voltage_sources()[k].spec, c0.voltage_sources()[k].spec))
-        vsrc_shared_[k] = 0;
-    for (std::size_t k = 0; k < isrc_shared_.size(); ++k)
-      if (!specs_equal(c.current_sources()[k].spec, c0.current_sources()[k].spec))
-        isrc_shared_[k] = 0;
-  }
-  coeffs_.cap_g.resize(cap_c_.size());
-  coeffs_.ind_h.resize(ind_l_.size());
-  coeffs_.mut_h.resize(mut_m_.size());
-  system_values_ =
-      numeric::BatchedValues(static_cast<std::size_t>(system_pattern_->nnz()), lanes_);
-
-  // --- initial state (MnaAssembler::initial_state, lane-major) ------------
-  // Node voltages are the first node_count() solution slots, capacitor
-  // histories start at zero, inductor currents come from their branch
-  // unknowns, and no buffer has fired.
-  nv_.assign(dc_solution.data(), dc_solution.data() + c0.node_count() * lanes_);
-  cap_i_.assign(cap_c_.size(), 0.0);
-  ind_i_.resize(ind_l_.size());
-  for (std::size_t k = 0; k < inductors0.size(); ++k)
-    for (std::size_t lane = 0; lane < lanes_; ++lane)
-      ind_i_[k * lanes_ + lane] = dc_solution.at(ind_branch_[k], lane);
-  fire_.assign(buffers_->size(), kInf);
-  return true;
-}
-
-const Lockstep::StepCoeffs& Lockstep::coeffs_for(double dt, Integrator method) {
-  const std::int64_t key = quantize(dt);
-  if (coeffs_.key == key && coeffs_.method == static_cast<int>(method)) return coeffs_;
-  const bool trap = method == Integrator::kTrapezoidal;
-  for (std::size_t i = 0; i < cap_c_.size(); ++i)
-    coeffs_.cap_g[i] = (trap ? 2.0 : 1.0) * cap_c_[i] / dt;
-  for (std::size_t i = 0; i < ind_l_.size(); ++i)
-    coeffs_.ind_h[i] = trap ? 2.0 * ind_l_[i] / dt : ind_l_[i] / dt;
-  const double mutual_factor = trap ? 2.0 : 1.0;
-  for (std::size_t i = 0; i < mut_m_.size(); ++i)
-    coeffs_.mut_h[i] = mutual_factor * mut_m_[i] / dt;
-  coeffs_.key = key;
-  coeffs_.method = static_cast<int>(method);
-  return coeffs_;
-}
-
-const numeric::SparseLuBatch& Lockstep::factorized(double dt, Integrator method) {
-  const auto key = std::make_pair(quantize(dt), static_cast<int>(method));
-  const bool last = last_factor_ != nullptr && key == last_key_;
-  auto it = last ? lu_cache_.end() : lu_cache_.find(key);
-  const bool hit = last || it != lu_cache_.end();
-  if (caller_ == Caller::kBatch) {
-    if (hit) OBS_COUNTER_ADD("cache.lu_dt_batch.hits", 1);
-    else OBS_COUNTER_ADD("cache.lu_dt_batch.misses", 1);
-  } else {
-    if (hit) OBS_COUNTER_ADD("cache.lu_dt.hits", 1);
-    else OBS_COUNTER_ADD("cache.lu_dt.misses", 1);
-  }
-  if (last) return *last_factor_;
-
-  if (!hit) {
-    const double scale = MnaAssembler::transient_scale(dt, method);
-    for (std::size_t lane = 0; lane < lanes_; ++lane)
-      assemblers_[lane].stamp_values_into(scale, system_values_, lane);
-    if (!system_symbolic_) {
-      system_values_.extract_lane(0, lane_values_);
-      system_symbolic_ = std::make_shared<const numeric::RealSparseLu>(
-          numeric::RealSparse(system_pattern_, lane_values_));
-      count_full_factorization();
-      if (replay_) replay_->system_symbolic = system_symbolic_;
-    }
-    numeric::SparseLuBatch factor(*system_symbolic_, lanes_);
-    count_refactor(factor, factor.refactor(system_values_));
-    it = lu_cache_.emplace(key, std::move(factor)).first;
-    ++factorizations_;
-  }
-  last_key_ = key;
-  last_factor_ = &it->second;
-  return *last_factor_;
-}
-
-template <std::size_t W, typename Record>
-void Lockstep::run(Record&& record) {
-  const Circuit& c0 = *circuits_[0];
+  // --- lane-major element tables over lane 0's topology --------------------
+  // Buffer input capacitances extend the capacitor table to ground, so the
+  // capacitor kernel carries their companions too. Buffers, like all buffer
+  // state below, are lane 0's: buffered circuits only run at W = 1.
   const std::size_t n_nodes = c0.node_count();
+  const auto& inductors0 = c0.inductors();
   const auto& mutuals0 = c0.mutuals();
   const auto& vsources0 = c0.voltage_sources();
   const auto& isources0 = c0.current_sources();
-  const std::vector<Buffer>& buffers = *buffers_;
-  const std::size_t n_caps = cap_n1_.size();
-  const std::size_t n_inductors = ind_branch_.size();
+  const std::vector<Buffer>& buffers = c0.buffers();
+  std::vector<NodeId> cap_n1, cap_n2;
+  for (const Capacitor& c : c0.capacitors()) {
+    cap_n1.push_back(c.n1);
+    cap_n2.push_back(c.n2);
+  }
+  for (const Buffer& b : buffers) {
+    if (b.input_capacitance <= 0.0) continue;
+    cap_n1.push_back(b.input);
+    cap_n2.push_back(kGround);
+  }
+  const std::size_t n_caps = cap_n1.size();
+  const std::size_t n_inductors = inductors0.size();
+  std::vector<double> cap_c(n_caps * W), ind_l(n_inductors * W), mut_m(mutuals0.size() * W);
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    const Circuit& c = *circuits[lane];
+    std::size_t slot = 0;
+    for (const Capacitor& cap : c.capacitors()) cap_c[slot++ * W + lane] = cap.capacitance;
+    for (const Buffer& b : c.buffers())
+      if (b.input_capacitance > 0.0) cap_c[slot++ * W + lane] = b.input_capacitance;
+    for (std::size_t k = 0; k < n_inductors; ++k)
+      ind_l[k * W + lane] = c.inductors()[k].inductance;
+    for (std::size_t k = 0; k < mutuals0.size(); ++k)
+      mut_m[k * W + lane] = c.mutuals()[k].mutual;
+  }
+  std::vector<std::size_t> ind_branch, vsrc_branch;
+  for (std::size_t k = 0; k < n_inductors; ++k)
+    ind_branch.push_back(assemblers[0].inductor_branch(k));
+  for (std::size_t k = 0; k < vsources0.size(); ++k)
+    vsrc_branch.push_back(assemblers[0].vsource_branch(k));
+
+  // --- initial state (MnaAssembler::initial_state, lane-major): node
+  // voltages are the first n_nodes solution slots, capacitor histories start
+  // at zero, inductor currents come from their branch unknowns, and no
+  // buffer has fired.
+  double time = 0.0;
+  std::vector<double> nv(dc_solution.data(), dc_solution.data() + n_nodes * W);
+  std::vector<double> cap_i(n_caps * W, 0.0), ind_i(n_inductors * W);
+  for (std::size_t k = 0; k < n_inductors; ++k)
+    for (std::size_t lane = 0; lane < lanes; ++lane)
+      ind_i[k * W + lane] = dc_solution.at(ind_branch[k], lane);
+  LockstepStats stats;
+  std::vector<double>& fire = stats.buffer_fire_times;
+  fire.assign(buffers.size(), kInf);
+
+  // --- LU cache keyed by (quantized dt, integrator) ------------------------
+  // Step sizes are snapped to multiples of `dt_quantum`, so breakpoint-
+  // clipped dts that differ only in the last few ulps share a factorization.
+  // The snap error is at most half a quantum, far below the breakpoint
+  // landing tolerance. last_* short-circuits the map on the steady run of
+  // equal steps.
+  const double dt_nominal = nominal_dt(options);
+  const double dt_quantum = dt_nominal * options.min_dt_fraction;
+  const auto quantize = [&](double dt) {
+    return static_cast<std::int64_t>(std::llround(dt / dt_quantum));
+  };
+  std::map<std::pair<std::int64_t, int>, numeric::SparseLuBatch> lu_cache;
+  std::pair<std::int64_t, int> last_key{std::numeric_limits<std::int64_t>::min(), -1};
+  const numeric::SparseLuBatch* last_factor = nullptr;
+  numeric::BatchedValues system_values(static_cast<std::size_t>(system_pattern->nnz()),
+                                       lanes);
+  const auto factorized = [&](double dt,
+                              Integrator method) -> const numeric::SparseLuBatch& {
+    const auto key = std::make_pair(quantize(dt), static_cast<int>(method));
+    const bool last = last_factor != nullptr && key == last_key;
+    auto it = last ? lu_cache.end() : lu_cache.find(key);
+    const bool hit = last || it != lu_cache.end();
+    if (batch) {
+      if (hit) OBS_COUNTER_ADD("cache.lu_dt_batch.hits", 1);
+      else OBS_COUNTER_ADD("cache.lu_dt_batch.misses", 1);
+    } else {
+      if (hit) OBS_COUNTER_ADD("cache.lu_dt.hits", 1);
+      else OBS_COUNTER_ADD("cache.lu_dt.misses", 1);
+    }
+    if (last) return *last_factor;
+    if (!hit) {
+      const double scale = MnaAssembler::transient_scale(dt, method);
+      for (std::size_t lane = 0; lane < lanes; ++lane)
+        assemblers[lane].stamp_values_into(scale, system_values, lane);
+      if (!symbolic) {
+        std::vector<double> values;
+        system_values.extract_lane(0, values);
+        symbolic = std::make_shared<const numeric::RealSparseLu>(
+            numeric::RealSparse(system_pattern, std::move(values)));
+        count_full_factorization();
+        if (replay) replay->system_symbolic = symbolic;
+      }
+      numeric::SparseLuBatch factor(*symbolic, lanes);
+      refactor_counted(factor, system_values);
+      it = lu_cache.emplace(key, std::move(factor)).first;
+      ++stats.factorizations;
+    }
+    last_key = key;
+    last_factor = &it->second;
+    return *last_factor;
+  };
+
+  StepCoeffs coeffs;
+  coeffs.cap_g.resize(cap_c.size());
+  coeffs.ind_h.resize(ind_l.size());
+  coeffs.mut_h.resize(mut_m.size());
+  const auto coeffs_for = [&](double dt, Integrator method) -> const StepCoeffs& {
+    const std::int64_t key = quantize(dt);
+    if (coeffs.key == key && coeffs.method == static_cast<int>(method)) return coeffs;
+    const bool trap = method == Integrator::kTrapezoidal;
+    for (std::size_t i = 0; i < cap_c.size(); ++i)
+      coeffs.cap_g[i] = (trap ? 2.0 : 1.0) * cap_c[i] / dt;
+    for (std::size_t i = 0; i < ind_l.size(); ++i)
+      coeffs.ind_h[i] = trap ? 2.0 * ind_l[i] / dt : ind_l[i] / dt;
+    const double mutual_factor = trap ? 2.0 : 1.0;
+    for (std::size_t i = 0; i < mut_m.size(); ++i)
+      coeffs.mut_h[i] = mutual_factor * mut_m[i] / dt;
+    coeffs.key = key;
+    coeffs.method = static_cast<int>(method);
+    return coeffs;
+  };
 
   // Transient RHS: transient_rhs_into with the lane loop innermost. The
   // kernels use SparseLuBatch::solve_kernel's vectorization recipe —
@@ -486,19 +393,19 @@ void Lockstep::run(Record&& record) {
     // row, inductor and voltage source alike, is assigned (=) below.
     std::fill_n(rhs.data(), n_nodes * W, 0.0);
     double* __restrict const r = rhs.data();
-    const double* __restrict const nvp = nv_.data();
-    const double* __restrict const ci = cap_i_.data();
-    const double* __restrict const ii = ind_i_.data();
+    const double* __restrict const nvp = nv.data();
+    const double* __restrict const ci = cap_i.data();
+    const double* __restrict const ii = ind_i.data();
     const double* __restrict const cg = coeff.cap_g.data();
     const double* __restrict const ih = coeff.ind_h.data();
     const double* __restrict const mh = coeff.mut_h.data();
-    const double t_next = time_ + dt;
+    const double t_next = time + dt;
     const bool trap = method == Integrator::kTrapezoidal;
 
     // Capacitor companions, buffer input capacitances included.
     double hist[W];
     for (std::size_t k = 0; k < n_caps; ++k) {
-      const NodeId n1 = cap_n1_[k], n2 = cap_n2_[k];
+      const NodeId n1 = cap_n1[k], n2 = cap_n2[k];
 #pragma GCC unroll 1
       for (std::size_t lane = 0; lane < W; ++lane) {
         const double v_prev =
@@ -520,10 +427,9 @@ void Lockstep::run(Record&& record) {
     }
 
     // Inductor branch histories.
-    const auto& inductors0 = c0.inductors();
     for (std::size_t k = 0; k < n_inductors; ++k) {
       const NodeId n1 = inductors0[k].n1, n2 = inductors0[k].n2;
-      double* __restrict const rj = r + ind_branch_[k] * W;
+      double* __restrict const rj = r + ind_branch[k] * W;
 #pragma GCC unroll 1
       for (std::size_t lane = 0; lane < W; ++lane) {
         const double v_prev =
@@ -540,8 +446,8 @@ void Lockstep::run(Record&& record) {
     // into separate lane loops preserves each row's += sequence.
     for (std::size_t k = 0; k < mutuals0.size(); ++k) {
       const std::size_t ia = mutuals0[k].inductor_a, ib = mutuals0[k].inductor_b;
-      double* __restrict const ra = r + ind_branch_[ia] * W;
-      double* __restrict const rb = r + ind_branch_[ib] * W;
+      double* __restrict const ra = r + ind_branch[ia] * W;
+      double* __restrict const rb = r + ind_branch[ib] * W;
 #pragma GCC unroll 1
       for (std::size_t lane = 0; lane < W; ++lane)
         ra[lane] -= mh[k * W + lane] * ii[ib * W + lane];
@@ -550,48 +456,26 @@ void Lockstep::run(Record&& record) {
         rb[lane] -= mh[k * W + lane] * ii[ia * W + lane];
     }
 
-    // Sources evaluated at the END of the step (implicit methods); a
-    // lane-shared spec is evaluated once and broadcast.
+    // Sources evaluated at the END of the step (implicit methods).
     for (std::size_t k = 0; k < vsources0.size(); ++k) {
-      double* __restrict const rj = r + vsrc_branch_[k] * W;
-      if (vsrc_shared_[k]) {
-        const double v = source_value(vsources0[k].spec, t_next);
+      double* __restrict const rj = r + vsrc_branch[k] * W;
 #pragma GCC unroll 1
-        for (std::size_t lane = 0; lane < W; ++lane) rj[lane] = v;
-      } else {
-#pragma GCC unroll 1
-        for (std::size_t lane = 0; lane < W; ++lane)
-          rj[lane] = source_value(circuits_[lane]->voltage_sources()[k].spec, t_next);
-      }
+      for (std::size_t lane = 0; lane < W; ++lane)
+        rj[lane] = source_value(circuits[lane]->voltage_sources()[k].spec, t_next);
     }
     for (std::size_t k = 0; k < isources0.size(); ++k) {
       const NodeId to = isources0[k].to, from = isources0[k].from;
-      if (isrc_shared_[k]) {
-        const double i = source_value(isources0[k].spec, t_next);
-        if (to != kGround) {
-          double* __restrict const rn = r + static_cast<std::size_t>(to) * W;
 #pragma GCC unroll 1
-          for (std::size_t lane = 0; lane < W; ++lane) rn[lane] += i;
-        }
-        if (from != kGround) {
-          double* __restrict const rn = r + static_cast<std::size_t>(from) * W;
-#pragma GCC unroll 1
-          for (std::size_t lane = 0; lane < W; ++lane) rn[lane] -= i;
-        }
-      } else {
-#pragma GCC unroll 1
-        for (std::size_t lane = 0; lane < W; ++lane) {
-          const double i =
-              source_value(circuits_[lane]->current_sources()[k].spec, t_next);
-          if (to != kGround) r[static_cast<std::size_t>(to) * W + lane] += i;
-          if (from != kGround) r[static_cast<std::size_t>(from) * W + lane] -= i;
-        }
+      for (std::size_t lane = 0; lane < W; ++lane) {
+        const double i = source_value(circuits[lane]->current_sources()[k].spec, t_next);
+        if (to != kGround) r[static_cast<std::size_t>(to) * W + lane] += i;
+        if (from != kGround) r[static_cast<std::size_t>(from) * W + lane] -= i;
       }
     }
     // Buffer Norton drives (lane 0; buffered circuits never batch).
     for (std::size_t k = 0; k < buffers.size(); ++k) {
       const Buffer& b = buffers[k];
-      const double v = MnaAssembler::buffer_drive(b, fire_[k], t_next);
+      const double v = MnaAssembler::buffer_drive(b, fire[k], t_next);
       if (b.output != kGround)
         r[static_cast<std::size_t>(b.output) * W] += v / b.output_resistance;
     }
@@ -600,18 +484,18 @@ void Lockstep::run(Record&& record) {
   // Post-solve update: advance_state's history recurrences over the SoA
   // state. The capacitor loop reads the OLD node voltages, which are only
   // overwritten afterwards. The restrict locals live in an inner block so
-  // the trailing copy through nv_.data() does not overlap their scope.
+  // the trailing copy through nv.data() does not overlap their scope.
   const auto advance = [&](const numeric::BatchedValues& sol, double dt,
                            Integrator method, const StepCoeffs& coeff) {
     const bool trap = method == Integrator::kTrapezoidal;
     {
       const double* __restrict const s = sol.data();
-      const double* __restrict const nvp = nv_.data();
-      double* __restrict const ci = cap_i_.data();
-      double* __restrict const ii = ind_i_.data();
+      const double* __restrict const nvp = nv.data();
+      double* __restrict const ci = cap_i.data();
+      double* __restrict const ii = ind_i.data();
       const double* __restrict const cg = coeff.cap_g.data();
       for (std::size_t k = 0; k < n_caps; ++k) {
-        const NodeId n1 = cap_n1_[k], n2 = cap_n2_[k];
+        const NodeId n1 = cap_n1[k], n2 = cap_n2[k];
 #pragma GCC unroll 1
         for (std::size_t lane = 0; lane < W; ++lane) {
           const double v_old =
@@ -626,45 +510,45 @@ void Lockstep::run(Record&& record) {
         }
       }
       for (std::size_t k = 0; k < n_inductors; ++k) {
-        const double* __restrict const sj = s + ind_branch_[k] * W;
+        const double* __restrict const sj = s + ind_branch[k] * W;
 #pragma GCC unroll 1
         for (std::size_t lane = 0; lane < W; ++lane) ii[k * W + lane] = sj[lane];
       }
     }
-    std::copy_n(sol.data(), n_nodes * W, nv_.data());
-    time_ += dt;
+    std::copy_n(sol.data(), n_nodes * W, nv.data());
+    time += dt;
   };
 
   // Marks a buffer fired at the CURRENT time: the fire instant becomes a
   // breakpoint, and so does the end of its output ramp (a slope
   // discontinuity the step grid must land on, like a StepSpec corner).
   const auto fire_buffer = [&](std::size_t k) {
-    fire_[k] = time_;
-    breakpoints_.insert(time_);
+    fire[k] = time;
+    breakpoints.insert(time);
     const double rise = buffers[k].output_rise;
-    if (rise > 0.0 && time_ + rise < options_.t_stop) breakpoints_.insert(time_ + rise);
+    if (rise > 0.0 && time + rise < options.t_stop) breakpoints.insert(time + rise);
   };
   const auto lane0_voltage = [](const double* v, NodeId n) {
     return n == kGround ? 0.0 : v[static_cast<std::size_t>(n) * W];
   };
 
-  record(time_, nv_.data());
-  const double min_dt = dt_quantum_;
-  int be_steps_left = options_.be_steps_after_breakpoint;
-  numeric::BatchedValues solution(assemblers_[0].unknown_count(), W);
+  record(time, nv.data());
+  const double min_dt = dt_quantum;
+  int be_steps_left = options.be_steps_after_breakpoint;
+  numeric::BatchedValues solution(unknowns, W);
   std::vector<std::pair<double, std::size_t>> crossings;  // (tc, buffer)
-  while (time_ < options_.t_stop - 0.5 * min_dt) {
+  while (time < options.t_stop - 0.5 * min_dt) {
     // Distance to the next breakpoint bounds the step; snap to the cache
     // quantization grid so the factorization and the RHS use the same dt.
-    const auto next_bp = breakpoints_.upper_bound(time_ + 0.5 * min_dt);
-    const double bp_time = (next_bp != breakpoints_.end()) ? *next_bp : options_.t_stop;
-    double dt = std::min(dt_nominal_, bp_time - time_);
-    dt = std::min(dt, options_.t_stop - time_);
-    dt = static_cast<double>(quantize(dt)) * dt_quantum_;
+    const auto next_bp = breakpoints.upper_bound(time + 0.5 * min_dt);
+    const double bp_time = (next_bp != breakpoints.end()) ? *next_bp : options.t_stop;
+    double dt = std::min(dt_nominal, bp_time - time);
+    dt = std::min(dt, options.t_stop - time);
+    dt = static_cast<double>(quantize(dt)) * dt_quantum;
     if (dt <= 0.0) break;
 
     const Integrator method =
-        (be_steps_left > 0) ? Integrator::kBackwardEuler : options_.integrator;
+        (be_steps_left > 0) ? Integrator::kBackwardEuler : options.integrator;
     const StepCoeffs& coeff = coeffs_for(dt, method);
     rhs_into(dt, method, coeff, solution);
     factorized(dt, method).solve_in_place(solution);
@@ -682,10 +566,10 @@ void Lockstep::run(Record&& record) {
     double earliest_event = kInf;  // earliest INTERPOLATED crossing
     crossings.clear();
     for (std::size_t k = 0; k < buffers.size(); ++k) {
-      if (fire_[k] != kInf) continue;
+      if (fire[k] != kInf) continue;
       const Buffer& b = buffers[k];
       const double level = b.threshold * b.vdd;
-      const double v_old = lane0_voltage(nv_.data(), b.input);
+      const double v_old = lane0_voltage(nv.data(), b.input);
       const double v_new = lane0_voltage(solution.data(), b.input);
       const bool past_old = b.input_direction >= 0 ? v_old >= level : v_old <= level;
       const bool past_new = b.input_direction >= 0 ? v_new >= level : v_new <= level;
@@ -695,23 +579,23 @@ void Lockstep::run(Record&& record) {
         // whatever time this step settles on, and does NOT enter the
         // subdivision decision, or its step-start tc would mask a genuine
         // mid-step crossing of another buffer.
-        crossings.emplace_back(time_, k);
+        crossings.emplace_back(time, k);
         continue;
       }
-      const double tc = time_ + dt * (level - v_old) / (v_new - v_old);
+      const double tc = time + dt * (level - v_old) / (v_new - v_old);
       crossings.emplace_back(tc, k);
       earliest_event = std::min(earliest_event, tc);
     }
     const bool have_event = !crossings.empty();
     const double cluster_window = 1e-6 * dt;
 
-    if (have_event && earliest_event > time_ + min_dt &&
-        earliest_event < time_ + dt * (1.0 - 1e-9)) {
+    if (have_event && earliest_event > time + min_dt &&
+        earliest_event < time + dt * (1.0 - 1e-9)) {
       // Reject; re-take the step so it ends exactly at the crossing, firing
       // the whole cluster there, parked buffers included (later crossings
       // stay unfired and are re-detected from the shortened step's end).
       const double dt_event =
-          static_cast<double>(quantize(earliest_event - time_)) * dt_quantum_;
+          static_cast<double>(quantize(earliest_event - time)) * dt_quantum;
       // coeffs_for re-keys the one coefficient slot `coeff` refers to.
       const StepCoeffs& event_coeff = coeffs_for(dt_event, method);
       rhs_into(dt_event, method, event_coeff, solution);
@@ -719,27 +603,28 @@ void Lockstep::run(Record&& record) {
       advance(solution, dt_event, method, event_coeff);
       for (const auto& [tc, k] : crossings)
         if (tc <= earliest_event + cluster_window) fire_buffer(k);
-      be_steps_left = options_.be_steps_after_breakpoint;
-      record(time_, nv_.data());
-      ++steps_;
+      be_steps_left = options.be_steps_after_breakpoint;
+      record(time, nv.data());
+      ++stats.steps;
       continue;
     }
 
-    const bool lands_on_breakpoint = std::fabs((time_ + dt) - bp_time) <= 0.5 * min_dt;
+    const bool lands_on_breakpoint = std::fabs((time + dt) - bp_time) <= 0.5 * min_dt;
     advance(solution, dt, method, coeff);
     if (have_event) {
       // Crossing at (or numerically at) the step end, or too close to the
       // step start to subdivide: fire every detected crossing here.
       for (const auto& [tc, k] : crossings) fire_buffer(k);
-      be_steps_left = options_.be_steps_after_breakpoint;
+      be_steps_left = options.be_steps_after_breakpoint;
     } else if (lands_on_breakpoint) {
-      be_steps_left = options_.be_steps_after_breakpoint;
+      be_steps_left = options.be_steps_after_breakpoint;
     } else if (be_steps_left > 0) {
       --be_steps_left;
     }
-    record(time_, nv_.data());
-    ++steps_;
+    record(time, nv.data());
+    ++stats.steps;
   }
+  return stats;
 }
 
 }  // namespace
@@ -796,27 +681,24 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
   OBS_COUNTER_ADD("transient.runs", 1);
   if (const char* error = option_error(options)) throw std::invalid_argument(error);
 
-  Lockstep engine({&circuit}, options, Caller::kScalar);
-  engine.prepare();
   const std::size_t n_nodes = circuit.node_count();
   std::vector<double> times;
   std::vector<std::vector<double>> columns(n_nodes);
-  times.reserve(engine.expected_samples());
-  for (auto& column : columns) column.reserve(engine.expected_samples());
-  engine.run<1>([&](double time, const double* node_voltage) {
-    times.push_back(time);
-    for (std::size_t i = 0; i < n_nodes; ++i) columns[i].push_back(node_voltage[i]);
-  });
+  const LockstepStats stats = *run_lockstep<1>(
+      {&circuit}, options, Caller::kScalar, [&](double time, const double* voltage) {
+        times.push_back(time);
+        for (std::size_t i = 0; i < n_nodes; ++i) columns[i].push_back(voltage[i]);
+      });
 
-  OBS_COUNTER_ADD("transient.steps", engine.steps());
+  OBS_COUNTER_ADD("transient.steps", stats.steps);
   std::map<std::string, std::vector<double>> node_values;
   for (std::size_t i = 0; i < n_nodes; ++i)
     node_values[circuit.node_name(static_cast<NodeId>(i))] = std::move(columns[i]);
   TransientResult result;
   result.waveforms = WaveformSet(std::move(times), std::move(node_values));
-  result.buffer_fire_times = engine.buffer_fire_times();
-  result.steps_taken = engine.steps();
-  result.lu_factorizations = engine.factorizations();
+  result.buffer_fire_times = stats.buffer_fire_times;
+  result.steps_taken = stats.steps;
+  result.lu_factorizations = stats.factorizations;
   return result;
 }
 
@@ -842,37 +724,34 @@ std::optional<std::vector<double>> run_batched_crossings(
     node_id.push_back(*found);
   }
 
-  Lockstep engine(std::move(lane_circuits), options, Caller::kBatch);
-  if (!engine.prepare()) return std::nullopt;
-  OBS_COUNTER_ADD("batch.tiles", 1);
-  OBS_COUNTER_ADD("batch.lanes", lanes);
-
   // The shared time grid and ONE node column per lane.
   std::vector<double> times;
   std::vector<std::vector<double>> values(lanes);
-  times.reserve(engine.expected_samples());
-  for (auto& column : values) column.reserve(engine.expected_samples());
   const auto run = [&](auto width) {
     constexpr std::size_t W = decltype(width)::value;
-    engine.run<W>([&](double time, const double* node_voltage) {
+    const auto record = [&](double time, const double* voltage) {
       times.push_back(time);
 #pragma GCC unroll 1
       for (std::size_t lane = 0; lane < W; ++lane)
-        values[lane].push_back(
-            node_voltage[static_cast<std::size_t>(node_id[lane]) * W + lane]);
-    });
+        values[lane].push_back(voltage[static_cast<std::size_t>(node_id[lane]) * W + lane]);
+    };
+    return run_lockstep<W>(lane_circuits, options, Caller::kBatch, record).has_value();
   };
+  bool stepped = false;
   switch (lanes) {
-    case 1: run(std::integral_constant<std::size_t, 1>{}); break;
-    case 4: run(std::integral_constant<std::size_t, 4>{}); break;
-    case 8: run(std::integral_constant<std::size_t, 8>{}); break;
-    default: return std::nullopt;  // unreachable: width validated on entry
+    case 1: stepped = run(std::integral_constant<std::size_t, 1>{}); break;
+    case 4: stepped = run(std::integral_constant<std::size_t, 4>{}); break;
+    case 8: stepped = run(std::integral_constant<std::size_t, 8>{}); break;
+    default: break;  // unreachable: width validated on entry
   }
+  if (!stepped) return std::nullopt;
+  OBS_COUNTER_ADD("batch.tiles", 1);
+  OBS_COUNTER_ADD("batch.lanes", lanes);
 
   // A lane that does not cross in the shared window continues with
   // run_until_crossing's later attempts, so its value stays bit-identical
   // to the scalar path's.
-  std::vector<double> crossings(lanes, kNaN);
+  std::vector<double> crossings(lanes);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     const auto crossing = Trace(times, values[lane]).crossing(level, 0.0, +1);
     crossings[lane] = crossing ? *crossing
