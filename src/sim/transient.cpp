@@ -39,8 +39,8 @@ double nominal_dt(const TransientOptions& options) {
 }
 
 // The option diagnostics run_transient throws; nullptr when the options are
-// valid. run_batched_crossings declines instead, so the scalar path raises
-// them.
+// valid. run_batched_crossings declines instead, so the caller's per-point
+// run_transient raises them.
 const char* option_error(const TransientOptions& options) {
   if (!(options.t_stop > 0.0)) return "run_transient: t_stop must be > 0";
   if (!(options.dt >= 0.0))
@@ -168,8 +168,8 @@ std::optional<LockstepStats> run_lockstep(const std::vector<const Circuit*>& cir
   const bool batch = caller == Caller::kBatch;
   const std::size_t lanes = circuits.size();  // == W
   // A batch replays RECORDED symbolic factorizations; without a complete
-  // record each lane would pay (and pivot) its own analysis, which is
-  // exactly the scalar path.
+  // record each lane would pay (and pivot) its own analysis, which is what
+  // run_transient per point does.
   SolverReuse* replay = options.reuse;
   if (batch && !(replay && replay->system_pattern && replay->system_symbolic &&
                  replay->dc_pattern && replay->dc_symbolic))
@@ -750,7 +750,7 @@ std::optional<std::vector<double>> run_batched_crossings(
 
   // A lane that does not cross in the shared window continues with
   // run_until_crossing's later attempts, so its value stays bit-identical
-  // to the scalar path's.
+  // to a run_until_crossing of that circuit alone.
   std::vector<double> crossings(lanes);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     const auto crossing = Trace(times, values[lane]).crossing(level, 0.0, +1);
