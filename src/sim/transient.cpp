@@ -158,9 +158,10 @@ bool adopt_pattern(numeric::SparsePatternPtr& slot,
 // (value[element * W + lane]); each kernel performs, per lane, the
 // arithmetic of MnaAssembler::transient_rhs_into / advance_state in the same
 // order, so a lane's bits do not depend on W. record(time, node_voltages)
-// sees the initial state and every accepted step (W values per node).
-// Returns std::nullopt when a batch cannot run; the caller then steps its
-// circuits one by one. A scalar run never declines.
+// sees the initial state and every accepted step (W values per node) and
+// returns whether to go on: false ends the run after that sample. Returns
+// std::nullopt when a batch cannot run; the caller then steps its circuits
+// one by one. A scalar run never declines.
 template <std::size_t W, typename Record>
 std::optional<LockstepStats> run_lockstep(const std::vector<const Circuit*>& circuits,
                                           const TransientOptions& options,
@@ -244,6 +245,9 @@ std::optional<LockstepStats> run_lockstep(const std::vector<const Circuit*>& cir
   numeric::SparseLuBatch dc_lu(*dc_symbolic, lanes);
   refactor_counted(dc_lu, dc_values);
   dc_lu.solve_in_place(dc_solution);
+  // Work counts of this run (the DC solve is its first solve), added to the
+  // obs counters once at its end.
+  std::size_t solves = 1, lu_hits = 0, lu_misses = 0;
 
   // Every numeric factorization shares one symbolic analysis: the recorded
   // one when available, else this run's first factorization.
@@ -332,13 +336,7 @@ std::optional<LockstepStats> run_lockstep(const std::vector<const Circuit*>& cir
     const bool last = last_factor != nullptr && key == last_key;
     auto it = last ? lu_cache.end() : lu_cache.find(key);
     const bool hit = last || it != lu_cache.end();
-    if (batch) {
-      if (hit) OBS_COUNTER_ADD("cache.lu_dt_batch.hits", 1);
-      else OBS_COUNTER_ADD("cache.lu_dt_batch.misses", 1);
-    } else {
-      if (hit) OBS_COUNTER_ADD("cache.lu_dt.hits", 1);
-      else OBS_COUNTER_ADD("cache.lu_dt.misses", 1);
-    }
+    ++(hit ? lu_hits : lu_misses);
     if (last) return *last_factor;
     if (!hit) {
       const double scale = MnaAssembler::transient_scale(dt, method);
@@ -532,12 +530,12 @@ std::optional<LockstepStats> run_lockstep(const std::vector<const Circuit*>& cir
     return n == kGround ? 0.0 : v[static_cast<std::size_t>(n) * W];
   };
 
-  record(time, nv.data());
+  bool go_on = record(time, nv.data());
   const double min_dt = dt_quantum;
   int be_steps_left = options.be_steps_after_breakpoint;
   numeric::BatchedValues solution(unknowns, W);
   std::vector<std::pair<double, std::size_t>> crossings;  // (tc, buffer)
-  while (time < options.t_stop - 0.5 * min_dt) {
+  while (go_on && time < options.t_stop - 0.5 * min_dt) {
     // Distance to the next breakpoint bounds the step; snap to the cache
     // quantization grid so the factorization and the RHS use the same dt.
     const auto next_bp = breakpoints.upper_bound(time + 0.5 * min_dt);
@@ -552,6 +550,7 @@ std::optional<LockstepStats> run_lockstep(const std::vector<const Circuit*>& cir
     const StepCoeffs& coeff = coeffs_for(dt, method);
     rhs_into(dt, method, coeff, solution);
     factorized(dt, method).solve_in_place(solution);
+    ++solves;
 
     // Buffer event detection: did any unfired buffer's input cross its
     // threshold during this step? On a symmetric bus several buffers cross
@@ -600,12 +599,13 @@ std::optional<LockstepStats> run_lockstep(const std::vector<const Circuit*>& cir
       const StepCoeffs& event_coeff = coeffs_for(dt_event, method);
       rhs_into(dt_event, method, event_coeff, solution);
       factorized(dt_event, method).solve_in_place(solution);
+      ++solves;
       advance(solution, dt_event, method, event_coeff);
       for (const auto& [tc, k] : crossings)
         if (tc <= earliest_event + cluster_window) fire_buffer(k);
       be_steps_left = options.be_steps_after_breakpoint;
-      record(time, nv.data());
       ++stats.steps;
+      go_on = record(time, nv.data());
       continue;
     }
 
@@ -621,8 +621,16 @@ std::optional<LockstepStats> run_lockstep(const std::vector<const Circuit*>& cir
     } else if (be_steps_left > 0) {
       --be_steps_left;
     }
-    record(time, nv.data());
     ++stats.steps;
+    go_on = record(time, nv.data());
+  }
+  OBS_COUNTER_ADD("batch.solves", solves);
+  if (batch) {
+    OBS_COUNTER_ADD("cache.lu_dt_batch.hits", lu_hits);
+    OBS_COUNTER_ADD("cache.lu_dt_batch.misses", lu_misses);
+  } else {
+    OBS_COUNTER_ADD("cache.lu_dt.hits", lu_hits);
+    OBS_COUNTER_ADD("cache.lu_dt.misses", lu_misses);
   }
   return stats;
 }
@@ -688,6 +696,7 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
       {&circuit}, options, Caller::kScalar, [&](double time, const double* voltage) {
         times.push_back(time);
         for (std::size_t i = 0; i < n_nodes; ++i) columns[i].push_back(voltage[i]);
+        return true;
       });
 
   OBS_COUNTER_ADD("transient.steps", stats.steps);
@@ -724,16 +733,32 @@ std::optional<std::vector<double>> run_batched_crossings(
     node_id.push_back(*found);
   }
 
-  // The shared time grid and ONE node column per lane.
+  // The shared time grid and ONE node column per lane. The tile stops after
+  // the sample at which its last lane first crosses: the step grid of
+  // buffer-free lanes does not depend on state, so the samples before the
+  // stop, and hence every first crossing, are those of a full-horizon run.
+  // The flag is numeric::find_crossing's rising test, so it fires exactly
+  // where the trace scan below finds the crossing.
   std::vector<double> times;
   std::vector<std::vector<double>> values(lanes);
   const auto run = [&](auto width) {
     constexpr std::size_t W = decltype(width)::value;
+    bool crossed[W] = {};
+    std::size_t open = W;
     const auto record = [&](double time, const double* voltage) {
+      const bool first = times.empty();
       times.push_back(time);
 #pragma GCC unroll 1
-      for (std::size_t lane = 0; lane < W; ++lane)
-        values[lane].push_back(voltage[static_cast<std::size_t>(node_id[lane]) * W + lane]);
+      for (std::size_t lane = 0; lane < W; ++lane) {
+        const double v = voltage[static_cast<std::size_t>(node_id[lane]) * W + lane];
+        if (!first && !crossed[lane] && values[lane].back() - level < 0.0 &&
+            v - level >= 0.0) {
+          crossed[lane] = true;
+          --open;
+        }
+        values[lane].push_back(v);
+      }
+      return open != 0;
     };
     return run_lockstep<W>(lane_circuits, options, Caller::kBatch, record).has_value();
   };

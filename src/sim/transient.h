@@ -13,7 +13,8 @@
 //
 // One stepping core serves run_transient and run_batched_crossings
 // (sim/transient_batch.h): W circuits of one topology stepped in lockstep,
-// with run_transient as its 1-lane case that records every node. The
+// with run_transient as its 1-lane case that records every node up to
+// t_stop (a batch stops at its last lane's crossing instead). The
 // assembled MNA system is G + (factor/dt)*C over one fixed sparsity pattern
 // (see sim/mna.h). Every solve is a numeric::SparseLuBatch over one symbolic
 // factorization per run: the one a SolverReuse recorded, or else the run's

@@ -10,14 +10,23 @@
 // into SIMD), and records only the single node the caller asked about —
 // instead of W scalar runs each recording every node.
 //
+// Crossing stop: each lane carries a "crossed" flag, set by exactly
+// numeric::find_crossing's rising test (prev - level < 0 && v - level >= 0),
+// and the tile stops stepping after the sample at which the last flag is
+// set. The paper's delay (eq. 9) is that first crossing, so the rest of the
+// horizon could not change any answer. A lane that never crosses keeps the
+// tile running to t_stop. The sweep engine tiles its points in eq. 9 delay
+// order, so the lanes of one tile tend to finish together.
+//
 // Bit-identity contract: a lane's numbers do not depend on the lane width.
 // The engine's kernels perform each lane's arithmetic in the scalar order
 // (see numeric/sparse_batch.h for the solves and MnaAssembler::
 // stamp_values_into for the matrices), and the shared step-size sequence is
-// state-independent for buffer-free circuits. A lane that does not cross
-// within the shared horizon continues with run_until_crossing's auto-extend
-// attempts (the failed first window is discarded there too), so batched
-// sweep results are memcmp-equal to scalar ones.
+// state-independent for buffer-free circuits, so stopping early leaves every
+// earlier sample, and every crossing, bit-identical. A lane that does not
+// cross within the shared horizon continues with run_until_crossing's
+// auto-extend attempts (the failed first window is discarded there too), so
+// batched sweep results are memcmp-equal to scalar ones.
 //
 // Eligibility is checked, not assumed: a batch whose lanes cannot share the
 // grid (structural pattern mismatch, buffers, missing recorded symbolics,

@@ -1,5 +1,6 @@
 #include "sweep/sweep.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <limits>
@@ -213,6 +214,38 @@ bool is_reduced_analysis(Analysis analysis) {
          analysis == Analysis::kReducedNoise ||
          analysis == Analysis::kBusRepeaterDelay ||
          analysis == Analysis::kBusRepeaterNoise;
+}
+
+// The eq. 9 delay of one grid point as a tile-ordering key. The key is a
+// schedule hint only: NaN when the model throws, so the point sorts last and
+// fails, if at all, in its own evaluation.
+double delay_key(const SweepSpec& spec, std::size_t flat,
+                 const core::DelayFitConstants& fit) {
+  try {
+    return core::rlc_delay(spec.at(flat).system, fit);
+  } catch (const std::exception&) {
+    return kNaN;
+  }
+}
+
+// Grid points first..size-1 in eq. 9 delay order, the grid index breaking
+// ties and NaN keys last. A batched tile stops at its last lane's crossing,
+// so tiles of similar delays waste no steps on their fast lanes.
+std::vector<std::size_t> delay_order(const SweepSpec& spec, std::size_t first,
+                                     const core::DelayFitConstants& fit) {
+  std::vector<double> key(spec.size(), kNaN);
+  std::vector<std::size_t> order;
+  for (std::size_t flat = first; flat < spec.size(); ++flat) {
+    key[flat] = delay_key(spec, flat, fit);
+    order.push_back(flat);
+  }
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const bool a_nan = std::isnan(key[a]), b_nan = std::isnan(key[b]);
+    if (a_nan != b_nan) return b_nan;
+    if (!a_nan && key[a] != key[b]) return key[a] < key[b];
+    return a < b;
+  });
+  return order;
 }
 
 }  // namespace
@@ -501,6 +534,8 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
   // `lane_width` compatible points and step each tile as ONE SIMD batch.
   // Requires an explicit shared horizon — per-scenario default horizons
   // preclude a shared step grid — and a seeded reference (first == 1).
+  // Tiles take the points in eq. 9 delay order and write each result back
+  // by grid index.
   std::size_t lane_width = 1;
   if (analysis == Analysis::kTransientDelay && options.t_stop > 0.0) {
     lane_width = options.lanes != 0 ? options.lanes : numeric::default_lane_width();
@@ -510,18 +545,19 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
   }
 
   if (lane_width > 1) {
-    const std::size_t tiles = (n - first + lane_width - 1) / lane_width;
+    const std::vector<std::size_t> order = delay_order(spec, first, options.fit);
+    const std::size_t tiles = (order.size() + lane_width - 1) / lane_width;
     impl_->pool.parallel_for(tiles, [&](std::size_t tile, std::size_t worker) {
       OBS_SPAN("sweep.tile");
-      const std::size_t begin = first + tile * lane_width;
-      const std::size_t count = std::min(lane_width, n - begin);
+      const std::size_t begin = tile * lane_width;
+      const std::size_t count = std::min(lane_width, order.size() - begin);
       bool batched = false;
       if (count == lane_width) {
         std::vector<sim::Circuit> circuits;
         circuits.reserve(count);
         for (std::size_t k = 0; k < count; ++k)
           circuits.push_back(sim::build_gate_line_load(
-              spec.at(begin + k).system, options.segments));
+              spec.at(order[begin + k]).system, options.segments));
         sim::TransientOptions transient;
         transient.t_stop = options.t_stop;
         transient.dt = options.dt;
@@ -530,7 +566,7 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
             circuits, "out", 0.5, transient, "SweepEngine transient_delay");
         if (crossings) {
           for (std::size_t k = 0; k < count; ++k)
-            out.values[begin + k] = (*crossings)[k];
+            out.values[order[begin + k]] = (*crossings)[k];
           batched = true;
         }
       }
@@ -539,8 +575,8 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
       // to the batch by the batched-solver contract.
       if (!batched) {
         for (std::size_t k = 0; k < count; ++k)
-          out.values[begin + k] =
-              evaluate_point(spec.at(begin + k), analysis, options,
+          out.values[order[begin + k]] =
+              evaluate_point(spec.at(order[begin + k]), analysis, options,
                              &reuse[worker], &mor_reuse[worker]);
       }
       (batched ? batched_points : scalar_points).fetch_add(count);

@@ -167,8 +167,11 @@ struct EngineOptions {
   // values must be 1, 4, or 8. Batching engages only with an explicit
   // t_stop > 0 (per-scenario default horizons preclude a shared step grid);
   // ineligible tiles and the non-divisible remainder fall back to the
-  // scalar per-point path. Results are bit-identical at every lane width
-  // and every thread count.
+  // scalar per-point path. Tiles take the points in eq. 9 delay order
+  // (core::rlc_delay, grid index breaking ties) and stop stepping at their
+  // last lane's 50% crossing, so grouping similar delays keeps fast lanes
+  // from waiting on slow ones; the remainder holds the slowest points.
+  // Results are bit-identical at every lane width and every thread count.
   std::size_t lanes = 0;
   // AC bandwidth search window, Hz.
   double ac_f_lo = 1e6;

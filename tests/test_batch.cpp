@@ -4,15 +4,20 @@
 // (memcmp), not tolerances: solver lanes vs scalar SparseLu (including an
 // engineered zero-pivot ejection), batched AnalyticResponse evaluation vs
 // the scalar closed form, and batched transient sweeps across every
-// (lane width, thread count) combination including tile remainders and NaN
-// points. Plus the zero-coupling pattern regression: a coupling axis through
-// 0 must keep ONE sparsity pattern (2 symbolic factorizations per sweep).
+// (lane width, thread count) combination including tile remainders, NaN
+// points and delay-ordered tiles, and tiles that stop at their last lane's
+// crossing vs single-circuit runs. Plus the zero-coupling pattern
+// regression: a coupling axis through 0 must keep ONE sparsity pattern (2
+// symbolic factorizations per sweep).
 #include "numeric/sparse_batch.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +29,7 @@
 #include "obs/metrics.h"
 #include "sim/builders.h"
 #include "sim/mna.h"
+#include "sim/transient_batch.h"
 #include "sweep/sweep.h"
 
 namespace {
@@ -374,6 +380,162 @@ TEST(SweepBatch, NaNPointsStayDeterministicAcrossLanesAndThreads) {
       const sweep::SweepEngine engine(options);
       const auto result = engine.run(spec, sweep::Analysis::kCrosstalkDelay);
       expect_bits_equal(scalar.values, result.values, "NaN-point sweep");
+    }
+  }
+}
+
+TEST(SweepBatch, DelayOrderedTilesKeepValuesAndPointCounts) {
+  // Tiles take the grid points in eq. 9 delay order, not grid order. Axes
+  // that descend, are scrambled and repeat values (duplicate points, whose
+  // ties break by grid index) must still give the same bytes at every
+  // (lanes, threads), and the same batched/scalar split as grid-order
+  // tiling: 47 points after the scalar reference, so 11 tiles of 4 and a
+  // 3-point remainder, or 5 tiles of 8 and a 7-point remainder.
+  sweep::SweepSpec spec;
+  spec.base.system = {500.0, {1000.0, 1e-7, 1e-12}, 0.5e-12};
+  spec.axes = {
+      sweep::values(sweep::Variable::kDriverResistance, {900.0, 600.0, 300.0, 100.0}),
+      sweep::values(sweep::Variable::kLoadCapacitance,
+                    {0.5e-12, 0.1e-12, 1e-12, 0.5e-12}),
+      sweep::values(sweep::Variable::kLineInductance, {1e-7, 1e-8, 1e-7}),
+  };
+  ASSERT_EQ(spec.size(), 48u);
+  std::vector<double> reference;
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      sweep::EngineOptions options = batch_options(threads, lanes, spec);
+      options.segments = 10;
+      const sweep::SweepEngine engine(options);
+      const auto result = engine.run(spec, sweep::Analysis::kTransientDelay);
+      if (reference.empty()) {
+        reference = result.values;
+        for (double v : reference) EXPECT_TRUE(std::isfinite(v));
+      }
+      expect_bits_equal(reference, result.values, "delay-ordered tiles");
+      const std::size_t batched = lanes == 4 ? 44 : lanes == 8 ? 40 : 0;
+      EXPECT_EQ(result.batched_points, batched) << lanes << " lanes, " << threads;
+      EXPECT_EQ(result.scalar_points, 48 - batched) << lanes << " lanes, " << threads;
+    }
+  }
+  // Duplicate points (load-capacitance indices 0 and 3) share their bytes.
+  for (std::size_t r = 0; r < 4; ++r)
+    for (std::size_t l = 0; l < 3; ++l)
+      EXPECT_EQ(std::memcmp(&reference[spec.flat_index({r, 0, l})],
+                            &reference[spec.flat_index({r, 3, l})], sizeof(double)),
+                0)
+          << r << ", " << l;
+}
+
+TEST(SweepBatch, PointWithoutDelayKeyFailsInItsOwnEvaluation) {
+  // A negative inductance makes the eq. 9 ordering key throw; such points
+  // sort last, and the sweep still reports the scenario's own error.
+  sweep::SweepSpec spec = small_grid();
+  const sweep::EngineOptions options = batch_options(2, 8, spec);
+  spec.axes[1] = sweep::values(sweep::Variable::kLineInductance, {1e-8, -1e-8, 1e-7});
+  const sweep::SweepEngine engine(options);
+  EXPECT_THROW(engine.run(spec, sweep::Analysis::kTransientDelay), std::invalid_argument);
+}
+
+// ------------------------------------------------ batched crossing stop
+
+constexpr double kDipEnd = 20e-12;    // the dipping lane's drive reaches 0
+constexpr double kEdgeStart = 200e-12;  // every drive's rising edge
+constexpr double kEdgeRise = 10e-12;
+
+// A seeded tile of gate lines whose crossing times span more than 10x: lanes
+// 0 and 1 are fast, the last lane is slow (about 3.7 ns), the lanes between
+// are random in between (at most about 1.2 ns). All lanes share one PWL
+// drive's corner times, so they share one step grid. Lane 1 starts from a
+// DC level of 0.8, above the 50% threshold: its drive falls to 0 by kDipEnd
+// and its output drops below the threshold before the common rising edge.
+std::vector<sim::Circuit> stop_tile(std::size_t width, unsigned seed) {
+  std::mt19937 rng(seed);
+  const auto log_uniform = [&](double lo, double hi) {
+    return std::exp(
+        std::uniform_real_distribution<double>(std::log(lo), std::log(hi))(rng));
+  };
+  std::vector<sim::Circuit> tile;
+  for (std::size_t lane = 0; lane < width; ++lane) {
+    tline::GateLineLoad system;
+    if (lane < 2) {
+      system = {log_uniform(10.0, 30.0),
+                {log_uniform(20.0, 60.0), 1e-9, 0.05e-12},
+                log_uniform(0.01e-12, 0.03e-12)};
+    } else if (lane + 1 == width) {
+      system = {1000.0, {2000.0, 5e-8, 1e-12}, 1e-12};
+    } else {
+      system = {log_uniform(50.0, 500.0),
+                {log_uniform(100.0, 1000.0), log_uniform(1e-9, 1e-7),
+                 log_uniform(0.1e-12, 0.5e-12)},
+                log_uniform(0.05e-12, 0.5e-12)};
+    }
+    sim::Circuit circuit = sim::build_gate_line_load(system, 5);
+    const double v0 = lane == 1 ? 0.8 : 0.0;
+    circuit.set_voltage_source_spec(
+        0, sim::PwlSpec{{{0.0, v0},
+                         {kDipEnd, 0.0},
+                         {kEdgeStart, 0.0},
+                         {kEdgeStart + kEdgeRise, 1.0}}});
+    tile.push_back(std::move(circuit));
+  }
+  return tile;
+}
+
+// cache.lu_dt_batch lookups so far: one per batched step.
+std::uint64_t batch_lu_lookups() {
+  return obs::Counter("cache.lu_dt_batch.hits").total() +
+         obs::Counter("cache.lu_dt_batch.misses").total();
+}
+
+// A tile stops stepping at its last lane's first crossing. Every crossing
+// must still be the bytes of run_until_crossing on that circuit alone, for
+// a window every lane crosses in (the stop ends the tile early) and for a
+// window the slow lane misses (the tile runs to t_stop and that lane takes
+// the auto-extend path).
+TEST(BatchedCrossingStop, CrossingsMatchSingleCircuitRuns) {
+  for (const std::size_t width : {std::size_t{4}, std::size_t{8}}) {
+    for (const unsigned seed : {11u, 12u, 13u}) {
+      const std::vector<sim::Circuit> tile = stop_tile(width, seed);
+      for (const bool all_cross : {true, false}) {
+        SCOPED_TRACE(std::to_string(width) + " lanes, seed " + std::to_string(seed) +
+                     (all_cross ? ", every lane crosses" : ", slow lane extends"));
+        sim::TransientOptions options;
+        options.t_stop = all_cross ? 12e-9 : 2.5e-9;  // dt = t_stop / 4000
+        sim::SolverReuse seeded;
+        options.reuse = &seeded;
+        sim::run_transient(tile[0], options);  // records the shared symbolics
+
+        std::vector<double> expected;
+        std::size_t extended = 0;
+        for (const sim::Circuit& circuit : tile) {
+          sim::SolverReuse reuse = seeded;
+          sim::TransientOptions alone = options;
+          alone.reuse = &reuse;
+          const sim::DelayRun run =
+              sim::run_until_crossing(circuit, "out", 0.5, alone, "reference");
+          expected.push_back(run.crossing);
+          if (run.result.waveforms.time().back() > 2.0 * options.t_stop) ++extended;
+        }
+        const auto [fastest, slowest] = std::minmax_element(expected.begin(), expected.end());
+        EXPECT_GT(*slowest / *fastest, 10.0);
+        EXPECT_GT(expected[1], kEdgeStart);  // the dipping lane's crossing is on the edge
+        EXPECT_EQ(extended, all_cross ? 0u : 1u);
+
+        sim::SolverReuse batch_reuse = seeded;
+        options.reuse = &batch_reuse;
+        const std::uint64_t lookups0 = batch_lu_lookups();
+        const auto crossings =
+            sim::run_batched_crossings(tile, "out", 0.5, options, "stop tile");
+        const std::uint64_t lookups = batch_lu_lookups() - lookups0;
+        ASSERT_TRUE(crossings.has_value());
+        expect_bits_equal(expected, *crossings, "stopped tile");
+        if (all_cross && obs::metrics_enabled()) {
+          // One lookup per step: the tile stops about where its slowest lane
+          // crosses, far short of the t_stop / dt = 4000 steps of its window.
+          EXPECT_LT(lookups, 4000u);
+          EXPECT_LE(static_cast<double>(lookups), *slowest / (options.t_stop / 4000.0) + 8.0);
+        }
+      }
     }
   }
 }
