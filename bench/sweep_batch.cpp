@@ -25,9 +25,16 @@
 // when the target ISA has a packed blend, which baseline x86-64 (SSE2)
 // lacks — a portable build runs them scalar and lands near 3x, not 4x.
 // CI therefore runs the full bench in the RLCSIM_NATIVE bench job and only
-// the --fast identity gates in the portable smoke job.
+// the --fast identity gates in the portable smoke job. Batched tiles also
+// stop at their last lane's 50% crossing while W=1 points run to t_stop,
+// so the ratio counts the steps that stop saves as well as the kernels.
 //
 // Usage: sweep_batch [--fast] [--points N] [--segments N] [--repeats N]
+//                    [--dump F]
+//   --dump F    write the raw result bytes of table1_transient's W=8,
+//               1-thread run to file F — CI cmp's a telemetry-off dump
+//               against a telemetry-on one to prove the batched path's
+//               observability is write-only.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -63,6 +70,8 @@ struct WorkloadOutcome {
   // fallback-accounting gate input (a batch that silently degrades to
   // scalar shows up here, not just as a throughput dip).
   std::vector<double> batched_fraction;
+  // Values of the W=8, 1-thread run (the --dump payload).
+  std::vector<double> w8_values;
 };
 
 // Runs one (spec, analysis) workload across kConfigs, printing its JSON
@@ -96,6 +105,8 @@ WorkloadOutcome run_workload(const char* workload, const sweep::SweepSpec& spec,
     sweep::SweepResult best;
     for (int r = 0; r < repeats; ++r) {
       sweep::SweepResult result = engine.run(spec, analysis);
+      if (r == 0 && kConfigs[c].lanes == 8 && kConfigs[c].threads == 1)
+        outcome.w8_values = result.values;
       if (c == 0 && r == 0) {
         reference = result.values;
       } else {
@@ -192,6 +203,7 @@ int main(int argc, char** argv) {
   std::size_t target_points = 1000;
   int transient_segments = 25;
   int repeats = 3;
+  const char* dump_path = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--fast") == 0) {
       fast = true;
@@ -203,6 +215,8 @@ int main(int argc, char** argv) {
       transient_segments = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--repeats") == 0 && i + 1 < argc) {
       repeats = std::max(1, static_cast<int>(std::strtol(argv[++i], nullptr, 10)));
+    } else if (std::strcmp(argv[i], "--dump") == 0 && i + 1 < argc) {
+      dump_path = argv[++i];
     } else {
       std::fprintf(stderr, "sweep_batch: unknown argument \"%s\"\n", argv[i]);
       return 2;
@@ -279,5 +293,20 @@ int main(int argc, char** argv) {
               identical && speedup_ok && batched_ok ? "true" : "false");
   std::printf("  }\n");
   std::printf("}\n");
+
+  if (dump_path != nullptr) {
+    // Raw bytes, not text, so cmp sees the exact doubles.
+    std::FILE* f = std::fopen(dump_path, "wb");
+    if (f == nullptr) {
+      std::fprintf(stderr, "sweep_batch: cannot open --dump path %s\n", dump_path);
+      return 2;
+    }
+    const std::size_t written =
+        std::fwrite(table1.w8_values.data(), sizeof(double), table1.w8_values.size(), f);
+    if (std::fclose(f) != 0 || written != table1.w8_values.size()) {
+      std::fprintf(stderr, "sweep_batch: cannot write --dump path %s\n", dump_path);
+      return 2;
+    }
+  }
   return identical && speedup_ok && batched_ok ? 0 : 1;
 }
