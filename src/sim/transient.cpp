@@ -733,12 +733,10 @@ std::optional<std::vector<double>> run_batched_crossings(
     node_id.push_back(*found);
   }
 
-  // The shared time grid and ONE node column per lane. The tile stops after
-  // the sample at which its last lane first crosses: the step grid of
-  // buffer-free lanes does not depend on state, so the samples before the
-  // stop, and hence every first crossing, are those of a full-horizon run.
-  // The flag is numeric::find_crossing's rising test, so it fires exactly
-  // where the trace scan below finds the crossing.
+  // The shared time grid and ONE node column per lane, up to the sample at
+  // which the last lane first crosses (see sim/transient_batch.h). The flag
+  // is numeric::find_crossing's rising test, so it fires exactly where the
+  // trace scan below finds the crossing.
   std::vector<double> times;
   std::vector<std::vector<double>> values(lanes);
   const auto run = [&](auto width) {
