@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <stdexcept>
 #include <variant>
 #include <vector>
@@ -109,9 +108,9 @@ void validate_options(const tline::CoupledBus& bus,
         ": drive_overrides must be empty or have one entry per line");
 }
 
-// The canonical pattern circuit, with any drive overrides swapped in. EVERY
-// analysis path (transient, reduced, projected, basis build) goes through
-// here, so an override can never reach one path and not another.
+// The canonical pattern circuit, with any drive overrides swapped in. Both
+// analysis paths (transient and reduced) go through here, so an override
+// can never reach one path and not the other.
 sim::Circuit build_pattern_bus(const tline::CoupledBus& bus,
                                SwitchingPattern pattern,
                                const CrosstalkOptions& options) {
@@ -219,26 +218,35 @@ CrosstalkMetrics analyze_crosstalk(const tline::CoupledBus& bus,
   return metrics;
 }
 
-namespace {
+CrosstalkMetrics analyze_crosstalk_reduced(const tline::CoupledBus& bus,
+                                           SwitchingPattern pattern,
+                                           const CrosstalkOptions& options,
+                                           int order,
+                                           mor::ConductanceReuse* reuse) {
+  validate_options(bus, options, "analyze_crosstalk_reduced");
+  if (order < 1)
+    throw std::invalid_argument("analyze_crosstalk_reduced: order must be >= 1");
 
-// Shared superposition + measurement tail of the reduced and projected
-// analyses. Superposition around the t = 0- DC point: every source
-// contributes its pre-switch level times its DC transfer (that sum is the
-// victim's initial level), then its swing times its step/ramp response.
-// build_coupled_bus adds exactly one voltage source per line, in line
-// order, so input column i is line i's driver; each signal is decoded from
-// that source's OWN spec, never re-derived from the drive enum.
-// `transfer_of(i)` supplies the (victim, driver i) pole-residue model for
-// switching drivers; `dc_of(i)` the DC transfer of quiet-but-held drivers.
-CrosstalkMetrics measure_superposition(
-    const sim::Circuit& circuit, const tline::CoupledBus& bus,
-    SwitchingPattern pattern, const CrosstalkOptions& options,
-    const std::string& victim_node,
-    const std::function<mor::PoleResidueModel(int)>& transfer_of,
-    const std::function<double(int)>& dc_of) {
   const int victim_line = bus.victim_index();
   const bool victim_switches = pattern != SwitchingPattern::kQuietVictim;
+  const sim::Circuit circuit = build_pattern_bus(bus, pattern, options);
+  const std::string victim_node =
+      "line" + std::to_string(victim_line) + ".out";
 
+  const sim::MnaAssembler mna(circuit);
+  const mor::LinearSystem linear = mor::make_linear_system(mna, {victim_node});
+  const mor::MomentGenerator generator(linear, reuse);
+
+  // Transport-delay candidate bound for every transfer: the victim line's
+  // own time of flight (the selection in reduce_transfer adapts downward).
+  const double max_delay = bus.line_at(victim_line).time_of_flight();
+
+  // Superposition around the t = 0- DC point: every source contributes its
+  // pre-switch level times its DC transfer (that sum is the victim's
+  // initial level), then its swing times its step/ramp response.
+  // build_coupled_bus adds exactly one voltage source per line, in line
+  // order, so input column i is line i's driver; each signal is decoded
+  // from that source's OWN spec, never re-derived from the drive enum.
   double initial_dc = 0.0;
   struct Contribution {
     mor::PoleResidueModel model;
@@ -246,18 +254,28 @@ CrosstalkMetrics measure_superposition(
   };
   std::vector<Contribution> contributions;
   for (int i = 0; i < bus.lines; ++i) {
+    const std::vector<double>& input = linear.inputs[static_cast<std::size_t>(i)];
     const DriveDecode signal = decode_drive(
         circuit.voltage_sources()[static_cast<std::size_t>(i)].spec);
     if (!signal.edges.empty()) {
-      Contribution c{transfer_of(i), signal.edges};
-      // The model's DC gain IS moment 0 (pinned exactly by both reduction
-      // routes), so the pre-switch level rides the same number.
+      const int transfer_order =
+          mor::coupled_transfer_order(order, std::abs(i - victim_line));
+      const std::vector<double> moments = generator.transfer_moments(
+          linear.outputs[0], input, 2 * transfer_order);
+      Contribution c{mor::reduce_transfer(moments, transfer_order, max_delay),
+                     signal.edges};
+      // The model's DC gain IS moment 0 (pinned exactly by the
+      // reduction), so the pre-switch level rides the same number.
       initial_dc += signal.initial * c.model.dc_gain;
       contributions.push_back(std::move(c));
     } else if (signal.initial != 0.0) {
       // Non-switching source held at a nonzero level: only its DC transfer
       // contributes (one solve, no reduction).
-      initial_dc += signal.initial * dc_of(i);
+      const std::vector<double> m0 = generator.solve(input);
+      double dc = 0.0;
+      for (std::size_t n = 0; n < m0.size(); ++n)
+        dc += linear.outputs[0][n] * m0[n];
+      initial_dc += signal.initial * dc;
     }
   }
 
@@ -295,124 +313,6 @@ CrosstalkMetrics measure_superposition(
           *measured.delay_50 - *metrics.isolated_delay_two_pole;
   }
   return metrics;
-}
-
-}  // namespace
-
-CrosstalkMetrics analyze_crosstalk_reduced(const tline::CoupledBus& bus,
-                                           SwitchingPattern pattern,
-                                           const CrosstalkOptions& options,
-                                           int order,
-                                           mor::ConductanceReuse* reuse) {
-  validate_options(bus, options, "analyze_crosstalk_reduced");
-  if (order < 1)
-    throw std::invalid_argument("analyze_crosstalk_reduced: order must be >= 1");
-
-  const int victim_line = bus.victim_index();
-  const sim::Circuit circuit = build_pattern_bus(bus, pattern, options);
-  const std::string victim_node =
-      "line" + std::to_string(victim_line) + ".out";
-
-  const sim::MnaAssembler mna(circuit);
-  const mor::LinearSystem linear = mor::make_linear_system(mna, {victim_node});
-  const mor::MomentGenerator generator(linear, reuse);
-
-  // Transport-delay candidate bound for every transfer: the victim line's
-  // own time of flight (the selection in reduce_transfer adapts downward).
-  const double max_delay = bus.line_at(victim_line).time_of_flight();
-
-  const auto transfer_of = [&](int i) {
-    // A driver at distance d from the victim couples through d
-    // nearest-neighbor hops, so its transfer rises like s^d (its first d
-    // moments are exactly zero — G alone does not couple the lines) and
-    // no rational with fewer than d+1 poles can represent it. Those far
-    // transfers are also the smallest contributions, so raising their
-    // order to the representability floor keeps "q-th order" honest where
-    // it matters (the victim's own transfer and its neighbors').
-    const int distance = std::abs(i - victim_line);
-    const int transfer_order = std::max(order, distance + 1);
-    const std::vector<double> moments = generator.transfer_moments(
-        linear.outputs[0], linear.inputs[static_cast<std::size_t>(i)],
-        2 * transfer_order);
-    return mor::reduce_transfer(moments, transfer_order, max_delay);
-  };
-  const auto dc_of = [&](int i) {
-    const std::vector<double> m0 =
-        generator.solve(linear.inputs[static_cast<std::size_t>(i)]);
-    double dc = 0.0;
-    for (std::size_t n = 0; n < m0.size(); ++n)
-      dc += linear.outputs[0][n] * m0[n];
-    return dc;
-  };
-  return measure_superposition(circuit, bus, pattern, options, victim_node,
-                               transfer_of, dc_of);
-}
-
-mor::ArnoldiBasis crosstalk_projection_basis(const tline::CoupledBus& bus,
-                                             SwitchingPattern pattern,
-                                             const CrosstalkOptions& options,
-                                             int order,
-                                             mor::ConductanceReuse* reuse) {
-  validate_options(bus, options, "crosstalk_projection_basis");
-  if (order < 1)
-    throw std::invalid_argument(
-        "crosstalk_projection_basis: order must be >= 1");
-
-  const int victim_line = bus.victim_index();
-  const sim::Circuit circuit = build_pattern_bus(bus, pattern, options);
-  const std::string victim_node =
-      "line" + std::to_string(victim_line) + ".out";
-  const sim::MnaAssembler mna(circuit);
-  const mor::LinearSystem linear = mor::make_linear_system(mna, {victim_node});
-
-  // Clamp up to the input count so the first Krylov block is never
-  // truncated: every driver keeps (at least) its DC match.
-  const int basis_order = std::max(order, bus.lines);
-  mor::ArnoldiBasis basis;
-  mor::arnoldi_reduce(linear, basis_order, reuse, &basis);
-  return basis;
-}
-
-CrosstalkMetrics analyze_crosstalk_projected(const tline::CoupledBus& bus,
-                                             SwitchingPattern pattern,
-                                             const CrosstalkOptions& options,
-                                             const mor::ArnoldiBasis& basis) {
-  validate_options(bus, options, "analyze_crosstalk_projected");
-  if (basis.order() == 0)
-    throw std::invalid_argument("analyze_crosstalk_projected: empty basis");
-
-  const int victim_line = bus.victim_index();
-  const sim::Circuit circuit = build_pattern_bus(bus, pattern, options);
-  const std::string victim_node =
-      "line" + std::to_string(victim_line) + ".out";
-  const sim::MnaAssembler mna(circuit);
-  const mor::LinearSystem linear = mor::make_linear_system(mna, {victim_node});
-
-  // A structurally different circuit (different bus width, shield layout, or
-  // segmentation) cannot ride this basis: fall back to a fresh per-point
-  // reduction at the basis order so mixed-topology grids stay correct.
-  if (basis.dimension() != linear.unknowns())
-    return analyze_crosstalk_reduced(bus, pattern, options,
-                                     static_cast<int>(basis.order()));
-
-  const mor::ReducedModel reduced = mor::project_onto(linear, basis);
-  const auto transfer_of = [&](int i) {
-    return mor::pole_residue(reduced, 0, i);
-  };
-  const auto dc_of = [&](int i) {
-    // DC transfer through the reduced pencil: l^T Ghat^{-1} b — dense q x q.
-    const std::size_t q = static_cast<std::size_t>(reduced.order());
-    numeric::RealMatrix ghat = reduced.G;
-    std::vector<double> b(q);
-    for (std::size_t r = 0; r < q; ++r)
-      b[r] = reduced.B(r, static_cast<std::size_t>(i));
-    const std::vector<double> x = numeric::solve(std::move(ghat), b);
-    double dc = 0.0;
-    for (std::size_t r = 0; r < q; ++r) dc += reduced.L(r, 0) * x[r];
-    return dc;
-  };
-  return measure_superposition(circuit, bus, pattern, options, victim_node,
-                               transfer_of, dc_of);
 }
 
 }  // namespace rlcsim::core

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "mor/moments.h"
-#include "mor/reduce.h"
 #include "sim/builders.h"
 #include "sim/mna.h"
 #include "sim/transient.h"
@@ -60,15 +59,15 @@ struct CrosstalkOptions {
   int shield_every = 0;
   // Linear edge duration of every switching driver (slow-slew aggressors);
   // 0 = ideal steps. Honored identically by the transient path (StepSpec
-  // rise) and the reduced/analytic paths (AnalyticResponse::add_ramp).
+  // rise) and the reduced/analytic path (AnalyticResponse::add_ramp).
   double source_rise = 0.0;
   // Per-line driver-spec overrides (empty = the pattern's canonical drive
   // table; otherwise exactly one optional entry per line). An engaged entry
   // replaces line i's voltage-source spec after the bus circuit is built —
   // the seam for drive libraries richer than step/ramp: multi-segment PWL
   // edges, finite pulses. Honored IDENTICALLY by the transient and the
-  // reduced/projected paths: the reduced decode is exact piecewise
-  // superposition (one ramp contribution per linear piece), and it THROWS
+  // reduced path: the reduced decode is exact piecewise superposition
+  // (one ramp contribution per linear piece), and it THROWS
   // std::invalid_argument on shapes with no finite superposition (periodic
   // pulse trains) or malformed specs rather than silently approximating.
   std::vector<std::optional<sim::SourceSpec>> drive_overrides;
@@ -129,28 +128,5 @@ CrosstalkMetrics analyze_crosstalk_reduced(const tline::CoupledBus& bus,
                                            const CrosstalkOptions& options,
                                            int order = 4,
                                            mor::ConductanceReuse* reuse = nullptr);
-
-// Arnoldi-projection basis of the bus circuit at NOMINAL parameter values,
-// for reuse across a sweep: computed once (order is clamped up to the input
-// count so no driver loses its DC match), then analyze_crosstalk_projected
-// re-evaluates only the projected q x q pencil per point — sparse matvecs
-// and dense q x q work, no LU factorization at all. `reuse` shares the G
-// symbolic of the one Arnoldi run.
-mor::ArnoldiBasis crosstalk_projection_basis(const tline::CoupledBus& bus,
-                                             SwitchingPattern pattern,
-                                             const CrosstalkOptions& options,
-                                             int order,
-                                             mor::ConductanceReuse* reuse = nullptr);
-
-// analyze_crosstalk_reduced evaluated THROUGH a previously computed
-// projection basis (sweep::EngineOptions::reuse_projection). Exact at the
-// point the basis was built, an approximation elsewhere; accuracy degrades
-// smoothly with parameter distance. A structurally different circuit (the
-// basis dimension no longer matches) falls back to a fresh per-point
-// reduction at the basis order, so mixed-topology grids stay correct.
-CrosstalkMetrics analyze_crosstalk_projected(const tline::CoupledBus& bus,
-                                             SwitchingPattern pattern,
-                                             const CrosstalkOptions& options,
-                                             const mor::ArnoldiBasis& basis);
 
 }  // namespace rlcsim::core

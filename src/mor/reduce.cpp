@@ -355,45 +355,14 @@ PoleResidueModel reduce_transfer(const std::vector<double>& moments, int order,
   return best;
 }
 
-// ---------------------------------------------------------- block Arnoldi
-
-namespace {
-
-// Projects (G, C, B, L) onto an orthonormal basis — the shared tail of
-// arnoldi_reduce and the per-point body of project_onto.
-ReducedModel project_system(const LinearSystem& system,
-                            const std::vector<std::vector<double>>& basis,
-                            int deflated) {
-  const std::size_t q = basis.size();
-  ReducedModel model;
-  model.deflated = deflated;
-  model.input_names = system.input_names;
-  model.output_names = system.output_names;
-  model.G = numeric::RealMatrix(q, q);
-  model.C = numeric::RealMatrix(q, q);
-  model.B = numeric::RealMatrix(q, system.inputs.size());
-  model.L = numeric::RealMatrix(q, system.outputs.size());
-  for (std::size_t j = 0; j < q; ++j) {
-    const std::vector<double> gv = system.G.multiply(basis[j]);
-    const std::vector<double> cv = system.C.multiply(basis[j]);
-    for (std::size_t i = 0; i < q; ++i) {
-      model.G(i, j) = dot(basis[i], gv);
-      model.C(i, j) = dot(basis[i], cv);
-    }
-  }
-  for (std::size_t k = 0; k < system.inputs.size(); ++k)
-    for (std::size_t i = 0; i < q; ++i)
-      model.B(i, k) = dot(basis[i], system.inputs[k]);
-  for (std::size_t k = 0; k < system.outputs.size(); ++k)
-    for (std::size_t i = 0; i < q; ++i)
-      model.L(i, k) = dot(basis[i], system.outputs[k]);
-  return model;
+int coupled_transfer_order(int order, int hops) {
+  return std::max(order, hops + 1);
 }
 
-}  // namespace
+// ---------------------------------------------------------- block Arnoldi
 
 ReducedModel arnoldi_reduce(const LinearSystem& system, int order,
-                            ConductanceReuse* reuse, ArnoldiBasis* basis_out) {
+                            ConductanceReuse* reuse) {
   OBS_SPAN("mor.arnoldi_reduce");
   OBS_COUNTER_ADD("mor.arnoldi_reductions", 1);
   if (order < 1)
@@ -449,20 +418,31 @@ ReducedModel arnoldi_reduce(const LinearSystem& system, int order,
   if (basis.empty())
     throw std::runtime_error("arnoldi_reduce: immediate breakdown (B = 0)");
 
-  ReducedModel model = project_system(system, basis, deflated);
-  if (basis_out) basis_out->vectors = std::move(basis);
+  // Project (G, C, B, L) onto the orthonormal basis.
+  const std::size_t q = basis.size();
+  ReducedModel model;
+  model.deflated = deflated;
+  model.input_names = system.input_names;
+  model.output_names = system.output_names;
+  model.G = numeric::RealMatrix(q, q);
+  model.C = numeric::RealMatrix(q, q);
+  model.B = numeric::RealMatrix(q, system.inputs.size());
+  model.L = numeric::RealMatrix(q, system.outputs.size());
+  for (std::size_t j = 0; j < q; ++j) {
+    const std::vector<double> gv = system.G.multiply(basis[j]);
+    const std::vector<double> cv = system.C.multiply(basis[j]);
+    for (std::size_t i = 0; i < q; ++i) {
+      model.G(i, j) = dot(basis[i], gv);
+      model.C(i, j) = dot(basis[i], cv);
+    }
+  }
+  for (std::size_t k = 0; k < system.inputs.size(); ++k)
+    for (std::size_t i = 0; i < q; ++i)
+      model.B(i, k) = dot(basis[i], system.inputs[k]);
+  for (std::size_t k = 0; k < system.outputs.size(); ++k)
+    for (std::size_t i = 0; i < q; ++i)
+      model.L(i, k) = dot(basis[i], system.outputs[k]);
   return model;
-}
-
-ReducedModel project_onto(const LinearSystem& system, const ArnoldiBasis& basis) {
-  OBS_COUNTER_ADD("mor.projections", 1);
-  if (basis.order() == 0)
-    throw std::invalid_argument("project_onto: empty basis");
-  if (basis.dimension() != system.unknowns())
-    throw std::invalid_argument(
-        "project_onto: basis dimension does not match the system's unknown "
-        "count (structurally different circuit)");
-  return project_system(system, basis.vectors, /*deflated=*/0);
 }
 
 PoleResidueModel pole_residue(const ReducedModel& model, int output, int input) {

@@ -94,6 +94,17 @@ std::vector<double> extract_delay(const std::vector<double>& moments,
 PoleResidueModel reduce_transfer(const std::vector<double>& moments, int order,
                                  double max_delay);
 
+// The representability floor of a coupled-bus transfer: the order to pass
+// reduce_transfer for a driver `hops` nearest-neighbor hops from the
+// measured line when `order` poles are asked for. Such a transfer couples
+// through `hops` capacitive/inductive links, so it rises like s^hops (its
+// first `hops` moments are exactly zero — G alone does not couple the
+// lines) and no rational with fewer than hops+1 poles can represent it.
+// Those far transfers are also the smallest contributions, so raising
+// their order to the floor keeps "q-th order" honest where it matters (the
+// line's own transfer and its neighbors'). Returns max(order, hops + 1).
+int coupled_transfer_order(int order, int hops);
+
 // ------------------------------------------------------------- projection
 
 // The projected descriptor system Vt(G,C,B,L)V of a block-Arnoldi basis V.
@@ -109,35 +120,13 @@ struct ReducedModel {
   std::size_t output_count() const { return L.cols(); }
 };
 
-// The orthonormal block-Krylov basis V of an arnoldi_reduce run, exposed so
-// a SWEEP can project once at a nominal point and re-evaluate only the
-// projected Ghat/Chat/Bhat/Lhat at every other point (project_onto below) —
-// pure sparse matvecs and dot products, no LU factorization at all per
-// point. The basis is exact at the point it was built and an approximation
-// elsewhere; accuracy degrades smoothly with parameter distance (the
-// reuse-vs-reprojection test pins the bound the sweep engine relies on).
-struct ArnoldiBasis {
-  std::vector<std::vector<double>> vectors;  // orthonormal, size n each
-  std::size_t order() const { return vectors.size(); }
-  std::size_t dimension() const { return vectors.empty() ? 0 : vectors.front().size(); }
-};
-
 // Block-Arnoldi projection of `system` to (at most) `order` dimensions.
 // `order` is the TOTAL reduced dimension; it should be >= the input count
 // or the first Krylov block itself is truncated (some inputs lose even
 // their DC match). Breakdown (Krylov space exhausted) returns a smaller
-// model than requested — check order(). `basis_out`, when given, receives
-// the projection basis for later project_onto() reuse.
+// model than requested — check order().
 ReducedModel arnoldi_reduce(const LinearSystem& system, int order,
-                            ConductanceReuse* reuse = nullptr,
-                            ArnoldiBasis* basis_out = nullptr);
-
-// Re-projects a (value-changed, structurally identical) system onto a
-// previously computed basis: Ghat = V^T G V, Chat = V^T C V, Bhat = V^T B,
-// Lhat = V^T L. No factorization, no Krylov recurrence — the per-point cost
-// of basis-reuse sweeps. Throws std::invalid_argument when the basis
-// dimension does not match the system's unknown count.
-ReducedModel project_onto(const LinearSystem& system, const ArnoldiBasis& basis);
+                            ConductanceReuse* reuse = nullptr);
 
 // Pole-residue extraction of one (output, input) entry of the reduced
 // model. All entries share the reduced pencil's poles; spurious unstable

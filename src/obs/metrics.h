@@ -26,9 +26,8 @@
 //                       read back from here.
 //   RLCSIM_TRACE=<path> enables Chrome-trace span recording (obs/trace.h).
 //
-// Compile-time kill switch: defining RLCSIM_OBS_DISABLE (CMake
-// -DRLCSIM_OBS=OFF) expands every OBS_* macro to nothing — true
-// zero-overhead no-ops, not runtime branches.
+// RLCSIM_METRICS=0 is the one off switch: the OBS_* macros always compile
+// in, and with metrics off a call site costs one cached-flag check.
 #pragma once
 
 #include <array>
@@ -171,10 +170,6 @@ void record_span_seconds(const char* name, double seconds);
 
 // ------------------------------------------------------------------ macros
 
-#if defined(RLCSIM_OBS_DISABLE)
-#define OBS_COUNTER_ADD(name, n) ((void)0)
-#define OBS_HISTOGRAM_RECORD(name, value) ((void)0)
-#else
 // One static handle per call site: registration cost is paid once, the hot
 // path is a gate check + thread-local shard lookup + relaxed atomic add.
 #define OBS_COUNTER_ADD(name, n)                                    \
@@ -187,6 +182,5 @@ void record_span_seconds(const char* name, double seconds);
     static const ::rlcsim::obs::Histogram obs_histogram_handle_(name); \
     obs_histogram_handle_.record(static_cast<double>(value));          \
   } while (0)
-#endif
 
 }  // namespace rlcsim::obs

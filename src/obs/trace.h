@@ -4,8 +4,7 @@
 // (RLCSIM_TRACE=<path> or an explicit begin_trace call) the span buffers a
 // Chrome trace-event into this thread's shard, and when metrics are
 // enabled its duration also lands in histogram "span.<name>". With neither
-// active a span is a pair of cheap atomic-flag checks; with
-// RLCSIM_OBS_DISABLE defined it compiles away entirely.
+// active a span is a pair of cheap atomic-flag checks.
 //
 // The output is the Chrome trace-event JSON format ("X" complete events,
 // microsecond timestamps): load it at https://ui.perfetto.dev or
@@ -81,13 +80,9 @@ class ScopedSpan {
   bool tracing_ = false;  // trace was active at open
 };
 
-#if defined(RLCSIM_OBS_DISABLE)
-#define OBS_SPAN(...) ((void)0)
-#else
 #define OBS_SPAN_CONCAT_IMPL(a, b) a##b
 #define OBS_SPAN_CONCAT(a, b) OBS_SPAN_CONCAT_IMPL(a, b)
 #define OBS_SPAN(...) \
   const ::rlcsim::obs::ScopedSpan OBS_SPAN_CONCAT(obs_span_, __LINE__)(__VA_ARGS__)
-#endif
 
 }  // namespace rlcsim::obs

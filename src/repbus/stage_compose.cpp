@@ -81,10 +81,8 @@ StageModels build_stage_models(const RepeaterBusSpec& spec, int order,
     for (int j = 0; j < lines; ++j) {
       if (drives[static_cast<std::size_t>(j)] == sim::BusDrive::kShieldGrounded)
         continue;  // shield drivers never move: zero model
-      // The distance floor of analyze_crosstalk_reduced: a driver d
-      // nearest-neighbor hops away needs at least d+1 poles.
-      const int distance = std::abs(i - j);
-      const int transfer_order = std::max(order, distance + 1);
+      const int transfer_order =
+          mor::coupled_transfer_order(order, std::abs(i - j));
       const std::vector<double> moments = generator.transfer_moments(
           linear.outputs[static_cast<std::size_t>(i)],
           linear.inputs[static_cast<std::size_t>(j)], 2 * transfer_order);

@@ -74,26 +74,12 @@ void apply_variable(Variable variable, double value, Scenario& scenario,
   }
 }
 
-// The coupled bus and crosstalk options of one resolved scenario — shared
-// by the crosstalk/reduced/projected/repeater-bus analyses and by run()'s
-// projection-basis seeding, so they can never disagree.
+// The coupled bus of one resolved scenario — shared by the crosstalk,
+// reduced and repeater-bus analyses, so they can never disagree.
 tline::CoupledBus scenario_bus(const Scenario& scenario) {
   const CrosstalkScenario& x = scenario.xtalk;
   return tline::make_bus(x.bus_lines, scenario.system.line, x.cc_ratio,
                          x.lm_ratio);
-}
-core::CrosstalkOptions scenario_crosstalk_options(const Scenario& scenario,
-                                                  const EngineOptions& options,
-                                                  sim::SolverReuse* reuse) {
-  core::CrosstalkOptions xt;
-  xt.driver_resistance = scenario.system.driver_resistance;
-  xt.load_capacitance = scenario.system.load_capacitance;
-  xt.segments = options.segments;
-  xt.shield_every = scenario.xtalk.shield_every;
-  xt.t_stop = options.t_stop;
-  xt.dt = options.dt;
-  xt.reuse = reuse;
-  return xt;
 }
 
 double transient_delay_of(const Scenario& scenario, const EngineOptions& options,
@@ -113,8 +99,7 @@ double transient_delay_of(const Scenario& scenario, const EngineOptions& options
 
 double evaluate_point(const Scenario& scenario, Analysis analysis,
                       const EngineOptions& options, sim::SolverReuse* reuse,
-                      mor::ConductanceReuse* mor_reuse,
-                      const mor::ArnoldiBasis* basis = nullptr) {
+                      mor::ConductanceReuse* mor_reuse) {
   switch (analysis) {
     case Analysis::kClosedFormDelay:
       return core::rlc_delay(scenario.system, options.fit);
@@ -148,17 +133,20 @@ double evaluate_point(const Scenario& scenario, Analysis analysis,
     case Analysis::kReducedNoise: {
       const CrosstalkScenario& x = scenario.xtalk;
       const tline::CoupledBus bus = scenario_bus(scenario);
-      const core::CrosstalkOptions xt =
-          scenario_crosstalk_options(scenario, options, reuse);
+      core::CrosstalkOptions xt;
+      xt.driver_resistance = scenario.system.driver_resistance;
+      xt.load_capacitance = scenario.system.load_capacitance;
+      xt.segments = options.segments;
+      xt.shield_every = x.shield_every;
+      xt.t_stop = options.t_stop;
+      xt.dt = options.dt;
+      xt.reuse = reuse;
       if (analysis == Analysis::kReducedDelay ||
           analysis == Analysis::kReducedNoise) {
-        // Basis-reuse sweeps (EngineOptions::reuse_projection) re-evaluate
-        // the recorded nominal projection; otherwise a fresh per-point
-        // reduction over the shared symbolic G factorization.
-        const core::CrosstalkMetrics m =
-            basis ? core::analyze_crosstalk_projected(bus, x.pattern, xt, *basis)
-                  : core::analyze_crosstalk_reduced(bus, x.pattern, xt,
-                                                    x.reduction_order, mor_reuse);
+        // A fresh per-point reduction over the shared symbolic G
+        // factorization.
+        const core::CrosstalkMetrics m = core::analyze_crosstalk_reduced(
+            bus, x.pattern, xt, x.reduction_order, mor_reuse);
         return analysis == Analysis::kReducedNoise
                    ? m.peak_noise
                    : m.victim_delay_50.value_or(kNaN);
@@ -486,13 +474,6 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
   // the same reference-evaluation scheme.
   const bool seeded =
       is_transient_analysis(analysis) || is_reduced_analysis(analysis);
-  // Basis-reuse sweeps: ONE Arnoldi projection at grid point 0 (recorded
-  // below), every point re-projects onto it — no per-point factorization.
-  const bool project = impl_->options.reuse_projection &&
-                       (analysis == Analysis::kReducedDelay ||
-                        analysis == Analysis::kReducedNoise);
-  mor::ArnoldiBasis basis;
-  int basis_order = 0;  // the nominal reduction_order the basis was built at
   std::vector<sim::SolverReuse> reuse(impl_->pool.size());
   std::vector<mor::ConductanceReuse> mor_reuse(impl_->pool.size());
   std::size_t first = 0;
@@ -504,19 +485,8 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
     // determines every numeric factorization.
     sim::SolverReuse reference;
     mor::ConductanceReuse mor_reference;
-    if (project) {
-      const Scenario nominal = spec.at(0);
-      basis_order = nominal.xtalk.reduction_order;
-      basis = core::crosstalk_projection_basis(
-          scenario_bus(nominal), nominal.xtalk.pattern,
-          scenario_crosstalk_options(nominal, impl_->options, nullptr),
-          basis_order, &mor_reference);
-      out.values[0] = evaluate_point(nominal, analysis, impl_->options,
-                                     &reference, &mor_reference, &basis);
-    } else {
-      out.values[0] = evaluate_point(spec.at(0), analysis, impl_->options,
-                                     &reference, &mor_reference);
-    }
+    out.values[0] = evaluate_point(spec.at(0), analysis, impl_->options,
+                                   &reference, &mor_reference);
     // Workers inherit the recorded state, not the reference's counts.
     out.symbolic_factorizations =
         reference.symbolic_factorizations + mor_reference.symbolic_factorizations;
@@ -591,17 +561,9 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
   impl_->pool.parallel_for(n - first, [&](std::size_t i, std::size_t worker) {
     OBS_SPAN("sweep.point");
     const std::size_t flat = i + first;
-    const Scenario scenario = spec.at(flat);
-    // A point whose reduction_order differs from the basis's build order
-    // cannot ride the projection (the basis FIXES q) — it gets a fresh
-    // per-point reduction at its own order, like structural mismatches do.
-    const bool point_projects =
-        project && scenario.xtalk.reduction_order == basis_order;
-    if (point_projects) OBS_COUNTER_ADD("reuse.projection_points", 1);
-    out.values[flat] = evaluate_point(scenario, analysis, options,
+    out.values[flat] = evaluate_point(spec.at(flat), analysis, options,
                                       seeded ? &reuse[worker] : nullptr,
-                                      seeded ? &mor_reuse[worker] : nullptr,
-                                      point_projects ? &basis : nullptr);
+                                      seeded ? &mor_reuse[worker] : nullptr);
   });
 
   out.batched_points = batched_points.load();

@@ -177,15 +177,6 @@ struct EngineOptions {
   double ac_f_lo = 1e6;
   double ac_f_hi = 1e13;
   core::DelayFitConstants fit = core::kPaperFit;
-  // Reduced-model REUSE across the sweep (kReducedDelay/kReducedNoise):
-  // project an Arnoldi basis once at grid point 0 and re-evaluate only the
-  // projected q x q pencil per point (core::analyze_crosstalk_projected) —
-  // no per-point LU at all. Exact at point 0, an approximation elsewhere;
-  // points whose circuit is structurally different (bus width, shields,
-  // segments) or whose reduction_order differs from point 0's (the basis
-  // fixes q) fall back to fresh per-point reductions automatically.
-  // Results remain bit-identical at every thread count.
-  bool reuse_projection = false;
 };
 
 struct SweepResult {
@@ -193,7 +184,9 @@ struct SweepResult {
   std::size_t threads_used = 0;
   // Sparse symbolic factorizations performed across all threads (transient
   // sweeps: 2 — one system, one DC; reduced sweeps: 1 — the G factorization
-  // — however many points and threads). Summed from the per-worker
+  // recorded at grid point 0 — plus one per point whose G pattern
+  // mismatches the recorded one, e.g. on a kBusLines axis; however many
+  // threads). Summed from the per-worker
   // sim::SolverReuse / mor::ConductanceReuse records, so only work handed a
   // record counts: analyses that take none (kAcBandwidth, the closed-form
   // ones) report 0, and run_custom() counts what `eval` does through

@@ -761,25 +761,46 @@ sweep::SweepSpec reduced_spec() {
 }
 
 TEST(ReducedSweep, BitIdenticalAcrossThreadCountsWithOneSymbolic) {
-  const sweep::SweepSpec spec = reduced_spec();
-  std::vector<double> reference;
-  for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-    sweep::EngineOptions options;
-    options.threads = threads;
-    options.segments = 12;
-    const sweep::SweepEngine engine(options);
-    const auto result = engine.run(spec, sweep::Analysis::kReducedDelay);
-    ASSERT_EQ(result.values.size(), spec.size());
-    for (double v : result.values) EXPECT_TRUE(std::isfinite(v));
-    // ONE symbolic factorization (the G LU) for the whole sweep.
-    EXPECT_EQ(result.symbolic_factorizations, 1u) << threads << " threads";
-    if (threads == 1) {
-      reference = result.values;
-    } else {
-      ASSERT_EQ(result.values.size(), reference.size());
-      EXPECT_EQ(0, std::memcmp(result.values.data(), reference.data(),
-                               reference.size() * sizeof(double)));
-      EXPECT_GT(result.solver_reuse_hits, 0u);
+  // A plain grid performs ONE symbolic factorization (the G LU recorded at
+  // point 0) for the whole sweep. A kBusLines axis changes the circuit
+  // structure: each point whose G pattern mismatches the recorded one
+  // factors fresh without touching the record (mor::ConductanceReuse), so
+  // it adds exactly one count and every result stays bit-identical.
+  sweep::SweepSpec plain = reduced_spec();
+  sweep::SweepSpec mixed = plain;
+  mixed.axes.push_back(sweep::values(sweep::Variable::kBusLines, {3, 5}));
+  for (const sweep::SweepSpec* grid : {&plain, &mixed}) {
+    const sweep::SweepSpec& spec = *grid;
+    // Points whose bus width differs from point 0's: half the mixed grid.
+    std::size_t mismatched = 0;
+    for (std::size_t i = 0; i < spec.size(); ++i)
+      if (spec.at(i).xtalk.bus_lines != spec.at(0).xtalk.bus_lines)
+        ++mismatched;
+    ASSERT_EQ(mismatched, grid == &mixed ? spec.size() / 2 : 0u);
+    for (const sweep::Analysis analysis :
+         {sweep::Analysis::kReducedDelay, sweep::Analysis::kReducedNoise}) {
+      std::vector<double> reference;
+      for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+        SCOPED_TRACE(std::string(sweep::analysis_name(analysis)) + ", " +
+                     std::to_string(spec.axes.size()) + " axes, " +
+                     std::to_string(threads) + " threads");
+        sweep::EngineOptions options;
+        options.threads = threads;
+        options.segments = 12;
+        const sweep::SweepEngine engine(options);
+        const auto result = engine.run(spec, analysis);
+        ASSERT_EQ(result.values.size(), spec.size());
+        for (double v : result.values) EXPECT_TRUE(std::isfinite(v));
+        EXPECT_EQ(result.symbolic_factorizations, 1 + mismatched);
+        if (threads == 1) {
+          reference = result.values;
+        } else {
+          ASSERT_EQ(result.values.size(), reference.size());
+          EXPECT_EQ(0, std::memcmp(result.values.data(), reference.data(),
+                                   reference.size() * sizeof(double)));
+          EXPECT_GT(result.solver_reuse_hits, 0u);
+        }
+      }
     }
   }
 }
@@ -818,124 +839,6 @@ TEST(ReducedSweep, AxisValidation) {
   EXPECT_THROW(spec.validate(), std::invalid_argument);
   spec.axes.back() = sweep::values(sweep::Variable::kShieldEvery, {0, 1, 2});
   EXPECT_NO_THROW(spec.validate());
-}
-
-// ---------------------------------------------------------------------------
-// Projection-basis reuse across a sweep (EngineOptions::reuse_projection)
-// ---------------------------------------------------------------------------
-
-TEST(ProjectionReuse, ProjectOntoReproducesArnoldiAtTheNominalPoint) {
-  const mor::LinearSystem linear = linear_system_of(kSystem, 40);
-  mor::ArnoldiBasis basis;
-  const mor::ReducedModel direct = mor::arnoldi_reduce(linear, 6, nullptr, &basis);
-  ASSERT_EQ(basis.order(), 6u);
-  ASSERT_EQ(basis.dimension(), linear.unknowns());
-  const mor::ReducedModel projected = mor::project_onto(linear, basis);
-  ASSERT_EQ(projected.order(), direct.order());
-  for (int i = 0; i < direct.order(); ++i)
-    for (int j = 0; j < direct.order(); ++j) {
-      EXPECT_DOUBLE_EQ(projected.G(i, j), direct.G(i, j));
-      EXPECT_DOUBLE_EQ(projected.C(i, j), direct.C(i, j));
-    }
-
-  // Structural mismatch (different segment count -> different dimension) is
-  // rejected, not silently mis-projected.
-  const mor::LinearSystem other = linear_system_of(kSystem, 41);
-  EXPECT_THROW(mor::project_onto(other, basis), std::invalid_argument);
-  EXPECT_THROW(mor::project_onto(linear, mor::ArnoldiBasis{}),
-               std::invalid_argument);
-}
-
-TEST(ProjectionReuse, SweepTracksReprojectionAndStaysDeterministic) {
-  // Accuracy-vs-reprojection: a basis projected once at the nominal point
-  // must track fresh per-point reductions across a moderate coupling range,
-  // and its results must stay bit-identical at any thread count.
-  sweep::SweepSpec spec;
-  spec.base.system = {100.0, {200.0, 5e-9, 1e-12}, 50e-15};
-  spec.base.xtalk.bus_lines = 3;
-  spec.base.xtalk.cc_ratio = 0.35;
-  spec.base.xtalk.lm_ratio = 0.15;
-  spec.base.xtalk.reduction_order = 6;
-  spec.axes = {
-      sweep::linspace(sweep::Variable::kCouplingCapRatio, 0.25, 0.45, 3),
-      sweep::linspace(sweep::Variable::kMutualRatio, 0.10, 0.20, 3),
-  };
-
-  sweep::EngineOptions fresh_options;
-  fresh_options.segments = 20;
-  const sweep::SweepEngine fresh_engine(fresh_options);
-  const sweep::SweepResult fresh =
-      fresh_engine.run(spec, sweep::Analysis::kReducedDelay);
-
-  sweep::EngineOptions projected_options = fresh_options;
-  projected_options.reuse_projection = true;
-  const sweep::SweepEngine projected_engine(projected_options);
-  const sweep::SweepResult projected =
-      projected_engine.run(spec, sweep::Analysis::kReducedDelay);
-
-  ASSERT_EQ(projected.values.size(), fresh.values.size());
-  for (std::size_t i = 0; i < fresh.values.size(); ++i) {
-    ASSERT_TRUE(std::isfinite(projected.values[i]));
-    // A few percent across a +-30% coupling excursion around nominal.
-    EXPECT_LT(std::fabs(projected.values[i] - fresh.values[i]) / fresh.values[i],
-              0.05)
-        << "grid point " << i;
-  }
-  // The whole projected sweep performs exactly ONE symbolic factorization
-  // (the nominal Arnoldi's G), like every reduced sweep.
-  EXPECT_EQ(projected.symbolic_factorizations, 1u);
-
-  // Determinism: bit-identical at 1 and 3 threads.
-  projected_options.threads = 3;
-  const sweep::SweepEngine threaded(projected_options);
-  const sweep::SweepResult threaded_result =
-      threaded.run(spec, sweep::Analysis::kReducedDelay);
-  EXPECT_EQ(threaded_result.values, projected.values);
-}
-
-TEST(ProjectionReuse, ReductionOrderAxisIsNotFlattenedByTheBasis) {
-  // The basis fixes q, so a kReductionOrder axis must fall back to fresh
-  // per-point reductions at each point's own order — a projected sweep used
-  // to return the nominal-order value at every order, silently.
-  sweep::SweepSpec spec;
-  spec.base.system = {100.0, {200.0, 5e-9, 1e-12}, 50e-15};
-  spec.base.xtalk.bus_lines = 3;
-  spec.base.xtalk.cc_ratio = 0.3;
-  spec.base.xtalk.lm_ratio = 0.15;
-  // Nominal (point 0) at a robust order; the q = 2 point must NOT silently
-  // reuse its basis.
-  spec.axes = {sweep::values(sweep::Variable::kReductionOrder, {6.0, 2.0})};
-  sweep::EngineOptions options;
-  options.segments = 16;
-  const sweep::SweepEngine fresh_engine(options);
-  const auto fresh = fresh_engine.run(spec, sweep::Analysis::kReducedDelay);
-  options.reuse_projection = true;
-  const sweep::SweepEngine projected_engine(options);
-  const auto projected = projected_engine.run(spec, sweep::Analysis::kReducedDelay);
-  // Orders differ -> values differ; the off-nominal point matches the
-  // fresh reduction exactly (identical code path, fresh symbolic).
-  EXPECT_NE(projected.values[0], projected.values[1]);
-  EXPECT_DOUBLE_EQ(projected.values[1], fresh.values[1]);
-}
-
-TEST(ProjectionReuse, MixedTopologyGridFallsBackPerPoint) {
-  // A kBusLines axis changes the circuit structure: those points cannot
-  // ride the nominal basis and must fall back to fresh reductions instead
-  // of throwing or projecting garbage.
-  sweep::SweepSpec spec;
-  spec.base.system = {100.0, {200.0, 5e-9, 1e-12}, 50e-15};
-  spec.base.xtalk.cc_ratio = 0.3;
-  spec.base.xtalk.lm_ratio = 0.15;
-  spec.base.xtalk.reduction_order = 5;
-  spec.axes = {sweep::values(sweep::Variable::kBusLines, {3.0, 5.0})};
-  sweep::EngineOptions options;
-  options.segments = 16;
-  options.reuse_projection = true;
-  const sweep::SweepEngine engine(options);
-  const sweep::SweepResult result =
-      engine.run(spec, sweep::Analysis::kReducedDelay);
-  ASSERT_EQ(result.values.size(), 2u);
-  for (double v : result.values) EXPECT_TRUE(std::isfinite(v) && v > 0.0);
 }
 
 }  // namespace
