@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "sim/transient_batch.h"
 #include "tline/rc_line.h"
 
 namespace rlcsim::sim {
@@ -111,9 +112,8 @@ double simulate_gate_line_delay(const tline::GateLineLoad& system, int segments,
   TransientOptions options;
   options.t_stop = (t_stop > 0.0) ? t_stop : default_transient_horizon(system);
   options.dt = dt;
-  return run_until_crossing(circuit, "out", threshold * 1.0, options,
-                            "simulate_gate_line_delay")
-      .crossing;
+  return first_crossing(circuit, "out", threshold * 1.0, options,
+                        "simulate_gate_line_delay");
 }
 
 void add_coupled_lines(Circuit& circuit, const std::string& prefix,
@@ -330,9 +330,8 @@ double simulate_repeater_chain_delay(const RepeaterChainSpec& spec, double t_sto
   options.t_stop =
       (t_stop > 0.0) ? t_stop : 10.0 * spec.sections * std::max(elmore, tof);
   options.dt = dt;
-  return run_until_crossing(circuit, last_out, 0.5 * spec.vdd, options,
-                            "simulate_repeater_chain_delay")
-      .crossing;
+  return first_crossing(circuit, last_out, 0.5 * spec.vdd, options,
+                        "simulate_repeater_chain_delay");
 }
 
 }  // namespace rlcsim::sim

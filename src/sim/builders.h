@@ -77,8 +77,11 @@ double default_transient_horizon(const tline::GateLineLoad& system);
 // dt to the caller's policy each time — 0 re-derives from t_stop); throws
 // std::runtime_error prefixed with `context` if it never crosses. The shared
 // auto-extend policy of every delay-measuring entry point; defined in
-// sim/transient.cpp, where run_batched_crossings continues the same loop for
-// lanes that miss the shared window.
+// sim/transient.cpp. Callers that need only `crossing` use
+// sim::first_crossing (sim/transient_batch.h) instead: the same value, but
+// each attempt stops at the crossing and records no waveform. DelayRun is
+// for callers that read the trace after the crossing (peak noise,
+// overshoot) or the run's counts.
 struct DelayRun {
   TransientResult result;
   double crossing = 0.0;  // s

@@ -1,6 +1,7 @@
 #include "sim/transient.h"
 
 #include <algorithm>
+#include <array>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "numeric/interpolate.h"
 #include "numeric/sparse.h"
 #include "numeric/sparse_batch.h"
 #include "obs/obs.h"
@@ -38,9 +40,9 @@ double nominal_dt(const TransientOptions& options) {
   return options.dt > 0.0 ? options.dt : options.t_stop / 4000.0;
 }
 
-// The option diagnostics run_transient throws; nullptr when the options are
-// valid. run_batched_crossings declines instead, so the caller's per-point
-// run_transient raises them.
+// The option diagnostics run_transient and first_crossing throw; nullptr
+// when the options are valid. run_batched_crossings declines instead, so the
+// caller's per-point first_crossing raises them.
 const char* option_error(const TransientOptions& options) {
   if (!(options.t_stop > 0.0)) return "run_transient: t_stop must be > 0";
   if (!(options.dt >= 0.0))
@@ -93,19 +95,17 @@ bool same_topology(const Circuit& a, const Circuit& b) {
          });
 }
 
-// The auto-extend loop behind run_until_crossing: attempt k runs with
+// The auto-extend policy of every delay measurement: attempt k runs with
 // t_stop * 4^k and the caller's dt policy (0 re-derives the step from each
-// horizon). A batch starts at attempt 1, because its shared window was
+// horizon), from `first_attempt` on, until attempt(options) returns a
+// crossing. A batch lane starts at attempt 1, because its shared window was
 // attempt 0.
-DelayRun extend_until_crossing(const Circuit& circuit, const std::string& node,
-                               double level, TransientOptions options,
-                               const char* context, int first_attempt) {
-  for (int attempt = 0; attempt < 4; ++attempt) {
-    if (attempt >= first_attempt) {
-      TransientResult result = run_transient(circuit, options);
-      const auto crossing = result.waveforms.trace(node).crossing(level, 0.0, +1);
-      if (crossing) return {std::move(result), *crossing};
-    }
+template <typename Attempt>
+auto extend_until_crossing(TransientOptions options, const std::string& node,
+                           const char* context, int first_attempt, Attempt&& attempt) {
+  for (int k = 0; k < 4; ++k) {
+    if (k >= first_attempt)
+      if (auto crossed = attempt(options)) return std::move(*crossed);
     options.t_stop *= 4.0;
   }
   throw std::runtime_error(std::string(context) + ": '" + node +
@@ -114,10 +114,10 @@ DelayRun extend_until_crossing(const Circuit& circuit, const std::string& node,
 }
 
 // Which entry point drives the engine. Both step the same way and differ in
-// bookkeeping: a scalar run (run_transient, one lane) may seed an empty
-// SolverReuse and factorizes fresh when nothing is recorded; a batch
-// (run_batched_crossings) only replays a complete record, declines lanes
-// that cannot share one step grid, and counts ejected lanes.
+// bookkeeping: a scalar run (run_transient or first_crossing, one lane) may
+// seed an empty SolverReuse and factorizes fresh when nothing is recorded; a
+// batch (run_batched_crossings) only replays a complete record, declines
+// lanes that cannot share one step grid, and counts ejected lanes.
 enum class Caller { kScalar, kBatch };
 
 struct LockstepStats {
@@ -635,6 +635,54 @@ std::optional<LockstepStats> run_lockstep(const std::vector<const Circuit*>& cir
   return stats;
 }
 
+// The crossing recorder: the first rising crossing of `level` at
+// node_id[lane], per lane, read off run_lockstep as it steps. Each lane's
+// "crossed" flag is numeric::find_crossing's rising test
+// (prev - level < 0 && v - level >= 0), and its crossing is find_crossing
+// over the two samples that set it, so it is the crossing a scan of the
+// full trace would find. Stepping stops after the sample at which the last
+// lane crosses; nothing else is recorded. Returns each lane's crossing
+// within options.t_stop (std::nullopt for a lane that did not cross), or
+// std::nullopt when a batch declines.
+template <std::size_t W>
+std::optional<std::array<std::optional<double>, W>> window_crossings(
+    const std::vector<const Circuit*>& circuits, const std::vector<NodeId>& node_id,
+    double level, const TransientOptions& options, Caller caller) {
+  std::array<std::optional<double>, W> crossings;
+  double prev_time = 0.0, prev[W] = {};
+  bool first = true;
+  std::size_t open = W;
+  const auto record = [&](double time, const double* voltage) {
+#pragma GCC unroll 1
+    for (std::size_t lane = 0; lane < W; ++lane) {
+      const double v = voltage[static_cast<std::size_t>(node_id[lane]) * W + lane];
+      if (!first && !crossings[lane] && prev[lane] - level < 0.0 && v - level >= 0.0) {
+        crossings[lane] =
+            numeric::find_crossing({prev_time, time}, {prev[lane], v}, level, 0.0, +1);
+        --open;
+      }
+      prev[lane] = v;
+    }
+    prev_time = time;
+    first = false;
+    return open != 0;
+  };
+  if (!run_lockstep<W>(circuits, options, caller, record)) return std::nullopt;
+  return crossings;
+}
+
+// One circuit's crossing on the recorder, with run_until_crossing's
+// auto-extend policy from `first_attempt` on (scalar bookkeeping).
+double extend_to_crossing(const Circuit& circuit, NodeId node_id, const std::string& node,
+                          double level, const TransientOptions& options,
+                          const char* context, int first_attempt) {
+  return extend_until_crossing(
+      options, node, context, first_attempt, [&](const TransientOptions& attempt) {
+        return (*window_crossings<1>({&circuit}, {node_id}, level, attempt,
+                                     Caller::kScalar))[0];
+      });
+}
+
 }  // namespace
 
 void collect_source_breakpoints(const SourceSpec& spec, double t_stop,
@@ -714,7 +762,25 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
 DelayRun run_until_crossing(const Circuit& circuit, const std::string& node,
                             double level, TransientOptions options,
                             const char* context) {
-  return extend_until_crossing(circuit, node, level, std::move(options), context, 0);
+  return extend_until_crossing(
+      std::move(options), node, context, 0,
+      [&](const TransientOptions& attempt) -> std::optional<DelayRun> {
+        TransientResult result = run_transient(circuit, attempt);
+        const auto crossing = result.waveforms.trace(node).crossing(level, 0.0, +1);
+        if (!crossing) return std::nullopt;
+        return DelayRun{std::move(result), *crossing};
+      });
+}
+
+double first_crossing(const Circuit& circuit, const std::string& node, double level,
+                      const TransientOptions& options, const char* context) {
+  OBS_SPAN("transient.run");
+  if (const char* error = option_error(options)) throw std::invalid_argument(error);
+  const auto found = circuit.find_node(node);
+  // WaveformSet::trace's diagnostic: run_transient records no ground column.
+  if (!found || *found == kGround)
+    throw std::out_of_range("WaveformSet: no trace recorded for node '" + node + "'");
+  return extend_to_crossing(circuit, *found, node, level, options, context, 0);
 }
 
 std::optional<std::vector<double>> run_batched_crossings(
@@ -733,41 +799,22 @@ std::optional<std::vector<double>> run_batched_crossings(
     node_id.push_back(*found);
   }
 
-  // The shared time grid and ONE node column per lane, up to the sample at
-  // which the last lane first crosses (see sim/transient_batch.h). The flag
-  // is numeric::find_crossing's rising test, so it fires exactly where the
-  // trace scan below finds the crossing.
-  std::vector<double> times;
-  std::vector<std::vector<double>> values(lanes);
+  // The shared time grid, up to the sample at which the last lane first
+  // crosses (see sim/transient_batch.h).
+  std::vector<std::optional<double>> window;
   const auto run = [&](auto width) {
     constexpr std::size_t W = decltype(width)::value;
-    bool crossed[W] = {};
-    std::size_t open = W;
-    const auto record = [&](double time, const double* voltage) {
-      const bool first = times.empty();
-      times.push_back(time);
-#pragma GCC unroll 1
-      for (std::size_t lane = 0; lane < W; ++lane) {
-        const double v = voltage[static_cast<std::size_t>(node_id[lane]) * W + lane];
-        if (!first && !crossed[lane] && values[lane].back() - level < 0.0 &&
-            v - level >= 0.0) {
-          crossed[lane] = true;
-          --open;
-        }
-        values[lane].push_back(v);
-      }
-      return open != 0;
-    };
-    return run_lockstep<W>(lane_circuits, options, Caller::kBatch, record).has_value();
+    const auto crossed =
+        window_crossings<W>(lane_circuits, node_id, level, options, Caller::kBatch);
+    if (crossed) window.assign(crossed->begin(), crossed->end());
   };
-  bool stepped = false;
   switch (lanes) {
-    case 1: stepped = run(std::integral_constant<std::size_t, 1>{}); break;
-    case 4: stepped = run(std::integral_constant<std::size_t, 4>{}); break;
-    case 8: stepped = run(std::integral_constant<std::size_t, 8>{}); break;
+    case 1: run(std::integral_constant<std::size_t, 1>{}); break;
+    case 4: run(std::integral_constant<std::size_t, 4>{}); break;
+    case 8: run(std::integral_constant<std::size_t, 8>{}); break;
     default: break;  // unreachable: width validated on entry
   }
-  if (!stepped) return std::nullopt;
+  if (window.empty()) return std::nullopt;
   OBS_COUNTER_ADD("batch.tiles", 1);
   OBS_COUNTER_ADD("batch.lanes", lanes);
 
@@ -775,13 +822,10 @@ std::optional<std::vector<double>> run_batched_crossings(
   // run_until_crossing's later attempts, so its value stays bit-identical
   // to a run_until_crossing of that circuit alone.
   std::vector<double> crossings(lanes);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    const auto crossing = Trace(times, values[lane]).crossing(level, 0.0, +1);
-    crossings[lane] = crossing ? *crossing
-                               : extend_until_crossing(circuits[lane], node, level,
-                                                       options, context, 1)
-                                     .crossing;
-  }
+  for (std::size_t lane = 0; lane < lanes; ++lane)
+    crossings[lane] = window[lane] ? *window[lane]
+                                   : extend_to_crossing(circuits[lane], node_id[lane], node,
+                                                        level, options, context, 1);
   return crossings;
 }
 

@@ -92,9 +92,8 @@ double transient_delay_of(const Scenario& scenario, const EngineOptions& options
                          : sim::default_transient_horizon(scenario.system);
   transient.dt = options.dt;
   transient.reuse = reuse;
-  return sim::run_until_crossing(circuit, "out", 0.5, transient,
-                                 "SweepEngine transient_delay")
-      .crossing;
+  return sim::first_crossing(circuit, "out", 0.5, transient,
+                             "SweepEngine transient_delay");
 }
 
 double evaluate_point(const Scenario& scenario, Analysis analysis,
@@ -494,7 +493,7 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
     mor_reference.symbolic_factorizations = 0;
     for (auto& r : reuse) r = reference;
     for (auto& r : mor_reuse) r = mor_reference;
-    scalar_points += 1;  // the reference point is always evaluated scalar
+    scalar_points += 1;  // the reference point is a single-circuit run
     first = 1;
   }
 
@@ -519,37 +518,42 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
     const std::size_t tiles = (order.size() + lane_width - 1) / lane_width;
     impl_->pool.parallel_for(tiles, [&](std::size_t tile, std::size_t worker) {
       OBS_SPAN("sweep.tile");
-      const std::size_t begin = tile * lane_width;
-      const std::size_t count = std::min(lane_width, order.size() - begin);
-      bool batched = false;
-      if (count == lane_width) {
-        std::vector<sim::Circuit> circuits;
-        circuits.reserve(count);
-        for (std::size_t k = 0; k < count; ++k)
-          circuits.push_back(sim::build_gate_line_load(
-              spec.at(order[begin + k]).system, options.segments));
-        sim::TransientOptions transient;
-        transient.t_stop = options.t_stop;
-        transient.dt = options.dt;
-        transient.reuse = &reuse[worker];
-        const auto crossings = sim::run_batched_crossings(
-            circuits, "out", 0.5, transient, "SweepEngine transient_delay");
-        if (crossings) {
-          for (std::size_t k = 0; k < count; ++k)
-            out.values[order[begin + k]] = (*crossings)[k];
-          batched = true;
+      const std::size_t end = std::min(order.size(), (tile + 1) * lane_width);
+      // The short last tile (grid size not divisible by the lane width)
+      // steps a W = 4 batch while at least 4 points remain, then single
+      // points. A declined batch evaluates its points one by one. Every
+      // path stops at the crossing and gives the same bits.
+      for (std::size_t begin = tile * lane_width; begin < end;) {
+        const std::size_t left = end - begin;
+        const std::size_t width = left >= lane_width ? lane_width : left >= 4 ? 4 : 1;
+        bool batched = false;
+        if (width > 1) {
+          std::vector<sim::Circuit> circuits;
+          circuits.reserve(width);
+          for (std::size_t k = 0; k < width; ++k)
+            circuits.push_back(sim::build_gate_line_load(
+                spec.at(order[begin + k]).system, options.segments));
+          sim::TransientOptions transient;
+          transient.t_stop = options.t_stop;
+          transient.dt = options.dt;
+          transient.reuse = &reuse[worker];
+          const auto crossings = sim::run_batched_crossings(
+              circuits, "out", 0.5, transient, "SweepEngine transient_delay");
+          if (crossings) {
+            for (std::size_t k = 0; k < width; ++k)
+              out.values[order[begin + k]] = (*crossings)[k];
+            batched = true;
+          }
         }
+        if (!batched) {
+          for (std::size_t k = 0; k < width; ++k)
+            out.values[order[begin + k]] =
+                evaluate_point(spec.at(order[begin + k]), analysis, options,
+                               &reuse[worker], &mor_reuse[worker]);
+        }
+        (batched ? batched_points : scalar_points).fetch_add(width);
+        begin += width;
       }
-      // Remainder tiles (grid size not divisible by the lane width) and
-      // ineligible batches evaluate scalar, point by point — bit-identical
-      // to the batch by the batched-solver contract.
-      if (!batched) {
-        for (std::size_t k = 0; k < count; ++k)
-          out.values[order[begin + k]] =
-              evaluate_point(spec.at(order[begin + k]), analysis, options,
-                             &reuse[worker], &mor_reuse[worker]);
-      }
-      (batched ? batched_points : scalar_points).fetch_add(count);
     });
     out.batched_points = batched_points.load();
     out.scalar_points = scalar_points.load();

@@ -165,13 +165,15 @@ struct EngineOptions {
   // (sim/transient_batch.h) instead of point-by-point. 0 resolves through
   // numeric::default_lane_width() — the RLCSIM_LANES knob — and explicit
   // values must be 1, 4, or 8. Batching engages only with an explicit
-  // t_stop > 0 (per-scenario default horizons preclude a shared step grid);
-  // ineligible tiles and the non-divisible remainder fall back to the
-  // scalar per-point path. Tiles take the points in eq. 9 delay order
-  // (core::rlc_delay, grid index breaking ties) and stop stepping at their
-  // last lane's 50% crossing, so grouping similar delays keeps fast lanes
-  // from waiting on slow ones; the remainder holds the slowest points.
-  // Results are bit-identical at every lane width and every thread count.
+  // t_stop > 0 (per-scenario default horizons preclude a shared step grid).
+  // Tiles take the points in eq. 9 delay order (core::rlc_delay, grid index
+  // breaking ties) and stop stepping at their last lane's 50% crossing, so
+  // grouping similar delays keeps fast lanes from waiting on slow ones. The
+  // non-divisible remainder (the slowest points) steps a W = 4 batch while
+  // at least 4 points remain, then single points; ineligible tiles run
+  // point by point. Every transient-delay point, batched or not, stops at
+  // its crossing (sim::first_crossing for single points). Results are
+  // bit-identical at every lane width and every thread count.
   std::size_t lanes = 0;
   // AC bandwidth search window, Hz.
   double ac_f_lo = 1e6;
@@ -197,13 +199,15 @@ struct SweepResult {
   // (0 on the scalar path; a nonzero count on a batched sweep is legal but
   // worth surfacing — every ejection is a full scalar refactorization).
   std::size_t ejected_lanes = 0;
-  // Where each grid point was actually evaluated: through the W-wide SIMD
-  // batch, or on the scalar per-point path (the seeded reference point,
-  // remainder tiles, and any tile the batcher declined). Always sums to
-  // values.size(). The accounting exists because the fallback is SILENT by
-  // design (bit-identical results) — an eligibility regression would erase
-  // the batched speedup with every test green; bench/sweep_batch gates a
-  // minimum batched fraction on these counters instead.
+  // Where each grid point was actually evaluated: batched when a W > 1
+  // run_batched_crossings call stepped it, scalar otherwise (the seeded
+  // reference point, every point of a lanes = 1 or per-scenario-horizon
+  // sweep, the last 1-3 points of a remainder, and any tile the batcher
+  // declined). Always sums to values.size(). The accounting exists because
+  // the fallback is SILENT by design (bit-identical results) — an
+  // eligibility regression would erase the batched speedup with every test
+  // green; bench/sweep_batch gates a minimum batched fraction on these
+  // counters instead.
   std::size_t batched_points = 0;
   std::size_t scalar_points = 0;
   double elapsed_seconds = 0.0;

@@ -314,11 +314,12 @@ TEST(SweepBatch, TinyGridFallsThroughScalar) {
 
 TEST(SweepBatch, PointAccountingSumsAndSplitsHonestly) {
   // The batched/scalar split is the only witness of WHERE points ran (the
-  // fallback is bit-identical by design, so values can't tell). Regression:
-  // the counters must always sum to the grid size, a scalar engine must
-  // report zero batched points, and a batched engine on the 27-point grid
-  // must batch the 3 full tiles (the seeded reference point and the
-  // remainder ride the scalar path).
+  // fallback is bit-identical by design, so values can't tell). A point is
+  // batched when a W > 1 call stepped it. Regression: the counters must
+  // always sum to the grid size, a lanes = 1 engine must report zero
+  // batched points, and a batched engine on the 27-point grid must batch
+  // exactly the 3 full tiles of 8 (or 6 of 4): the seeded reference point
+  // and the 2-point remainder are single-circuit runs.
   const sweep::SweepSpec spec = small_grid();
   const sweep::SweepEngine scalar(batch_options(1, 1, spec));
   const auto a = scalar.run(spec, sweep::Analysis::kTransientDelay);
@@ -328,8 +329,8 @@ TEST(SweepBatch, PointAccountingSumsAndSplitsHonestly) {
   for (const std::size_t lanes : {std::size_t{4}, std::size_t{8}}) {
     const sweep::SweepEngine engine(batch_options(2, lanes, spec));
     const auto b = engine.run(spec, sweep::Analysis::kTransientDelay);
-    EXPECT_EQ(b.batched_points + b.scalar_points, spec.size()) << lanes;
-    EXPECT_GE(b.batched_points, 24u) << lanes;  // 3 full tiles of 8 / 6 of 4
+    EXPECT_EQ(b.batched_points, 24u) << lanes;
+    EXPECT_EQ(b.scalar_points, 3u) << lanes;
     EXPECT_EQ(b.ejected_lanes, 0u) << lanes;
   }
 
@@ -389,8 +390,9 @@ TEST(SweepBatch, DelayOrderedTilesKeepValuesAndPointCounts) {
   // that descend, are scrambled and repeat values (duplicate points, whose
   // ties break by grid index) must still give the same bytes at every
   // (lanes, threads), and the same batched/scalar split as grid-order
-  // tiling: 47 points after the scalar reference, so 11 tiles of 4 and a
-  // 3-point remainder, or 5 tiles of 8 and a 7-point remainder.
+  // tiling: 47 points after the single-circuit reference, so 11 tiles of 4
+  // and a 3-point remainder run point by point, or 5 tiles of 8 and a
+  // 7-point remainder that batches 4 and runs 3 point by point.
   sweep::SweepSpec spec;
   spec.base.system = {500.0, {1000.0, 1e-7, 1e-12}, 0.5e-12};
   spec.axes = {
@@ -412,7 +414,7 @@ TEST(SweepBatch, DelayOrderedTilesKeepValuesAndPointCounts) {
         for (double v : reference) EXPECT_TRUE(std::isfinite(v));
       }
       expect_bits_equal(reference, result.values, "delay-ordered tiles");
-      const std::size_t batched = lanes == 4 ? 44 : lanes == 8 ? 40 : 0;
+      const std::size_t batched = lanes == 1 ? 0 : 44;
       EXPECT_EQ(result.batched_points, batched) << lanes << " lanes, " << threads;
       EXPECT_EQ(result.scalar_points, 48 - batched) << lanes << " lanes, " << threads;
     }
@@ -491,11 +493,13 @@ std::uint64_t batch_lu_lookups() {
 // must still be the bytes of run_until_crossing on that circuit alone, for
 // a window every lane crosses in (the stop ends the tile early) and for a
 // window the slow lane misses (the tile runs to t_stop and that lane takes
-// the auto-extend path).
+// the auto-extend path). Width 1 steps the lanes of a width-8 tile one call
+// each, through run_batched_crossings and through first_crossing, so it
+// sees the same fast, dipping and slow lanes.
 TEST(BatchedCrossingStop, CrossingsMatchSingleCircuitRuns) {
-  for (const std::size_t width : {std::size_t{4}, std::size_t{8}}) {
+  for (const std::size_t width : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
     for (const unsigned seed : {11u, 12u, 13u}) {
-      const std::vector<sim::Circuit> tile = stop_tile(width, seed);
+      const std::vector<sim::Circuit> tile = stop_tile(width == 1 ? 8 : width, seed);
       for (const bool all_cross : {true, false}) {
         SCOPED_TRACE(std::to_string(width) + " lanes, seed " + std::to_string(seed) +
                      (all_cross ? ", every lane crosses" : ", slow lane extends"));
@@ -505,7 +509,7 @@ TEST(BatchedCrossingStop, CrossingsMatchSingleCircuitRuns) {
         options.reuse = &seeded;
         sim::run_transient(tile[0], options);  // records the shared symbolics
 
-        std::vector<double> expected;
+        std::vector<double> expected, alone_crossings;
         std::size_t extended = 0;
         for (const sim::Circuit& circuit : tile) {
           sim::SolverReuse reuse = seeded;
@@ -515,28 +519,148 @@ TEST(BatchedCrossingStop, CrossingsMatchSingleCircuitRuns) {
               sim::run_until_crossing(circuit, "out", 0.5, alone, "reference");
           expected.push_back(run.crossing);
           if (run.result.waveforms.time().back() > 2.0 * options.t_stop) ++extended;
+          reuse = seeded;
+          alone_crossings.push_back(
+              sim::first_crossing(circuit, "out", 0.5, alone, "first crossing"));
         }
         const auto [fastest, slowest] = std::minmax_element(expected.begin(), expected.end());
         EXPECT_GT(*slowest / *fastest, 10.0);
         EXPECT_GT(expected[1], kEdgeStart);  // the dipping lane's crossing is on the edge
         EXPECT_EQ(extended, all_cross ? 0u : 1u);
+        expect_bits_equal(expected, alone_crossings, "first_crossing");
 
         sim::SolverReuse batch_reuse = seeded;
         options.reuse = &batch_reuse;
-        const std::uint64_t lookups0 = batch_lu_lookups();
-        const auto crossings =
-            sim::run_batched_crossings(tile, "out", 0.5, options, "stop tile");
-        const std::uint64_t lookups = batch_lu_lookups() - lookups0;
-        ASSERT_TRUE(crossings.has_value());
-        expect_bits_equal(expected, *crossings, "stopped tile");
+        std::vector<double> crossings;
+        std::uint64_t lookups = 0;  // the most of any one call
+        for (std::size_t begin = 0; begin < tile.size(); begin += width) {
+          const std::vector<sim::Circuit> call(
+              tile.begin() + static_cast<std::ptrdiff_t>(begin),
+              tile.begin() + static_cast<std::ptrdiff_t>(begin + width));
+          const std::uint64_t lookups0 = batch_lu_lookups();
+          const auto got = sim::run_batched_crossings(call, "out", 0.5, options, "stop tile");
+          lookups = std::max(lookups, batch_lu_lookups() - lookups0);
+          ASSERT_TRUE(got.has_value());
+          crossings.insert(crossings.end(), got->begin(), got->end());
+        }
+        expect_bits_equal(expected, crossings, "stopped tile");
         if (all_cross && obs::metrics_enabled()) {
-          // One lookup per step: the tile stops about where its slowest lane
+          // One lookup per step: a call stops about where its slowest lane
           // crosses, far short of the t_stop / dt = 4000 steps of its window.
           EXPECT_LT(lookups, 4000u);
           EXPECT_LE(static_cast<double>(lookups), *slowest / (options.t_stop / 4000.0) + 8.0);
         }
       }
     }
+  }
+}
+
+// first_crossing keeps scalar bookkeeping: from an empty SolverReuse it
+// records the system and DC symbolics (2 full factorizations), exactly as
+// run_until_crossing does, and a batch can replay that record.
+TEST(BatchedCrossingStop, SingleCircuitSeedsAnEmptyRecord) {
+  const std::vector<sim::Circuit> tile = stop_tile(4, 21u);
+  sim::TransientOptions options;
+  options.t_stop = 12e-9;
+
+  sim::SolverReuse full_record;
+  options.reuse = &full_record;
+  const double expected =
+      sim::run_until_crossing(tile[3], "out", 0.5, options, "reference").crossing;
+
+  sim::SolverReuse record;
+  options.reuse = &record;
+  const double crossing = sim::first_crossing(tile[3], "out", 0.5, options, "seed");
+  EXPECT_EQ(std::memcmp(&crossing, &expected, sizeof(double)), 0);
+  EXPECT_EQ(record.symbolic_factorizations, 2u);
+  EXPECT_EQ(record.symbolic_factorizations, full_record.symbolic_factorizations);
+  EXPECT_EQ(record.reuse_hits, 0u);
+  ASSERT_TRUE(record.system_symbolic && record.dc_symbolic);
+  ASSERT_TRUE(record.system_pattern && record.dc_pattern);
+
+  // The record replays: a second run and a batch factorize nothing in full.
+  record.symbolic_factorizations = 0;
+  const double again = sim::first_crossing(tile[3], "out", 0.5, options, "replay");
+  EXPECT_EQ(std::memcmp(&again, &expected, sizeof(double)), 0);
+  const auto batch = sim::run_batched_crossings(tile, "out", 0.5, options, "replay tile");
+  ASSERT_TRUE(batch.has_value());
+  EXPECT_EQ(std::memcmp(&(*batch)[3], &expected, sizeof(double)), 0);
+  EXPECT_EQ(record.symbolic_factorizations, 0u);
+  EXPECT_EQ(record.reuse_hits, 1u + 4u);
+}
+
+// first_crossing throws what run_until_crossing throws.
+TEST(BatchedCrossingStop, SingleCircuitErrorsMatchRunUntilCrossing) {
+  const sim::Circuit circuit = stop_tile(4, 22u)[3];
+  sim::TransientOptions options;
+  options.t_stop = 12e-9;
+  options.dt = -1.0;
+  EXPECT_THROW(sim::run_until_crossing(circuit, "out", 0.5, options, "bad dt"),
+               std::invalid_argument);
+  EXPECT_THROW(sim::first_crossing(circuit, "out", 0.5, options, "bad dt"),
+               std::invalid_argument);
+  options.dt = 0.0;
+  for (const char* node : {"nowhere", "0"}) {
+    EXPECT_THROW(sim::run_until_crossing(circuit, node, 0.5, options, "node"),
+                 std::out_of_range);
+    EXPECT_THROW(sim::first_crossing(circuit, node, 0.5, options, "node"),
+                 std::out_of_range);
+  }
+  // Above the 1 V drive: no attempt ever crosses.
+  EXPECT_THROW(sim::run_until_crossing(circuit, "out", 2.0, options, "never"),
+               std::runtime_error);
+  EXPECT_THROW(sim::first_crossing(circuit, "out", 2.0, options, "never"),
+               std::runtime_error);
+}
+
+// Every transient-delay sweep path stops at its crossing: a lanes = 1
+// sweep, a per-scenario-horizon (t_stop = 0) sweep and a W = 8 sweep whose
+// 7-point remainder splits into a W = 4 batch and three single points must
+// each give, per point, the bytes of run_until_crossing on that point alone
+// (replaying the symbolics that grid point 0 records, as the sweep does).
+TEST(SweepBatch, EveryPathMatchesPerPointRunUntilCrossing) {
+  sweep::SweepSpec spec;
+  spec.base.system = {500.0, {1000.0, 1e-7, 1e-12}, 0.5e-12};
+  spec.axes = {
+      sweep::values(sweep::Variable::kDriverResistance, {900.0, 600.0, 300.0, 100.0}),
+      sweep::values(sweep::Variable::kLoadCapacitance, {0.5e-12, 0.1e-12, 1e-12}),
+      sweep::values(sweep::Variable::kLineInductance, {1e-7, 1e-8, 3e-8, 1e-6}),
+  };
+  ASSERT_EQ(spec.size() % 8, 0u);  // 47 points after the reference: 7 left over
+  const sweep::EngineOptions tiled = [&] {
+    sweep::EngineOptions options = batch_options(2, 8, spec);
+    options.segments = 10;
+    return options;
+  }();
+  sweep::EngineOptions scalar = tiled;
+  scalar.lanes = 1;
+  sweep::EngineOptions per_scenario = tiled;
+  per_scenario.t_stop = 0.0;
+  per_scenario.dt = 0.0;
+
+  for (const sweep::EngineOptions& options : {scalar, per_scenario, tiled}) {
+    SCOPED_TRACE("lanes " + std::to_string(options.lanes) + ", t_stop " +
+                 std::to_string(options.t_stop));
+    sim::SolverReuse recorded;
+    std::vector<double> expected;
+    for (std::size_t flat = 0; flat < spec.size(); ++flat) {
+      const tline::GateLineLoad system = spec.at(flat).system;
+      sim::TransientOptions transient;
+      transient.t_stop = options.t_stop > 0.0 ? options.t_stop
+                                              : sim::default_transient_horizon(system);
+      transient.dt = options.dt;
+      sim::SolverReuse reuse = recorded;
+      transient.reuse = flat == 0 ? &recorded : &reuse;
+      expected.push_back(sim::run_until_crossing(
+                             sim::build_gate_line_load(system, options.segments), "out",
+                             0.5, transient, "per point")
+                             .crossing);
+    }
+    const sweep::SweepEngine engine(options);
+    const auto result = engine.run(spec, sweep::Analysis::kTransientDelay);
+    expect_bits_equal(expected, result.values, "sweep vs per-point runs");
+    EXPECT_EQ(result.symbolic_factorizations, 2u);
+    EXPECT_EQ(result.batched_points, options.lanes == 8 && options.t_stop > 0.0 ? 44u : 0u);
   }
 }
 
