@@ -1,7 +1,6 @@
 #include "sim/transient.h"
 
 #include <algorithm>
-#include <array>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
@@ -10,7 +9,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -100,6 +98,12 @@ bool same_topology(const Circuit& a, const Circuit& b) {
 // horizon), from `first_attempt` on, until attempt(options) returns a
 // crossing. A batch lane starts at attempt 1, because its shared window was
 // attempt 0.
+[[noreturn]] void throw_never_crossed(const char* context, const std::string& node) {
+  throw std::runtime_error(std::string(context) + ": '" + node +
+                           "' never crossed the threshold within the "
+                           "(auto-extended) horizon");
+}
+
 template <typename Attempt>
 auto extend_until_crossing(TransientOptions options, const std::string& node,
                            const char* context, int first_attempt, Attempt&& attempt) {
@@ -108,9 +112,7 @@ auto extend_until_crossing(TransientOptions options, const std::string& node,
       if (auto crossed = attempt(options)) return std::move(*crossed);
     options.t_stop *= 4.0;
   }
-  throw std::runtime_error(std::string(context) + ": '" + node +
-                           "' never crossed the threshold within the "
-                           "(auto-extended) horizon");
+  throw_never_crossed(context, node);
 }
 
 // Which entry point drives the engine. Both step the same way and differ in
@@ -645,10 +647,10 @@ std::optional<LockstepStats> run_lockstep(const std::vector<const Circuit*>& cir
 // within options.t_stop (std::nullopt for a lane that did not cross), or
 // std::nullopt when a batch declines.
 template <std::size_t W>
-std::optional<std::array<std::optional<double>, W>> window_crossings(
+std::optional<std::vector<std::optional<double>>> window_crossings(
     const std::vector<const Circuit*>& circuits, const std::vector<NodeId>& node_id,
     double level, const TransientOptions& options, Caller caller) {
-  std::array<std::optional<double>, W> crossings;
+  std::vector<std::optional<double>> crossings(W);
   double prev_time = 0.0, prev[W] = {};
   bool first = true;
   std::size_t open = W;
@@ -801,20 +803,17 @@ std::optional<std::vector<double>> run_batched_crossings(
 
   // The shared time grid, up to the sample at which the last lane first
   // crosses (see sim/transient_batch.h).
-  std::vector<std::optional<double>> window;
-  const auto run = [&](auto width) {
-    constexpr std::size_t W = decltype(width)::value;
-    const auto crossed =
-        window_crossings<W>(lane_circuits, node_id, level, options, Caller::kBatch);
-    if (crossed) window.assign(crossed->begin(), crossed->end());
+  std::optional<std::vector<std::optional<double>>> window;
+  const auto stepped = [&](auto crossings_at) {
+    window = crossings_at(lane_circuits, node_id, level, options, Caller::kBatch);
   };
   switch (lanes) {
-    case 1: run(std::integral_constant<std::size_t, 1>{}); break;
-    case 4: run(std::integral_constant<std::size_t, 4>{}); break;
-    case 8: run(std::integral_constant<std::size_t, 8>{}); break;
+    case 1: stepped(window_crossings<1>); break;
+    case 4: stepped(window_crossings<4>); break;
+    case 8: stepped(window_crossings<8>); break;
     default: break;  // unreachable: width validated on entry
   }
-  if (window.empty()) return std::nullopt;
+  if (!window) return std::nullopt;
   OBS_COUNTER_ADD("batch.tiles", 1);
   OBS_COUNTER_ADD("batch.lanes", lanes);
 
@@ -822,10 +821,12 @@ std::optional<std::vector<double>> run_batched_crossings(
   // run_until_crossing's later attempts, so its value stays bit-identical
   // to a run_until_crossing of that circuit alone.
   std::vector<double> crossings(lanes);
-  for (std::size_t lane = 0; lane < lanes; ++lane)
-    crossings[lane] = window[lane] ? *window[lane]
-                                   : extend_to_crossing(circuits[lane], node_id[lane], node,
-                                                        level, options, context, 1);
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    const std::optional<double>& crossed = (*window)[lane];
+    crossings[lane] = crossed ? *crossed
+                              : extend_to_crossing(circuits[lane], node_id[lane], node,
+                                                   level, options, context, 1);
+  }
   return crossings;
 }
 
