@@ -113,7 +113,6 @@ class TimingGraph {
                     core::SwitchingPattern pattern, repbus::StageModels models);
 
   std::size_t node_count() const { return nodes_.size(); }
-  std::size_t chain_count() const { return chains_.size(); }
 
   // Evaluates the whole graph. `threads` = 0 picks the runtime default
   // (RLCSIM_THREADS honored). Deterministic: bit-identical results at every

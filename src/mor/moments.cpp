@@ -5,13 +5,6 @@
 #include "obs/obs.h"
 
 namespace rlcsim::mor {
-namespace {
-
-bool same_structure(const numeric::SparsePattern& a, const numeric::SparsePattern& b) {
-  return a.n == b.n && a.row_ptr == b.row_ptr && a.col_idx == b.col_idx;
-}
-
-}  // namespace
 
 LinearSystem make_linear_system(const sim::MnaAssembler& mna,
                                 const std::vector<std::string>& output_nodes) {
@@ -24,27 +17,12 @@ LinearSystem make_linear_system(const sim::MnaAssembler& mna,
   system.C = numeric::RealSparse(mna.system_pattern(), std::move(values));
 
   const sim::Circuit& circuit = mna.circuit();
-  const auto& vsources = circuit.voltage_sources();
-  for (std::size_t k = 0; k < vsources.size(); ++k) {
+  for (std::size_t k = 0; k < circuit.voltage_sources().size(); ++k)
     system.inputs.push_back(mna.vsource_vector(k));
-    system.input_names.push_back(vsources[k].name.empty()
-                                     ? "v" + std::to_string(k)
-                                     : vsources[k].name);
-  }
-  const auto& isources = circuit.current_sources();
-  for (std::size_t k = 0; k < isources.size(); ++k) {
+  for (std::size_t k = 0; k < circuit.current_sources().size(); ++k)
     system.inputs.push_back(mna.isource_vector(k));
-    system.input_names.push_back(isources[k].name.empty()
-                                     ? "i" + std::to_string(k)
-                                     : isources[k].name);
-  }
-  const auto& buffers = circuit.buffers();
-  for (std::size_t k = 0; k < buffers.size(); ++k) {
+  for (std::size_t k = 0; k < circuit.buffers().size(); ++k)
     system.inputs.push_back(mna.buffer_vector(k));
-    system.input_names.push_back(buffers[k].name.empty()
-                                     ? "buf" + std::to_string(k)
-                                     : buffers[k].name);
-  }
 
   for (const std::string& name : output_nodes) {
     const auto node = circuit.find_node(name);
@@ -52,7 +30,6 @@ LinearSystem make_linear_system(const sim::MnaAssembler& mna,
       throw std::invalid_argument("make_linear_system: unknown output node '" +
                                   name + "'");
     system.outputs.push_back(mna.node_selector(*node));
-    system.output_names.push_back(name);
   }
   return system;
 }
@@ -71,7 +48,7 @@ MomentGenerator::MomentGenerator(const numeric::RealSparse& g,
   if (reuse) {
     if (!reuse->pattern) {
       reuse->pattern = g.pattern_ptr();
-    } else if (!same_structure(*reuse->pattern, g.pattern())) {
+    } else if (!numeric::same_structure(*reuse->pattern, g.pattern())) {
       reuse = nullptr;
     }
   }
@@ -102,20 +79,6 @@ void MomentGenerator::advance(std::vector<double>& m) const {
   scratch_ = c_.multiply(m);
   lu_->solve_in_place(scratch_);
   for (std::size_t i = 0; i < scratch_.size(); ++i) m[i] = -scratch_[i];
-}
-
-std::vector<std::vector<double>> MomentGenerator::block_moments(
-    const std::vector<double>& b, int order) const {
-  if (order < 1)
-    throw std::invalid_argument("block_moments: order must be >= 1");
-  std::vector<std::vector<double>> moments;
-  moments.reserve(static_cast<std::size_t>(order));
-  moments.push_back(solve(b));
-  for (int k = 1; k < order; ++k) {
-    moments.push_back(moments.back());
-    advance(moments.back());
-  }
-  return moments;
 }
 
 std::vector<double> MomentGenerator::transfer_moments(

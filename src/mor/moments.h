@@ -9,12 +9,12 @@
 //
 //   H(s) = L^T [ sum_k (-G^{-1} C)^k G^{-1} B s^k ] = sum_k M_k s^k.
 //
-// The block moments m_k = (-G^{-1} C)^k G^{-1} b are the raw material of
-// every reduction in mor/reduce.h (AWE/Pade and block Arnoldi alike), and
-// computing them costs ONE sparse LU factorization of G — performed by the
-// same numeric::SparseLu the transient/AC engines use, so its symbolic
-// analysis can be recorded once and replayed across all moment orders AND
-// all sweep points (ConductanceReuse, the mor analogue of sim::SolverReuse).
+// The moments m_k = (-G^{-1} C)^k G^{-1} b are the raw material of the
+// AWE/Pade reduction in mor/reduce.h, and computing them costs ONE sparse LU
+// factorization of G — performed by the same numeric::SparseLu the
+// transient/AC engines use, so its symbolic analysis can be recorded once
+// and replayed across all moment orders AND all sweep points
+// (ConductanceReuse, the mor analogue of sim::SolverReuse).
 //
 // Compare: a transient run solves thousands of (G + (factor/dt)C) systems;
 // a q-th order reduction solves 2q triangular systems against one factored
@@ -42,15 +42,14 @@ struct LinearSystem {
   numeric::RealSparse C;
   std::vector<std::vector<double>> inputs;   // B columns, size unknowns() each
   std::vector<std::vector<double>> outputs;  // L columns
-  std::vector<std::string> input_names;      // source element names
-  std::vector<std::string> output_names;     // observed node names
 
   std::size_t unknowns() const { return static_cast<std::size_t>(G.size()); }
 };
 
 // Extracts the LinearSystem of an assembled circuit: one input column per
 // voltage source, per current source, and per buffer output stage (in that
-// order, named by element); one output column per requested node name.
+// order, each in circuit order); one output column per requested node name,
+// in the order given. Callers index the columns by that order.
 // Throws std::invalid_argument for unknown node names.
 LinearSystem make_linear_system(const sim::MnaAssembler& mna,
                                 const std::vector<std::string>& output_nodes);
@@ -90,12 +89,6 @@ class MomentGenerator {
 
   // m_0 = G^{-1} b.
   std::vector<double> solve(const std::vector<double>& b) const;
-  // m <- -G^{-1} (C m): one Krylov step, no allocation beyond LU scratch.
-  void advance(std::vector<double>& m) const;
-
-  // The first `order` block moments of one input column.
-  std::vector<std::vector<double>> block_moments(const std::vector<double>& b,
-                                                 int order) const;
 
   // The first `count` scalar transfer moments m_k = l^T (-G^{-1}C)^k G^{-1} b.
   // A q-pole Pade model needs count = 2q.
@@ -104,6 +97,9 @@ class MomentGenerator {
                                        int count) const;
 
  private:
+  // m <- -G^{-1} (C m): one Krylov step, no allocation beyond LU scratch.
+  void advance(std::vector<double>& m) const;
+
   numeric::RealSparse c_;
   std::optional<numeric::RealSparseLu> lu_;  // engaged in every constructor
   mutable std::vector<double> scratch_;

@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "numeric/matrix.h"
 #include "numeric/polynomial.h"
 #include "obs/obs.h"
 
@@ -14,14 +15,6 @@ namespace {
 using Complex = std::complex<double>;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-double dot(const std::vector<double>& a, const std::vector<double>& b) {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) sum += a[i] * b[i];
-  return sum;
-}
-
-double norm(const std::vector<double>& a) { return std::sqrt(dot(a, a)); }
 
 // Characteristic time unit of a moment sequence: the geometric mean of the
 // consecutive-moment ratios |m_{k+1}/m_k|, which all sit near the system's
@@ -177,40 +170,9 @@ PoleResidueModel zero_model(int requested_order) {
   return model;
 }
 
-// Coefficients (lowest degree first, for polyroots) of det(lambda I - M)
-// via the Faddeev-LeVerrier recurrence — exact in O(q^4), fine at q <= ~16.
-std::vector<double> characteristic_polynomial(const numeric::RealMatrix& m) {
-  const std::size_t q = m.rows();
-  const auto trace = [](const numeric::RealMatrix& a) {
-    double t = 0.0;
-    for (std::size_t i = 0; i < a.rows(); ++i) t += a(i, i);
-    return t;
-  };
-  std::vector<double> c(q);  // c[k-1] = c_k of lambda^q + c_1 lambda^{q-1} + ...
-  numeric::RealMatrix mk = m;
-  c[0] = -trace(mk);
-  for (std::size_t k = 2; k <= q; ++k) {
-    numeric::RealMatrix shifted = mk;
-    for (std::size_t i = 0; i < q; ++i) shifted(i, i) += c[k - 2];
-    mk = m * shifted;
-    c[k - 1] = -trace(mk) / static_cast<double>(k);
-  }
-  std::vector<double> coeffs(q + 1);
-  coeffs[q] = 1.0;
-  for (std::size_t k = 1; k <= q; ++k) coeffs[q - k] = c[k - 1];
-  return coeffs;
-}
-
 }  // namespace
 
 // ------------------------------------------------------------ pole-residue
-
-std::complex<double> PoleResidueModel::transfer(std::complex<double> s) const {
-  Complex h = 0.0;
-  for (std::size_t i = 0; i < poles.size(); ++i)
-    h += residues[i] / (s - poles[i]);
-  return delay > 0.0 ? std::exp(-s * delay) * h : h;
-}
 
 double PoleResidueModel::moment(int k) const {
   // Rational moments first, then recombine with e^{-s delay} when present.
@@ -357,188 +319,6 @@ PoleResidueModel reduce_transfer(const std::vector<double>& moments, int order,
 
 int coupled_transfer_order(int order, int hops) {
   return std::max(order, hops + 1);
-}
-
-// ---------------------------------------------------------- block Arnoldi
-
-ReducedModel arnoldi_reduce(const LinearSystem& system, int order,
-                            ConductanceReuse* reuse) {
-  OBS_SPAN("mor.arnoldi_reduce");
-  OBS_COUNTER_ADD("mor.arnoldi_reductions", 1);
-  if (order < 1)
-    throw std::invalid_argument("arnoldi_reduce: order must be >= 1");
-  if (system.inputs.empty() || system.outputs.empty())
-    throw std::invalid_argument("arnoldi_reduce: need at least one input and output");
-
-  const MomentGenerator generator(system, reuse);
-  const std::size_t target = static_cast<std::size_t>(order);
-
-  std::vector<std::vector<double>> basis;
-  int deflated = 0;
-
-  // Twice-iterated modified Gram-Schmidt: orthogonalize `w` against the
-  // basis; returns false (deflation) when w is linearly dependent.
-  const auto orthonormalize = [&](std::vector<double>& w) {
-    const double norm0 = norm(w);
-    if (!(norm0 > 0.0)) return false;
-    for (int pass = 0; pass < 2; ++pass) {
-      for (const auto& v : basis) {
-        const double h = dot(v, w);
-        for (std::size_t i = 0; i < w.size(); ++i) w[i] -= h * v[i];
-      }
-    }
-    const double norm1 = norm(w);
-    if (!(norm1 > 1e-10 * norm0)) return false;
-    for (double& x : w) x /= norm1;
-    return true;
-  };
-
-  // Block 0: orth(G^-1 B). Later blocks: orth(-G^-1 C V_prev).
-  std::vector<std::vector<double>> block;
-  block.reserve(system.inputs.size());
-  for (const auto& b : system.inputs) block.push_back(generator.solve(b));
-  while (basis.size() < target && !block.empty()) {
-    std::vector<std::vector<double>> accepted;
-    for (auto& w : block) {
-      if (basis.size() == target) break;
-      if (orthonormalize(w)) {
-        basis.push_back(w);
-        accepted.push_back(std::move(w));
-      } else {
-        ++deflated;
-      }
-    }
-    block.clear();
-    if (basis.size() == target) break;
-    for (auto& v : accepted) {
-      block.push_back(v);
-      generator.advance(block.back());
-    }
-  }
-  if (basis.empty())
-    throw std::runtime_error("arnoldi_reduce: immediate breakdown (B = 0)");
-
-  // Project (G, C, B, L) onto the orthonormal basis.
-  const std::size_t q = basis.size();
-  ReducedModel model;
-  model.deflated = deflated;
-  model.input_names = system.input_names;
-  model.output_names = system.output_names;
-  model.G = numeric::RealMatrix(q, q);
-  model.C = numeric::RealMatrix(q, q);
-  model.B = numeric::RealMatrix(q, system.inputs.size());
-  model.L = numeric::RealMatrix(q, system.outputs.size());
-  for (std::size_t j = 0; j < q; ++j) {
-    const std::vector<double> gv = system.G.multiply(basis[j]);
-    const std::vector<double> cv = system.C.multiply(basis[j]);
-    for (std::size_t i = 0; i < q; ++i) {
-      model.G(i, j) = dot(basis[i], gv);
-      model.C(i, j) = dot(basis[i], cv);
-    }
-  }
-  for (std::size_t k = 0; k < system.inputs.size(); ++k)
-    for (std::size_t i = 0; i < q; ++i)
-      model.B(i, k) = dot(basis[i], system.inputs[k]);
-  for (std::size_t k = 0; k < system.outputs.size(); ++k)
-    for (std::size_t i = 0; i < q; ++i)
-      model.L(i, k) = dot(basis[i], system.outputs[k]);
-  return model;
-}
-
-PoleResidueModel pole_residue(const ReducedModel& model, int output, int input) {
-  if (input < 0 || static_cast<std::size_t>(input) >= model.input_count())
-    throw std::invalid_argument("pole_residue: input index out of range");
-  if (output < 0 || static_cast<std::size_t>(output) >= model.output_count())
-    throw std::invalid_argument("pole_residue: output index out of range");
-  const std::size_t q = static_cast<std::size_t>(model.order());
-  if (q == 0) return zero_model(0);
-
-  numeric::RealMatrix ghat = model.G;
-  const numeric::RealLu glu(std::move(ghat));
-
-  // Reduced transfer moments (dense Krylov on the q x q model).
-  std::vector<double> b(q), l(q);
-  for (std::size_t i = 0; i < q; ++i) {
-    b[i] = model.B(i, static_cast<std::size_t>(input));
-    l[i] = model.L(i, static_cast<std::size_t>(output));
-  }
-  std::vector<double> moments;
-  moments.reserve(2 * q);
-  std::vector<double> x = glu.solve(b);
-  for (std::size_t k = 0; k < 2 * q; ++k) {
-    if (k > 0) {
-      x = glu.solve(model.C * x);
-      for (double& v : x) v = -v;
-    }
-    moments.push_back(dot(l, x));
-  }
-  if (all_zero(moments)) return zero_model(static_cast<int>(q));
-
-  const double t_unit = moment_time_scale(moments);
-  const std::vector<double> mu = scale_moments(moments, t_unit);
-
-  // Poles of the reduced pencil: det(Ghat + s Chat) = 0 <=> -1/s is an
-  // eigenvalue of M = Ghat^-1 Chat. M is computed in the internal time unit
-  // so the characteristic coefficients stay O(1).
-  numeric::RealMatrix m(q, q);
-  std::vector<double> column(q);
-  for (std::size_t j = 0; j < q; ++j) {
-    for (std::size_t i = 0; i < q; ++i) column[i] = model.C(i, j);
-    const std::vector<double> mj = glu.solve(column);
-    for (std::size_t i = 0; i < q; ++i) m(i, j) = mj[i] / t_unit;
-  }
-  const std::vector<double> charpoly = characteristic_polynomial(m);
-  const std::vector<Complex> eigen = numeric::polyroots(charpoly);
-  if (eigen.size() != q || !roots_verified(charpoly, eigen)) {
-    // Eigenvalue extraction failed its residual check: fall back to the AWE
-    // machinery on the reduced moments (which has its own order fallbacks).
-    return pade_reduce(moments, static_cast<int>(q));
-  }
-
-  double lambda_max = 0.0;
-  for (Complex e : eigen) lambda_max = std::max(lambda_max, std::abs(e));
-  std::vector<Complex> poles_scaled;
-  int dropped = 0;
-  for (Complex e : eigen) {
-    if (std::abs(e) <= 1e-10 * lambda_max) {
-      ++dropped;  // eigenvalue ~0 of M: a pole at infinity, not a dynamic mode
-      continue;
-    }
-    poles_scaled.push_back(-1.0 / e);
-  }
-  poles_scaled = symmetrize_conjugates(poles_scaled);
-
-  std::vector<Complex> stable_poles;
-  for (Complex p : poles_scaled) {
-    if (p.real() < 0.0)
-      stable_poles.push_back(p);
-    else
-      ++dropped;  // spurious RHP mode: drop and refit (DC stays matched)
-  }
-  if (stable_poles.empty())
-    throw std::runtime_error(
-        "pole_residue: reduced pencil has no stable poles");
-
-  std::vector<Complex> residues_scaled;
-  try {
-    residues_scaled = fit_residues(
-        stable_poles,
-        std::vector<double>(mu.begin(),
-                            mu.begin() + static_cast<std::ptrdiff_t>(
-                                             stable_poles.size())));
-  } catch (const std::runtime_error&) {
-    return pade_reduce(moments, static_cast<int>(q));
-  }
-
-  PoleResidueModel result;
-  result.requested_order = static_cast<int>(q);
-  result.fallbacks = dropped;
-  for (std::size_t i = 0; i < stable_poles.size(); ++i) {
-    result.poles.push_back(stable_poles[i] / t_unit);
-    result.residues.push_back(residues_scaled[i] / t_unit);
-  }
-  finalize(result);
-  return result;
 }
 
 }  // namespace rlcsim::mor

@@ -1,42 +1,24 @@
-// Model-order reduction: AWE-style Pade pole extraction and block-Arnoldi
-// (PRIMA-style) projection.
+// Model-order reduction: AWE-style Pade pole extraction over the transfer
+// moments of mor/moments.h.
 //
-// Two reductions over the moments of mor/moments.h, with different sweet
-// spots:
+// pade_reduce matches a single transfer function H(s) = sum m_k s^k to a
+// q-pole pole-residue model (the [q-1/q] Pade approximant; the paper's
+// two-pole model IS this at q = 2). Moments are rescaled to O(1) in an
+// internal time unit before any dense solve (raw moments shrink like
+// b1^k ~ (1e-9)^k and underflow by k ~ 8 otherwise), the Hankel system gives
+// the denominator, Durand-Kerner gives the poles, and a complex Vandermonde
+// moment fit gives the residues — matching moment 0 exactly, so the model's
+// DC value is the true DC value and threshold delays measured against the
+// final value are consistent. Standard AWE instability fallback: a singular
+// Hankel system, unverifiable roots, or right-half-plane poles retry at
+// order q-1 (down to 1, which is the always-stable Elmore model).
 //
-//  * pade_reduce — single transfer function H(s) = sum m_k s^k matched to a
-//    q-pole pole-residue model (the [q-1/q] Pade approximant; the paper's
-//    two-pole model IS this at q = 2). Moments are rescaled to O(1) in an
-//    internal time unit before any dense solve (raw moments shrink like
-//    b1^k ~ (1e-9)^k and underflow by k ~ 8 otherwise), the Hankel system
-//    gives the denominator, Durand-Kerner gives the poles, and a complex
-//    Vandermonde moment fit gives the residues — matching moment 0 exactly,
-//    so the model's DC value is the true DC value and threshold delays
-//    measured against the final value are consistent. Standard AWE
-//    instability fallback: a singular Hankel system, unverifiable roots, or
-//    right-half-plane poles retry at order q-1 (down to 1, which is the
-//    always-stable Elmore model).
-//
-//  * arnoldi_reduce — orthogonalized block-Krylov projection for multi-input
-//    systems (coupled buses): span{G^-1 B, (-G^-1 C) G^-1 B, ...} is built
-//    with twice-iterated modified Gram-Schmidt and deflation, and the
-//    ReducedModel holds the projected Ghat/Chat/Bhat/Lhat. All inputs share
-//    one reduced pole set; pole_residue() extracts any (output, input) entry
-//    as a pole-residue model via the reduced pencil's eigenvalues
-//    (Faddeev-LeVerrier characteristic polynomial + Durand-Kerner — fine at
-//    the q <= ~12 this layer targets) with spurious right-half-plane poles
-//    dropped and residues refit (so DC stays exact).
-//
-// Stability/passivity diagnostics ride along in the models: max_real_pole,
-// fallback counts, and deflation counts.
+// Stability diagnostics ride along in the model: max_real_pole and the
+// fallback count.
 #pragma once
 
 #include <complex>
-#include <string>
 #include <vector>
-
-#include "mor/moments.h"
-#include "numeric/matrix.h"
 
 namespace rlcsim::mor {
 
@@ -63,7 +45,6 @@ struct PoleResidueModel {
   double max_real_pole = 0.0;  // stability margin: < 0 iff stable
   bool stable = true;
 
-  std::complex<double> transfer(std::complex<double> s) const;
   // k-th Taylor moment of the model, -sum Re(r / p^(k+1)) — for verifying
   // how many of the input moments survived the fallbacks.
   double moment(int k) const;
@@ -104,35 +85,5 @@ PoleResidueModel reduce_transfer(const std::vector<double>& moments, int order,
 // their order to the floor keeps "q-th order" honest where it matters (the
 // line's own transfer and its neighbors'). Returns max(order, hops + 1).
 int coupled_transfer_order(int order, int hops);
-
-// ------------------------------------------------------------- projection
-
-// The projected descriptor system Vt(G,C,B,L)V of a block-Arnoldi basis V.
-struct ReducedModel {
-  numeric::RealMatrix G, C;  // q x q
-  numeric::RealMatrix B;     // q x inputs
-  numeric::RealMatrix L;     // q x outputs
-  std::vector<std::string> input_names, output_names;
-  int deflated = 0;  // Krylov candidates dropped as linearly dependent
-
-  int order() const { return static_cast<int>(G.rows()); }
-  std::size_t input_count() const { return B.cols(); }
-  std::size_t output_count() const { return L.cols(); }
-};
-
-// Block-Arnoldi projection of `system` to (at most) `order` dimensions.
-// `order` is the TOTAL reduced dimension; it should be >= the input count
-// or the first Krylov block itself is truncated (some inputs lose even
-// their DC match). Breakdown (Krylov space exhausted) returns a smaller
-// model than requested — check order().
-ReducedModel arnoldi_reduce(const LinearSystem& system, int order,
-                            ConductanceReuse* reuse = nullptr);
-
-// Pole-residue extraction of one (output, input) entry of the reduced
-// model. All entries share the reduced pencil's poles; spurious unstable
-// poles are dropped (counted in fallbacks) and residues refit against the
-// reduced moments, matching moment 0 exactly. Throws std::runtime_error if
-// the reduced G is singular or no pole survives.
-PoleResidueModel pole_residue(const ReducedModel& model, int output, int input);
 
 }  // namespace rlcsim::mor

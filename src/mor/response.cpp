@@ -173,8 +173,6 @@ double AnalyticResponse::final_value() const {
   return v;
 }
 
-double AnalyticResponse::slowest_time_constant() const { return slowest_tau_; }
-
 double AnalyticResponse::suggested_horizon() const {
   const double tau = slowest_tau_ > 0.0 ? slowest_tau_ : 1e-12;
   return 12.0 * tau + 2.0 * max_rise_ + max_delay_;

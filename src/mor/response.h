@@ -65,16 +65,13 @@ class AnalyticResponse {
   double value(double t) const;
   // Batched evaluation: out[i] = value(times[i]) for `count` samples,
   // evaluated one pole-loop pass per contribution across a block of lanes
-  // (internally chunked to 8). Per-sample results are bit-identical to
-  // value(): each lane accumulates dc offset, contributions, and pole terms
-  // in the exact scalar order, with the same exact-zero onset guards. It is
-  // the exact reference the recurrence scans are tested against.
+  // (internally chunked to 8). Each lane accumulates dc offset,
+  // contributions and pole terms in value()'s order, so per-sample results
+  // are bit-identical to value() and this is the exact reference the
+  // recurrence scans are tested against.
   void values(const double* times, double* out, std::size_t count) const;
-  double initial_value() const { return value(0.0); }
   double final_value() const;
 
-  // Slowest decay constant max 1/|Re p| over all stable poles (0 if none).
-  double slowest_time_constant() const;
   // Default scan window: the response has settled well within it.
   double suggested_horizon() const;
 
@@ -109,7 +106,7 @@ class AnalyticResponse {
   std::vector<Contribution> contributions_;
   double max_rise_ = 0.0;
   double max_delay_ = 0.0;
-  double slowest_tau_ = 0.0;
+  double slowest_tau_ = 0.0;  // max 1/|Re p| over stable poles (0 if none)
   double max_omega_ = 0.0;  // largest |Im p|: sets the scan resolution
 };
 

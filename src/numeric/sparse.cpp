@@ -201,12 +201,12 @@ std::vector<int> rcm_ordering(const SparsePattern& pattern) {
 // --------------------------------------------------------------------- LU
 
 template <typename T>
-SparseLu<T>::SparseLu(const SparseMatrix<T>& a, Options options) {
+SparseLu<T>::SparseLu(const SparseMatrix<T>& a) {
   n_ = a.size();
   if (n_ == 0) throw std::invalid_argument("SparseLu: empty matrix");
   pattern_ = a.pattern_ptr();
 
-  if (options.reorder && n_ > 2) {
+  if (n_ > 2) {
     perm_ = rcm_ordering(*pattern_);
   } else {
     perm_.resize(static_cast<std::size_t>(n_));
@@ -417,9 +417,7 @@ bool SparseLu<T>::refactor(const SparseMatrix<T>& a) {
     // pointer makes every later refactor against it an O(1) check. This is
     // what lets a sweep reuse one symbolic analysis across circuits that are
     // rebuilt per grid point with identical topology.
-    if (!a.pattern_ptr() || !pattern_ || a.pattern().n != pattern_->n ||
-        a.pattern().row_ptr != pattern_->row_ptr ||
-        a.pattern().col_idx != pattern_->col_idx)
+    if (!a.pattern_ptr() || !pattern_ || !same_structure(a.pattern(), *pattern_))
       throw std::invalid_argument("SparseLu::refactor: pattern mismatch");
     pattern_ = a.pattern_ptr();
   }

@@ -58,6 +58,12 @@ struct SparsePattern {
 
 using SparsePatternPtr = std::shared_ptr<const SparsePattern>;
 
+// True when two patterns have the same structure (dimension, row pointers
+// and column indices), whether or not they are the same object.
+inline bool same_structure(const SparsePattern& a, const SparsePattern& b) {
+  return a.n == b.n && a.row_ptr == b.row_ptr && a.col_idx == b.col_idx;
+}
+
 // Compresses entry positions into a CSR pattern (duplicates merged, columns
 // sorted). If `slots` is non-null, slots->at(k) receives the index into the
 // CSR value array where entry k lands, so assembly loops can re-stamp values
@@ -118,8 +124,9 @@ std::vector<int> rcm_ordering(const SparsePattern& pattern);
 // Sparse LU with partial pivoting and symbolic-factorization reuse.
 //
 // Construction performs the full (symbolic + numeric) factorization:
-// RCM pre-ordering, then a left-looking column factorization that discovers
-// the fill pattern by depth-first reachability and pivots by magnitude.
+// RCM pre-ordering (above 2 unknowns), then a left-looking column
+// factorization that discovers the fill pattern by depth-first reachability
+// and pivots by magnitude.
 // `refactor(a)` accepts a matrix with the same pattern — pointer-identical
 // or structurally identical (a sweep rebuilds topologically identical
 // circuits per grid point, each with its own pattern allocation) — and
@@ -135,11 +142,7 @@ std::vector<int> rcm_ordering(const SparsePattern& pattern);
 template <typename T>
 class SparseLu {
  public:
-  struct Options {
-    bool reorder = true;  // apply RCM before factorizing
-  };
-
-  explicit SparseLu(const SparseMatrix<T>& a, Options options = {});
+  explicit SparseLu(const SparseMatrix<T>& a);
 
   // Numeric-only refactorization; `a` must share the constructor's pattern.
   // Returns true when the zero-pivot fallback re-pivoted, i.e. the call

@@ -12,7 +12,7 @@
 //
 // Span naming convention: dot-separated subsystem.operation, lowercase —
 // "sweep.run", "sweep.point", "transient.run", "graph.evaluate",
-// "graph.level", "mor.arnoldi_reduce". A span's optional integer arg
+// "graph.level", "mor.pade_reduce". A span's optional integer arg
 // (e.g. the graph level index) exports as args.n.
 //
 // Determinism: spans READ the clock but nothing outside src/obs/ ever

@@ -30,10 +30,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-bool same_structure(const numeric::SparsePattern& a, const numeric::SparsePattern& b) {
-  return a.n == b.n && a.row_ptr == b.row_ptr && a.col_idx == b.col_idx;
-}
-
 double nominal_dt(const TransientOptions& options) {
   return options.dt > 0.0 ? options.dt : options.t_stop / 4000.0;
 }
@@ -151,7 +147,7 @@ bool adopt_pattern(numeric::SparsePatternPtr& slot,
     return true;
   }
   return std::all_of(patterns.begin(), patterns.end(),
-                     [&](const auto& p) { return same_structure(*slot, *p); });
+                     [&](const auto& p) { return numeric::same_structure(*slot, *p); });
 }
 
 // The one transient engine: W circuits of one topology stepped in lockstep

@@ -44,9 +44,10 @@ using numeric::SparseLuBatch;
 void expect_bits_equal(const std::vector<double>& a,
                        const std::vector<double>& b, const char* what) {
   ASSERT_EQ(a.size(), b.size()) << what;
-  if (!a.empty())
+  if (!a.empty()) {
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
         << what;
+  }
 }
 
 // Deterministic random diagonally-bumped sparse system (the ladder-like
@@ -141,15 +142,13 @@ TEST(SparseLuBatchTest, BitIdenticalToScalarLanes) {
 // the scalar path alone (scalar refactor re-pivots there), leaving every
 // other lane batched — and the stats must account for all of it.
 TEST(SparseLuBatchTest, ZeroPivotLaneEjectsIndividually) {
-  // [[5, 1], [1, 1]] without RCM: |5| > |1| makes row 0 the recorded first
-  // pivot unambiguously, so a lane with a00 = 0 hits an exactly-zero stale
-  // pivot — while its matrix [[0, 1], [1, 1]] stays nonsingular for the
-  // re-pivoting scalar fallback.
+  // [[5, 1], [1, 1]] (2 unknowns, so no RCM): |5| > |1| makes row 0 the
+  // recorded first pivot unambiguously, so a lane with a00 = 0 hits an
+  // exactly-zero stale pivot — while its matrix [[0, 1], [1, 1]] stays
+  // nonsingular for the re-pivoting scalar fallback.
   const RealSparse donor_matrix(
       2, {{0, 0, 5.0}, {0, 1, 1.0}, {1, 0, 1.0}, {1, 1, 1.0}});
-  RealSparseLu::Options no_reorder;
-  no_reorder.reorder = false;
-  const RealSparseLu donor(donor_matrix, no_reorder);
+  const RealSparseLu donor(donor_matrix);
   const std::size_t lanes = 4;
 
   std::vector<std::vector<double>> lane_values(lanes, donor_matrix.values());

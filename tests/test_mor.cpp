@@ -1,8 +1,8 @@
-// Moment-matching model-order reduction (src/mor/) tests: block moments
-// against the closed-form denominator expansion, AWE/Pade and block-Arnoldi
-// reductions against the MNA transient oracle, the analytic response
-// metrics, the reduced crosstalk path, and the sweep engine's reduced
-// analyses (one symbolic factorization, bit-identical at any thread count).
+// Moment-matching model-order reduction (src/mor/) tests: transfer moments
+// against the closed-form denominator expansion, the AWE/Pade reduction
+// against the MNA transient oracle, the analytic response metrics, the
+// reduced crosstalk path, and the sweep engine's reduced analyses (one
+// symbolic factorization, bit-identical at any thread count).
 #include <algorithm>
 #include <cmath>
 #include <complex>
@@ -61,18 +61,32 @@ TEST(Moments, MatchClosedFormDenominatorExpansion) {
               1e-3 * expected.b2);
 }
 
-TEST(Moments, BlockRecurrenceMatchesTransferMoments) {
-  const mor::LinearSystem linear = linear_system_of(kSystem, 24);
-  const mor::MomentGenerator generator(linear);
-  const auto blocks = generator.block_moments(linear.inputs[0], 4);
-  const auto transfer =
-      generator.transfer_moments(linear.outputs[0], linear.inputs[0], 4);
-  for (int k = 0; k < 4; ++k) {
-    double dot = 0.0;
-    for (std::size_t i = 0; i < linear.outputs[0].size(); ++i)
-      dot += linear.outputs[0][i] * blocks[static_cast<std::size_t>(k)][i];
-    EXPECT_DOUBLE_EQ(dot, transfer[static_cast<std::size_t>(k)]) << "k=" << k;
-  }
+TEST(Moments, InputColumnsFollowSourceOrder) {
+  // Input columns come voltage sources first, then current sources, then
+  // buffers, whatever order the elements were added in; output columns
+  // follow the requested node order. Reduced analyses index the columns by
+  // this order (input i is line i's driver, column 0 a stage's driver).
+  sim::Circuit circuit;
+  circuit.add_buffer("a", "c", 100.0, 1e-15, 1.0, 0.5, "buf");
+  circuit.add_current_source("0", "b", sim::DcSpec{0.0}, "iin");
+  circuit.add_voltage_source("in", "0", sim::DcSpec{0.0}, "vin");
+  circuit.add_resistor("in", "a", 50.0);
+  circuit.add_resistor("b", "0", 200.0);
+  circuit.add_capacitor("a", "0", 1e-13);
+  circuit.add_capacitor("b", "0", 1e-13);
+  circuit.add_capacitor("c", "0", 1e-13);
+  const sim::MnaAssembler mna(circuit);
+  const mor::LinearSystem linear =
+      mor::make_linear_system(mna, {"c", "a", "b"});
+
+  ASSERT_EQ(linear.inputs.size(), 3u);
+  EXPECT_EQ(linear.inputs[0], mna.vsource_vector(0));
+  EXPECT_EQ(linear.inputs[1], mna.isource_vector(0));
+  EXPECT_EQ(linear.inputs[2], mna.buffer_vector(0));
+  ASSERT_EQ(linear.outputs.size(), 3u);
+  EXPECT_EQ(linear.outputs[0], mna.node_selector(*circuit.find_node("c")));
+  EXPECT_EQ(linear.outputs[1], mna.node_selector(*circuit.find_node("a")));
+  EXPECT_EQ(linear.outputs[2], mna.node_selector(*circuit.find_node("b")));
 }
 
 TEST(Moments, MakeLinearSystemRejectsUnknownNode) {
@@ -212,62 +226,6 @@ TEST(ReducedDelay, OrderTwoTracksTwoPoleModel) {
   const double two_pole = core::TwoPoleModel(kSystem).threshold_delay(0.5);
   const double reduced = mor::reduced_gate_delay(kSystem, 60, 2);
   EXPECT_NEAR(reduced, two_pole, 0.05 * two_pole);
-}
-
-// ---------------------------------------------------------------------------
-// Block Arnoldi
-// ---------------------------------------------------------------------------
-
-TEST(Arnoldi, MatchesPadeOnSingleInput) {
-  const mor::LinearSystem linear = linear_system_of(kSystem, 40);
-  const mor::ReducedModel reduced = mor::arnoldi_reduce(linear, 8);
-  EXPECT_EQ(reduced.order(), 8);
-  const mor::PoleResidueModel projected = mor::pole_residue(reduced, 0, 0);
-  EXPECT_TRUE(projected.stable);
-  EXPECT_NEAR(projected.dc_gain, 1.0, 1e-6);
-
-  mor::AnalyticResponse response;
-  response.add_step(projected, 1.0);
-  const auto crossing = response.first_crossing(0.5);
-  ASSERT_TRUE(crossing.has_value());
-  const double oracle = sim::simulate_gate_line_delay(kSystem, 40);
-  EXPECT_NEAR(*crossing, oracle, 0.01 * oracle);
-}
-
-TEST(Arnoldi, ProjectionPreservesEarlyMoments) {
-  // A q-dimensional block-Krylov projection matches the first ~q/p block
-  // moments of every (output, input) transfer.
-  const mor::LinearSystem linear = linear_system_of(kSystem, 40);
-  const mor::MomentGenerator generator(linear);
-  const auto exact =
-      generator.transfer_moments(linear.outputs[0], linear.inputs[0], 6);
-  const mor::ReducedModel reduced = mor::arnoldi_reduce(linear, 6);
-  const mor::PoleResidueModel projected = mor::pole_residue(reduced, 0, 0);
-  for (int k = 0; k < 4; ++k) {
-    const double scale = std::fabs(exact[static_cast<std::size_t>(k)]);
-    EXPECT_NEAR(projected.moment(k), exact[static_cast<std::size_t>(k)],
-                1e-5 * scale)
-        << "k=" << k;
-  }
-}
-
-TEST(Arnoldi, DeflationOnDependentInputs) {
-  // Two identical input columns: the second block-0 vector is linearly
-  // dependent and must be deflated, not kept as noise.
-  mor::LinearSystem linear = linear_system_of(kSystem, 24);
-  linear.inputs.push_back(linear.inputs[0]);
-  linear.input_names.push_back("dup");
-  const mor::ReducedModel reduced = mor::arnoldi_reduce(linear, 6);
-  EXPECT_GE(reduced.deflated, 1);
-  EXPECT_EQ(reduced.order(), 6);
-}
-
-TEST(Arnoldi, ArgumentValidation) {
-  const mor::LinearSystem linear = linear_system_of(kSystem, 12);
-  EXPECT_THROW(mor::arnoldi_reduce(linear, 0), std::invalid_argument);
-  const mor::ReducedModel reduced = mor::arnoldi_reduce(linear, 4);
-  EXPECT_THROW(mor::pole_residue(reduced, 0, 99), std::invalid_argument);
-  EXPECT_THROW(mor::pole_residue(reduced, 99, 0), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
