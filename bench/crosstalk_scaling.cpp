@@ -7,9 +7,12 @@
 // bus a K-segment coupled ladder on the sparse path, every thread replaying
 // ONE recorded symbolic factorization pair. Patterns are restricted to the
 // switching corners (same-/opposite-phase) so every grid value is a real
-// delay and the bit-identity comparison is exact. Emits one JSON document;
-// the exit status IS the determinism check (0 iff every thread count
-// produced the same bits), so CI can gate on it directly.
+// delay and the bit-identity comparison is exact. The sweep's delay points
+// stop stepping at the victim's 50% crossing, so the first thread count's
+// values are also compared byte for byte against per-point full-horizon
+// core::analyze_crosstalk runs (untimed). Emits one JSON document; the exit
+// status IS the check (0 iff every thread count produced the same bits and
+// they match analyze_crosstalk), so CI can gate on it directly.
 //
 // Usage: crosstalk_scaling [--fast] [--points N] [--threads a,b,c]
 //   --fast      64-point grid, thread counts 1,2 (CI smoke run)
@@ -24,6 +27,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "core/crosstalk.h"
 #include "sweep/sweep.h"
 
 namespace {
@@ -53,6 +57,29 @@ sweep::SweepSpec grid_of(std::size_t target_points) {
   return spec;
 }
 
+// True iff `values` are byte-equal to per-point core::analyze_crosstalk
+// victim delays, seeded the way a one-thread sweep seeds: grid point 0
+// records the symbolic factorizations and every point replays them.
+bool matches_analyze_crosstalk(const sweep::SweepSpec& spec, int segments,
+                               const std::vector<double>& values) {
+  sim::SolverReuse reuse;
+  for (std::size_t flat = 0; flat < spec.size(); ++flat) {
+    const sweep::Scenario s = spec.at(flat);
+    core::CrosstalkOptions options;
+    options.driver_resistance = s.system.driver_resistance;
+    options.load_capacitance = s.system.load_capacitance;
+    options.segments = segments;
+    options.reuse = &reuse;
+    const double delay =
+        core::analyze_crosstalk(tline::make_bus(s.xtalk.bus_lines, s.system.line,
+                                                s.xtalk.cc_ratio, s.xtalk.lm_ratio),
+                                s.xtalk.pattern, options)
+            .victim_delay_50.value_or(std::nan(""));
+    if (std::memcmp(&delay, &values[flat], sizeof(double)) != 0) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -75,6 +102,7 @@ int main(int argc, char** argv) {
   }
 
   const sweep::SweepSpec spec = grid_of(target_points);
+  constexpr int kSegments = 16;  // 3-line bus ~ 150 unknowns: sparse path live
   const std::size_t points = spec.size();
 
   std::printf("{\n");
@@ -83,7 +111,7 @@ int main(int argc, char** argv) {
   std::printf("  \"analysis\": \"crosstalk_delay\",\n");
   std::printf("  \"bus_lines\": %d,\n", spec.base.xtalk.bus_lines);
   std::printf("  \"points\": %zu,\n", points);
-  std::printf("  \"segments\": 16,\n");
+  std::printf("  \"segments\": %d,\n", kSegments);
   std::printf("  \"hardware_concurrency\": %u,\n",
               std::thread::hardware_concurrency());
   std::printf("  \"runs\": [\n");
@@ -94,7 +122,7 @@ int main(int argc, char** argv) {
   for (std::size_t t = 0; t < thread_counts.size(); ++t) {
     sweep::EngineOptions options;
     options.threads = thread_counts[t];
-    options.segments = 16;  // 3-line bus ~ 150 unknowns: sparse path live
+    options.segments = kSegments;
     const sweep::SweepEngine engine(options);
     const sweep::SweepResult result =
         engine.run(spec, sweep::Analysis::kCrosstalkDelay);
@@ -117,8 +145,11 @@ int main(int argc, char** argv) {
 
   std::printf("  ],\n");
   benchutil::metrics_json_block();
+  // After the metrics block, so its counters describe the sweeps alone.
+  const bool matches = matches_analyze_crosstalk(spec, kSegments, reference);
+  std::printf("  \"matches_analyze_crosstalk\": %s,\n", matches ? "true" : "false");
   std::printf("  \"all_thread_counts_bit_identical\": %s\n",
               all_identical ? "true" : "false");
   std::printf("}\n");
-  return all_identical ? 0 : 1;
+  return all_identical && matches ? 0 : 1;
 }

@@ -8,6 +8,7 @@
 
 #include "core/two_pole.h"
 #include "mor/response.h"
+#include "sim/transient_batch.h"
 
 namespace rlcsim::core {
 namespace {
@@ -126,6 +127,45 @@ sim::Circuit build_pattern_bus(const tline::CoupledBus& bus,
   return circuit;
 }
 
+// A switching victim's delay fields from its 50% crossing and the push-out
+// reference, shared by all three analyses.
+CrosstalkDelay delay_fields(double crossing, std::optional<double> reference) {
+  CrosstalkDelay delay;
+  delay.victim_delay_50 = crossing;
+  delay.isolated_delay_two_pole = reference;
+  if (reference) delay.delay_pushout = crossing - *reference;
+  return delay;
+}
+
+// One pattern transient as analyze_crosstalk and analyze_crosstalk_delay
+// step it: the pattern circuit, its victim node, the isolated victim line
+// (the push-out reference) and the transient options with the horizon
+// rule applied.
+struct PatternTransient {
+  tline::GateLineLoad isolated;
+  sim::Circuit circuit;
+  std::string victim_node;
+  sim::TransientOptions transient;
+};
+
+PatternTransient pattern_transient(const tline::CoupledBus& bus,
+                                   SwitchingPattern pattern,
+                                   const CrosstalkOptions& options) {
+  validate_options(bus, options, "analyze_crosstalk");
+  const int victim_line = bus.victim_index();
+  PatternTransient run{{options.driver_resistance, bus.line_at(victim_line),
+                        options.load_capacitance},
+                       build_pattern_bus(bus, pattern, options),
+                       "line" + std::to_string(victim_line) + ".out",
+                       {}};
+  run.transient.t_stop = options.t_stop > 0.0
+                             ? options.t_stop
+                             : sim::default_transient_horizon(run.isolated);
+  run.transient.dt = options.dt;
+  run.transient.reuse = options.reuse;
+  return run;
+}
+
 }  // namespace
 
 bool is_shield_line(int line, int victim, int shield_every) {
@@ -172,40 +212,25 @@ const char* switching_pattern_name(SwitchingPattern pattern) {
 CrosstalkMetrics analyze_crosstalk(const tline::CoupledBus& bus,
                                    SwitchingPattern pattern,
                                    const CrosstalkOptions& options) {
-  validate_options(bus, options, "analyze_crosstalk");
-
-  const int victim_line = bus.victim_index();
-  const tline::GateLineLoad isolated{options.driver_resistance,
-                                     bus.line_at(victim_line),
-                                     options.load_capacitance};
-  const sim::Circuit circuit = build_pattern_bus(bus, pattern, options);
-  const std::string victim_node =
-      "line" + std::to_string(victim_line) + ".out";
+  const PatternTransient run = pattern_transient(bus, pattern, options);
   const bool victim_switches = pattern != SwitchingPattern::kQuietVictim;
-
-  sim::TransientOptions transient;
-  transient.t_stop = options.t_stop > 0.0
-                         ? options.t_stop
-                         : sim::default_transient_horizon(isolated);
-  transient.dt = options.dt;
-  transient.reuse = options.reuse;
 
   CrosstalkMetrics metrics;
   sim::Trace victim;
   if (victim_switches) {
     // The push-out reference; computed only when a push-out exists, absent
     // (not fatal) in the degenerate-damping corner.
-    metrics.isolated_delay_two_pole = isolated_two_pole_delay(isolated);
+    const std::optional<double> reference = isolated_two_pole_delay(run.isolated);
     // The Miller-degraded corner can be much slower than the isolated
     // estimate the horizon comes from; run_until_crossing auto-extends.
-    sim::DelayRun run = sim::run_until_crossing(
-        circuit, victim_node, 0.5 * options.vdd, transient, "analyze_crosstalk");
-    victim = run.result.waveforms.trace(victim_node);
-    metrics.victim_delay_50 = run.crossing;
-    if (metrics.isolated_delay_two_pole)
-      metrics.delay_pushout = run.crossing - *metrics.isolated_delay_two_pole;
+    sim::DelayRun delay_run =
+        sim::run_until_crossing(run.circuit, run.victim_node, 0.5 * options.vdd,
+                                run.transient, "analyze_crosstalk");
+    victim = delay_run.result.waveforms.trace(run.victim_node);
+    static_cast<CrosstalkDelay&>(metrics) = delay_fields(delay_run.crossing, reference);
   } else {
-    victim = sim::run_transient(circuit, transient).waveforms.trace(victim_node);
+    victim = sim::run_transient(run.circuit, run.transient)
+                 .waveforms.trace(run.victim_node);
   }
 
   // Noise: excursion outside the victim's drive envelope [v(0), v(inf)].
@@ -216,6 +241,22 @@ CrosstalkMetrics analyze_crosstalk(const tline::CoupledBus& bus,
   metrics.peak_noise =
       std::max({0.0, lo - victim.min_value(), victim.max_value() - hi});
   return metrics;
+}
+
+CrosstalkDelay analyze_crosstalk_delay(const tline::CoupledBus& bus,
+                                       SwitchingPattern pattern,
+                                       const CrosstalkOptions& options) {
+  const PatternTransient run = pattern_transient(bus, pattern, options);
+  if (pattern == SwitchingPattern::kQuietVictim) {
+    // No delay; the full run only seeds and counts options.reuse.
+    sim::run_transient(run.circuit, run.transient);
+    return {};
+  }
+  const std::optional<double> reference = isolated_two_pole_delay(run.isolated);
+  return delay_fields(sim::first_crossing(run.circuit, run.victim_node,
+                                          0.5 * options.vdd, run.transient,
+                                          "analyze_crosstalk"),
+                      reference);
 }
 
 CrosstalkMetrics analyze_crosstalk_reduced(const tline::CoupledBus& bus,
@@ -304,13 +345,11 @@ CrosstalkMetrics analyze_crosstalk_reduced(const tline::CoupledBus& bus,
       throw std::runtime_error(
           "analyze_crosstalk_reduced: '" + victim_node +
           "' never crossed the threshold within the (auto-extended) window");
-    metrics.victim_delay_50 = *measured.delay_50;
-    metrics.isolated_delay_two_pole = isolated_two_pole_delay(
-        {options.driver_resistance, bus.line_at(victim_line),
-         options.load_capacitance});
-    if (metrics.isolated_delay_two_pole)
-      metrics.delay_pushout =
-          *measured.delay_50 - *metrics.isolated_delay_two_pole;
+    static_cast<CrosstalkDelay&>(metrics) = delay_fields(
+        *measured.delay_50,
+        isolated_two_pole_delay({options.driver_resistance,
+                                 bus.line_at(victim_line),
+                                 options.load_capacitance}));
   }
   return metrics;
 }

@@ -83,24 +83,28 @@ struct CrosstalkOptions {
 // above (the victim itself is never a shield).
 bool is_shield_line(int line, int victim, int shield_every);
 
-// All metrics come from ONE transient of the given pattern. Optional fields
-// are absent — never 0 — when the pattern (or numerics) does not define them.
-struct CrosstalkMetrics {
+// The victim's delay metrics. Optional fields are absent — never 0 — when
+// the pattern (or numerics) does not define them.
+struct CrosstalkDelay {
   // First 50% crossing of the victim's far end; absent for kQuietVictim
   // (a quiet victim never switches).
   std::optional<double> victim_delay_50;
   // victim_delay_50 minus isolated_delay_two_pole; absent with either.
   std::optional<double> delay_pushout;
-  // Peak victim far-end excursion OUTSIDE its drive envelope [v(0), v(inf)],
-  // volts: for a quiet victim this is the classic peak crosstalk noise; for
-  // a switching victim it is over/undershoot beyond the rails (which
-  // includes the line's own inductive ringing).
-  double peak_noise = 0.0;
   // Isolated-line 50% delay of the two-pole model for the same driver, line
   // and load — the push-out reference. Absent for kQuietVictim (no push-out
   // to reference) and in the degenerate extreme-damping corner where the
   // two-pole bracket does not exist in double precision.
   std::optional<double> isolated_delay_two_pole;
+};
+
+// All metrics come from ONE transient of the given pattern.
+struct CrosstalkMetrics : CrosstalkDelay {
+  // Peak victim far-end excursion OUTSIDE its drive envelope [v(0), v(inf)],
+  // volts: for a quiet victim this is the classic peak crosstalk noise; for
+  // a switching victim it is over/undershoot beyond the rails (which
+  // includes the line's own inductive ringing).
+  double peak_noise = 0.0;
 };
 
 // Simulates the bus under `pattern` and measures the victim. Throws
@@ -109,6 +113,18 @@ struct CrosstalkMetrics {
 CrosstalkMetrics analyze_crosstalk(const tline::CoupledBus& bus,
                                    SwitchingPattern pattern,
                                    const CrosstalkOptions& options);
+
+// The delay fields of analyze_crosstalk(bus, pattern, options), bit for bit,
+// with the same exceptions and messages, from a transient that stops at the
+// victim's first 50% crossing (sim::first_crossing) instead of recording
+// every node to the horizon. No noise is measured, so none is returned. A
+// quiet victim has no crossing: it runs analyze_crosstalk's full transient
+// and returns every field absent, so options.reuse is seeded and counted
+// exactly as analyze_crosstalk would (a sweep's reference point may be
+// quiet).
+CrosstalkDelay analyze_crosstalk_delay(const tline::CoupledBus& bus,
+                                       SwitchingPattern pattern,
+                                       const CrosstalkOptions& options);
 
 // Reduced-order ANALYTIC variant of analyze_crosstalk: builds the identical
 // bus circuit, AWE-reduces every (victim, switching driver) transfer to

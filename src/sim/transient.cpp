@@ -622,6 +622,8 @@ std::optional<LockstepStats> run_lockstep(const std::vector<const Circuit*>& cir
     ++stats.steps;
     go_on = record(time, nv.data());
   }
+  OBS_COUNTER_ADD("transient.runs", 1);
+  OBS_COUNTER_ADD("transient.steps", stats.steps);
   OBS_COUNTER_ADD("batch.solves", solves);
   if (batch) {
     OBS_COUNTER_ADD("cache.lu_dt_batch.hits", lu_hits);
@@ -732,7 +734,6 @@ std::vector<double> dc_operating_point(const Circuit& circuit, double gmin) {
 
 TransientResult run_transient(const Circuit& circuit, const TransientOptions& options) {
   OBS_SPAN("transient.run");
-  OBS_COUNTER_ADD("transient.runs", 1);
   if (const char* error = option_error(options)) throw std::invalid_argument(error);
 
   const std::size_t n_nodes = circuit.node_count();
@@ -745,7 +746,6 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
         return true;
       });
 
-  OBS_COUNTER_ADD("transient.steps", stats.steps);
   std::map<std::string, std::vector<double>> node_values;
   for (std::size_t i = 0; i < n_nodes; ++i)
     node_values[circuit.node_name(static_cast<NodeId>(i))] = std::move(columns[i]);

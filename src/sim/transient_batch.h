@@ -16,8 +16,10 @@
 //                          buffered circuits. It serves every sweep point
 //                          that does not batch (the seeded reference point,
 //                          lanes = 1 and per-scenario-horizon sweeps, short
-//                          remainders) and the delay-only helpers
-//                          simulate_gate_line_delay and
+//                          remainders), every switching-victim
+//                          crosstalk delay and push-out point
+//                          (core::analyze_crosstalk_delay) and the
+//                          delay-only helpers simulate_gate_line_delay and
 //                          simulate_repeater_chain_delay.
 //   run_batched_crossings  W = 1/4/8 buffer-free circuits of one topology on
 //                          one shared time grid. Per step it assembles W

@@ -150,12 +150,15 @@ double evaluate_point(const Scenario& scenario, Analysis analysis,
                    ? m.peak_noise
                    : m.victim_delay_50.value_or(kNaN);
       }
-      const core::CrosstalkMetrics m = core::analyze_crosstalk(bus, x.pattern, xt);
-      if (analysis == Analysis::kCrosstalkNoise) return m.peak_noise;
+      // Noise needs the whole horizon; delay and push-out stop stepping at
+      // the victim's 50% crossing.
+      if (analysis == Analysis::kCrosstalkNoise)
+        return core::analyze_crosstalk(bus, x.pattern, xt).peak_noise;
+      const core::CrosstalkDelay d = core::analyze_crosstalk_delay(bus, x.pattern, xt);
       // Quiet-victim delays are absent, recorded as NaN (never 0).
       return analysis == Analysis::kCrosstalkDelay
-                 ? m.victim_delay_50.value_or(kNaN)
-                 : m.delay_pushout.value_or(kNaN);
+                 ? d.victim_delay_50.value_or(kNaN)
+                 : d.delay_pushout.value_or(kNaN);
     }
     case Analysis::kBusRepeaterDelay:
     case Analysis::kBusRepeaterNoise: {

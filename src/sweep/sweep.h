@@ -134,10 +134,13 @@ enum class Analysis {
   kRepeaterDelay,    // eq. (19) total delay at the scenario's (h, k)
   kRepeaterOptimum,  // numerically optimized RLC-aware total delay
   kCrosstalkDelay,   // bus victim 50% delay under the scenario's pattern, s
-                     // (NaN for kQuietVictim — a quiet victim never switches)
+                     // (NaN for kQuietVictim — a quiet victim never switches);
+                     // core::analyze_crosstalk_delay, which stops stepping at
+                     // the victim's crossing
   kCrosstalkNoise,   // peak victim excursion outside its drive envelope, V
+                     // (core::analyze_crosstalk over the whole horizon)
   kCrosstalkPushout, // victim delay minus the two-pole isolated delay, s
-                     // (NaN for kQuietVictim)
+                     // (NaN for kQuietVictim; analyze_crosstalk_delay too)
   kReducedDelay,     // reduced-order ANALYTIC victim 50% delay of the same
                      // bus/pattern (core::analyze_crosstalk_reduced at the
                      // scenario's reduction_order) — the paper's "analytic

@@ -5,6 +5,10 @@
 // finder an unbracketed interval.
 #include <cmath>
 #include <cstring>
+#include <optional>
+#include <random>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -433,6 +437,206 @@ TEST(CrosstalkSweep, AxisValidation) {
   EXPECT_THROW(spec.validate(), std::invalid_argument);
   spec.axes.back() = sweep::values(sweep::Variable::kBusLines, {2.0, 4.0});
   EXPECT_NO_THROW(spec.validate());
+}
+
+// ---------------------------------------------------------------------------
+// Delay-only entry point: analyze_crosstalk_delay stops at the victim's 50%
+// crossing and must give analyze_crosstalk's delay fields bit for bit
+// ---------------------------------------------------------------------------
+
+void expect_same_bits(const std::optional<double>& a, const std::optional<double>& b,
+                      const std::string& what) {
+  ASSERT_EQ(a.has_value(), b.has_value()) << what;
+  if (a) {
+    EXPECT_EQ(std::memcmp(&*a, &*b, sizeof(double)), 0)
+        << what << ": " << *a << " vs " << *b;
+  }
+}
+
+void expect_same_delay(const core::CrosstalkDelay& full,
+                       const core::CrosstalkDelay& stopped, const std::string& what) {
+  expect_same_bits(full.victim_delay_50, stopped.victim_delay_50, what + " delay");
+  expect_same_bits(full.delay_pushout, stopped.delay_pushout, what + " pushout");
+  expect_same_bits(full.isolated_delay_two_pole, stopped.isolated_delay_two_pole,
+                   what + " reference");
+}
+
+TEST(CrosstalkDelayOnly, MatchesFullTransientOnSeededBuses) {
+  std::mt19937 rng(20260101);
+  const auto uniform = [&](double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(rng);
+  };
+  // 18 cases cover every (shield_every, pattern, ideal/ramped edge)
+  // combination; the rest of each case is drawn.
+  for (int k = 0; k < 18; ++k) {
+    const int lines = 2 + static_cast<int>(rng() % 4);
+    const tline::LineParams line{uniform(100.0, 300.0), uniform(2e-9, 8e-9),
+                                 uniform(0.5e-12, 1.5e-12)};
+    const tline::CoupledBus bus = tline::make_bus(
+        lines, line, uniform(0.05, 0.8), uniform(0.0, 0.9) * tline::max_lm_ratio(lines));
+    const auto pattern = static_cast<core::SwitchingPattern>((k / 3) % 3);
+    core::CrosstalkOptions opt;
+    opt.driver_resistance = uniform(30.0, 300.0);
+    opt.load_capacitance = uniform(10e-15, 100e-15);
+    opt.segments = 6 + static_cast<int>(rng() % 5);
+    opt.shield_every = k % 3;
+    if (k >= 9) opt.source_rise = uniform(20e-12, 300e-12);
+    // One PWL drive on a random line: a two-piece edge with a hold between.
+    opt.drive_overrides.assign(static_cast<std::size_t>(lines), std::nullopt);
+    const double start = uniform(0.0, 100e-12), hold = uniform(0.2, 0.8);
+    opt.drive_overrides[rng() % static_cast<unsigned>(lines)] = sim::PwlSpec{
+        {{start, 0.0}, {start + 50e-12, hold}, {start + 150e-12, hold},
+         {start + 200e-12, 1.0}}};
+    // Half the cases take an explicit horizon; the short ones auto-extend.
+    if (rng() % 2 == 0)
+      opt.t_stop = uniform(0.5, 1.5) *
+                   sim::default_transient_horizon(
+                       {opt.driver_resistance, bus.line, opt.load_capacitance});
+
+    const std::string what = "case " + std::to_string(k);
+    const core::CrosstalkMetrics full = core::analyze_crosstalk(bus, pattern, opt);
+    const core::CrosstalkDelay stopped = core::analyze_crosstalk_delay(bus, pattern, opt);
+    expect_same_delay(full, stopped, what);
+    EXPECT_EQ(full.victim_delay_50.has_value(),
+              pattern != core::SwitchingPattern::kQuietVictim)
+        << what;
+  }
+}
+
+TEST(CrosstalkDelayOnly, AutoExtendedOppositePhaseMatches) {
+  const tline::CoupledBus bus = tline::make_bus(3, kLine, 0.6, 0.3);
+  auto opt = options_for(10);
+  const auto pattern = core::SwitchingPattern::kOppositePhase;
+  const double delay = *core::analyze_crosstalk(bus, pattern, opt).victim_delay_50;
+  // A first window a quarter of the delay long misses the crossing, so both
+  // entry points take the auto-extend attempts.
+  opt.t_stop = 0.25 * delay;
+  const core::CrosstalkMetrics full = core::analyze_crosstalk(bus, pattern, opt);
+  const core::CrosstalkDelay stopped = core::analyze_crosstalk_delay(bus, pattern, opt);
+  expect_same_delay(full, stopped, "auto-extended");
+  ASSERT_TRUE(stopped.victim_delay_50);
+  EXPECT_GT(*stopped.victim_delay_50, opt.t_stop);
+}
+
+// The message each entry point throws, or "" if it returns.
+template <typename Exception, typename Call>
+std::string thrown_message(Call&& call) {
+  try {
+    call();
+  } catch (const Exception& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(CrosstalkDelayOnly, ErrorsMatchTheFullTransient) {
+  const tline::CoupledBus bus = tline::make_bus(3, kLine, 0.4, 0.2);
+  const auto pattern = core::SwitchingPattern::kSamePhase;
+  const auto both = [&](const core::CrosstalkOptions& opt) {
+    return std::pair{[&, opt] { core::analyze_crosstalk(bus, pattern, opt); },
+                     [&, opt] { core::analyze_crosstalk_delay(bus, pattern, opt); }};
+  };
+
+  // A victim drive that stops at 40% of vdd never crosses 50%, however far
+  // the horizon is extended.
+  auto stalled = options_for(6);
+  stalled.drive_overrides.assign(3, std::nullopt);
+  stalled.drive_overrides[1] = sim::PwlSpec{{{0.0, 0.0}, {100e-12, 0.4}}};
+  const auto [full_stall, stopped_stall] = both(stalled);
+  const std::string never = thrown_message<std::runtime_error>(full_stall);
+  EXPECT_NE(never.find("never crossed"), std::string::npos) << never;
+  EXPECT_EQ(thrown_message<std::runtime_error>(stopped_stall), never);
+
+  auto negative_dt = options_for(6);
+  negative_dt.dt = -1e-12;
+  const auto [full_dt, stopped_dt] = both(negative_dt);
+  const std::string bad_dt = thrown_message<std::invalid_argument>(full_dt);
+  EXPECT_FALSE(bad_dt.empty());
+  EXPECT_EQ(thrown_message<std::invalid_argument>(stopped_dt), bad_dt);
+
+  // A quiet victim has no delay: every field absent, NaN in the sweep.
+  const core::CrosstalkDelay quiet = core::analyze_crosstalk_delay(
+      bus, core::SwitchingPattern::kQuietVictim, options_for(6));
+  EXPECT_FALSE(quiet.victim_delay_50 || quiet.delay_pushout ||
+               quiet.isolated_delay_two_pole);
+  sweep::SweepSpec spec;
+  spec.base.system = {kRdrv, kLine, kCload};
+  spec.base.xtalk.bus_lines = 3;
+  spec.base.xtalk.pattern = core::SwitchingPattern::kQuietVictim;
+  sweep::EngineOptions engine_options;
+  engine_options.threads = 1;
+  engine_options.segments = 6;
+  const sweep::SweepEngine engine(engine_options);
+  for (const auto analysis :
+       {sweep::Analysis::kCrosstalkDelay, sweep::Analysis::kCrosstalkPushout})
+    EXPECT_TRUE(std::isnan(engine.run(spec, analysis).values.at(0)))
+        << sweep::analysis_name(analysis);
+}
+
+// Per-point analyze_crosstalk over a crosstalk grid, seeded the way a
+// one-thread sweep seeds: point 0 records the symbolic factorizations, and
+// every point replays that record. Returns the record with its counts.
+sim::SolverReuse per_point_analyze_crosstalk(const sweep::SweepSpec& spec, int segments,
+                                             std::vector<core::CrosstalkMetrics>& out) {
+  sim::SolverReuse reuse;
+  for (std::size_t flat = 0; flat < spec.size(); ++flat) {
+    const sweep::Scenario s = spec.at(flat);
+    core::CrosstalkOptions opt;
+    opt.driver_resistance = s.system.driver_resistance;
+    opt.load_capacitance = s.system.load_capacitance;
+    opt.segments = segments;
+    opt.shield_every = s.xtalk.shield_every;
+    opt.reuse = &reuse;
+    out.push_back(core::analyze_crosstalk(
+        tline::make_bus(s.xtalk.bus_lines, s.system.line, s.xtalk.cc_ratio,
+                        s.xtalk.lm_ratio),
+        s.xtalk.pattern, opt));
+  }
+  return reuse;
+}
+
+TEST(CrosstalkDelayOnly, SweepMatchesPerPointAnalyzeCrosstalk) {
+  // Grid point 0 is a quiet victim: the reference run that seeds every
+  // worker's SolverReuse must still record the full transient's pattern.
+  sweep::SweepSpec spec;
+  spec.base.system = {kRdrv, kLine, kCload};
+  spec.base.xtalk.bus_lines = 3;
+  spec.base.xtalk.lm_ratio = 0.2;
+  spec.axes = {
+      sweep::switching_patterns({core::SwitchingPattern::kQuietVictim,
+                                 core::SwitchingPattern::kSamePhase,
+                                 core::SwitchingPattern::kOppositePhase}),
+      sweep::values(sweep::Variable::kCouplingCapRatio, {0.2, 0.5}),
+      sweep::values(sweep::Variable::kDriverResistance, {50.0, 150.0, 400.0}),
+  };
+  const int segments = 8;
+  std::vector<core::CrosstalkMetrics> reference;
+  const sim::SolverReuse counts = per_point_analyze_crosstalk(spec, segments, reference);
+
+  for (const auto analysis :
+       {sweep::Analysis::kCrosstalkDelay, sweep::Analysis::kCrosstalkPushout}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      sweep::EngineOptions options;
+      options.threads = threads;
+      options.segments = segments;
+      const sweep::SweepEngine engine(options);
+      const sweep::SweepResult result = engine.run(spec, analysis);
+      const std::string what =
+          std::string(sweep::analysis_name(analysis)) + " at " + std::to_string(threads);
+      ASSERT_EQ(result.values.size(), reference.size()) << what;
+      for (std::size_t i = 0; i < reference.size(); ++i) {
+        const std::optional<double>& field =
+            analysis == sweep::Analysis::kCrosstalkDelay ? reference[i].victim_delay_50
+                                                         : reference[i].delay_pushout;
+        const double expected = field.value_or(std::nan(""));
+        EXPECT_EQ(std::memcmp(&expected, &result.values[i], sizeof(double)), 0)
+            << what << ", point " << i;
+      }
+      EXPECT_EQ(result.symbolic_factorizations, counts.symbolic_factorizations) << what;
+      EXPECT_EQ(result.solver_reuse_hits, counts.reuse_hits) << what;
+    }
+  }
+  EXPECT_EQ(counts.symbolic_factorizations, 2u);
 }
 
 // ---------------------------------------------------------------------------
