@@ -16,11 +16,16 @@
 //      and cuts quiet-victim noise.
 //
 // Plus the standard determinism contract: the optimizer grid is bit-identical
-// at 1 and 3 threads (per-topology symbolic seeding, like every sweep).
+// at 1 and 3 threads (per-topology symbolic seeding, like every sweep), and
+// its shared per-(k, shield, h) stage models give exactly the evaluations of
+// a per-candidate model build (optimizer_matches_per_candidate).
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -46,6 +51,57 @@ bool gate(const char* name, double value, double limit, bool* pass) {
               "\"pass\": %s}",
               name, value, limit, ok ? "true" : "false");
   return ok;
+}
+
+// The per-candidate evaluation path the optimizer's shared models must
+// reproduce bit for bit: every candidate builds its own stage models from a
+// copy of its (sections, shield) group's record — the group's first
+// candidate seeds it — and runs the three pattern walks on them.
+bool matches_per_candidate(const tline::CoupledBus& bus,
+                           const core::MinBuffer& buffer,
+                           const repbus::OptimizerOptions& options,
+                           const std::vector<repbus::BusDesignEval>& evals) {
+  const auto same = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  std::map<std::pair<int, int>, mor::ConductanceReuse> records;
+  for (const repbus::BusDesignEval& eval : evals) {
+    repbus::RepeaterBusSpec spec;
+    spec.bus = bus;
+    spec.sections = eval.sections;
+    spec.size = eval.size;
+    spec.buffer = buffer;
+    spec.placement = eval.placement;
+    spec.segments_per_section = options.segments_per_section;
+    spec.vdd = options.vdd;
+    spec.source_rise = options.source_rise;
+    spec.buffer_rise = options.buffer_rise;
+    spec.shield_every = eval.shield_every;
+    auto [it, seeds] = records.try_emplace({eval.sections, eval.shield_every});
+    mor::ConductanceReuse copy = it->second;
+    const repbus::StageModels models = repbus::build_stage_models(
+        spec, options.order, seeds ? &it->second : &copy);
+    const double same_phase =
+        *repbus::compose_bus_chain(spec, core::SwitchingPattern::kSamePhase,
+                                   models)
+             .victim_delay_50;
+    const double opposite_phase =
+        *repbus::compose_bus_chain(spec, core::SwitchingPattern::kOppositePhase,
+                                   models)
+             .victim_delay_50;
+    const double noise =
+        repbus::compose_bus_chain(spec, core::SwitchingPattern::kQuietVictim,
+                                  models)
+            .peak_noise;
+    if (!same(eval.same_phase_delay, same_phase) ||
+        !same(eval.opposite_phase_delay, opposite_phase) ||
+        !same(eval.worst_delay, std::max(same_phase, opposite_phase)) ||
+        !same(eval.noise, noise) ||
+        !same(eval.area, repbus::repeater_area(spec)) ||
+        eval.feasible != (noise <= options.noise_cap))
+      return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -172,6 +228,7 @@ int main(int argc, char** argv) {
     optimizer.sections = {3, 4};
   }
   std::vector<double> reference_values;
+  std::vector<repbus::BusDesignEval> evaluations;  // the 1-thread grid
   bool identical = true;
   std::size_t candidates = 0;
   const char* best_placement = "";
@@ -188,6 +245,7 @@ int main(int argc, char** argv) {
     }
     if (threads == 1) {
       reference_values = values;
+      evaluations = result.evaluations;
       candidates = result.evaluations.size();
       if (result.best)
         best_placement = repbus::placement_name(result.best->placement);
@@ -229,6 +287,13 @@ int main(int argc, char** argv) {
        staggered_noise_mna / uniform_noise_mna, 0.95, &pass);
   std::printf("\n  ],\n");
   benchutil::metrics_json_block();
+  // Untimed, and after the metrics snapshot so the counters above describe
+  // the optimizer alone: the shared-model grid against per-candidate builds.
+  const bool matches_reference =
+      matches_per_candidate(bus, buffer, optimizer, evaluations);
+  if (!matches_reference) pass = false;
+  std::printf("  \"optimizer_matches_per_candidate\": %s,\n",
+              matches_reference ? "true" : "false");
   std::printf("  \"pass\": %s\n}\n", pass ? "true" : "false");
   return pass ? 0 : 1;
 }

@@ -36,9 +36,10 @@ StageModel reduce_stage(const sim::Circuit& circuit,
   model.outputs = outputs;
   model.transfer.reserve(outputs.size());
   model.dc.reserve(outputs.size());
-  for (std::size_t s = 0; s < outputs.size(); ++s) {
-    const std::vector<double> moments = generator.transfer_moments(
-        linear.outputs[s], linear.inputs[0], 2 * order);
+  // One Krylov sequence from the single driver serves every output.
+  const std::vector<std::vector<double>> rows =
+      generator.transfer_moments(linear.outputs, linear.inputs[0], 2 * order);
+  for (const std::vector<double>& moments : rows) {
     model.dc.push_back(moments[0]);
     model.transfer.push_back(mor::reduce_transfer(moments, order, max_delay));
   }

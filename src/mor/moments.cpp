@@ -1,6 +1,7 @@
 #include "mor/moments.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "obs/obs.h"
 
@@ -84,18 +85,31 @@ void MomentGenerator::advance(std::vector<double>& m) const {
 std::vector<double> MomentGenerator::transfer_moments(
     const std::vector<double>& output, const std::vector<double>& input,
     int count) const {
+  return std::move(transfer_moments(
+      std::vector<std::vector<double>>{output}, input, count)[0]);
+}
+
+std::vector<std::vector<double>> MomentGenerator::transfer_moments(
+    const std::vector<std::vector<double>>& outputs,
+    const std::vector<double>& input, int count) const {
   if (count < 1)
     throw std::invalid_argument("transfer_moments: count must be >= 1");
-  if (output.size() != size() || input.size() != size())
+  if (input.size() != size())
     throw std::invalid_argument("transfer_moments: vector size mismatch");
-  std::vector<double> moments;
-  moments.reserve(static_cast<std::size_t>(count));
+  for (const std::vector<double>& output : outputs)
+    if (output.size() != size())
+      throw std::invalid_argument("transfer_moments: vector size mismatch");
+  std::vector<std::vector<double>> moments(outputs.size());
+  for (std::vector<double>& row : moments)
+    row.reserve(static_cast<std::size_t>(count));
   std::vector<double> m = solve(input);
   for (int k = 0; k < count; ++k) {
     if (k > 0) advance(m);
-    double dot = 0.0;
-    for (std::size_t i = 0; i < m.size(); ++i) dot += output[i] * m[i];
-    moments.push_back(dot);
+    for (std::size_t o = 0; o < outputs.size(); ++o) {
+      double dot = 0.0;
+      for (std::size_t i = 0; i < m.size(); ++i) dot += outputs[o][i] * m[i];
+      moments[o].push_back(dot);
+    }
   }
   return moments;
 }

@@ -95,6 +95,14 @@ class MomentGenerator {
   std::vector<double> transfer_moments(const std::vector<double>& output,
                                        const std::vector<double>& input,
                                        int count) const;
+  // The same moments for every output column at once: row o holds the first
+  // `count` moments of outputs[o]. One Krylov sequence serves all rows, and
+  // each row is bit-identical to the single-output call (same vectors, same
+  // dot order), so a caller may take any prefix of a row as a lower-order
+  // moment set.
+  std::vector<std::vector<double>> transfer_moments(
+      const std::vector<std::vector<double>>& outputs,
+      const std::vector<double>& input, int count) const;
 
  private:
   // m <- -G^{-1} (C m): one Krylov step, no allocation beyond LU scratch.

@@ -122,6 +122,9 @@ namespace {
 // OUTSIDE the lane loop, so each (pole, coefficient) pair is loaded once per
 // block instead of once per sample.
 constexpr std::size_t kScanBlock = 8;
+// first_crossing tries the settled-tail exit on every kSettleCheck-th grid
+// index (each try costs one exp per pole term).
+constexpr std::size_t kSettleCheck = 64;
 }  // namespace
 
 void AnalyticResponse::values(const double* times, double* out,
@@ -243,12 +246,15 @@ class AnalyticResponse::Scanner {
         wi_.push_back(w.imag());
         ar_.push_back(a.real());
         ai_.push_back(a.imag());
+        abs_a_.push_back(std::abs(a));
         piece.sum_re_a += a.real();
         s += std::abs(a);
         q += std::abs(a) * std::abs(p);
         stable = stable && p.real() <= 0.0;
       }
       piece.end = poles_.size();
+      piece.tail_scale =
+          std::fabs(c.delta) * (c.rise == 0.0 ? 1.0 : 2.0 / c.rise);
       pieces_.push_back(piece);
       d_min = std::min(d_min, c.delay);
 
@@ -276,6 +282,7 @@ class AnalyticResponse::Scanner {
     }
     bound0_ = 2.0 * b0;
     bound1_ = 2.0 * b1;
+    tail_rounding_ = std::max(bound(t0), bound(point(samples)));
     zr_.assign(poles_.size(), 0.0);
     zi_.assign(poles_.size(), 0.0);
     zr_off_.assign(poles_.size(), 0.0);
@@ -308,6 +315,38 @@ class AnalyticResponse::Scanner {
   // |estimate(t) - value(t)| <= bound(t); +inf when no bound holds.
   double bound(double t) const { return bound0_ + bound1_ * std::fabs(t); }
 
+  // Settled tail: a bound on |value(t') - final_value()| over every grid
+  // sample t' after t = point(i), or +inf while some contribution is still
+  // before its onset or on its ramp (or a pole is unstable).
+  //
+  // Past its onset and ramp end a contribution differs from its final
+  // delta*dc by delta * sum Re(a e^{p ts}) (step) or
+  // delta/rise * sum Re(a (e^{p ts} - e^{p (ts - rise)})) (ramp), so for
+  // stable poles (Re p <= 0) the math gap is at most
+  //   sum_c |delta_c| g_c sum |a| e^{Re p (t - d_c - rise_c)},
+  // g_c = 1 for a step and 2/rise_c for a ramp, and it only shrinks as t
+  // grows (later grid samples sit a whole step past t, far beyond the
+  // rounding of t - d_c - rise_c). bound() at the window's ends covers what
+  // value() and final_value() round on top of the math values (both are
+  // evaluation paths the drift bound above already accounts for); the
+  // factor 2 is slack for that and for the rounding of the tail sum.
+  double settled_gap(double t) const {
+    if (!std::isfinite(tail_rounding_))
+      return std::numeric_limits<double>::infinity();
+    double tail = 0.0;
+    for (std::size_t k = 0; k < pieces_.size(); ++k) {
+      const Contribution& c = response_.contributions_[k];
+      const double x = (t - c.delay) - c.rise;
+      if (!(x >= 0.0)) return std::numeric_limits<double>::infinity();
+      const Piece& piece = pieces_[k];
+      double sum = 0.0;
+      for (std::size_t j = piece.begin; j < piece.end; ++j)
+        sum += abs_a_[j] * std::exp(poles_[j].real() * x);
+      tail += piece.tail_scale * sum;
+    }
+    return 2.0 * (tail + tail_rounding_);
+  }
+
   // Recurrence estimate of value(t) for t = point(i); successive calls must
   // visit consecutive i starting at first_live().
   double estimate(double t) {
@@ -339,6 +378,7 @@ class AnalyticResponse::Scanner {
   struct Piece {
     std::size_t begin = 0, end = 0;  // the contribution's terms
     double sum_re_a = 0.0;           // sum Re(a): the ramp's "- 1" terms
+    double tail_scale = 0.0;         // |delta| (step) or 2|delta|/rise (ramp)
     int on = -1, off = -1;  // samples since the last seed; -1 = not yet live
   };
 
@@ -374,16 +414,23 @@ class AnalyticResponse::Scanner {
   std::size_t samples_;
   std::size_t first_live_ = 0;
   double bound0_ = 0.0, bound1_ = 0.0;
+  double tail_rounding_ = 0.0;  // bound() over the whole grid
   std::vector<Piece> pieces_;
   std::vector<Complex> poles_;
   // Structure of arrays over every term of every contribution.
-  std::vector<double> wr_, wi_, ar_, ai_, zr_, zi_, zr_off_, zi_off_;
+  std::vector<double> wr_, wi_, ar_, ai_, abs_a_, zr_, zi_, zr_off_, zi_off_;
 };
 
 std::optional<double> AnalyticResponse::first_crossing(double level,
                                                        int direction,
                                                        double t_from) const {
   double window = suggested_horizon();
+  const double final_gap = final_value() - level;
+  // The side every settled sample sits on (a level ON the final value has
+  // none: the tail may touch it, so such a scan always runs to the end).
+  const Side settled_side = final_gap > 0.0   ? Side::kAbove
+                            : final_gap < 0.0 ? Side::kBelow
+                                              : Side::kUnordered;
   std::uint64_t walked = 0, exact = 0;
   std::optional<double> crossing;
   for (int attempt = 0; attempt < 4 && !crossing; ++attempt, window *= 4.0) {
@@ -419,6 +466,14 @@ std::optional<double> AnalyticResponse::first_crossing(double level,
         tolerance.x_tolerance = 1e-14 * window;
         crossing = numeric::brent([&](double x) { return value(x) - level; },
                                   prev_t, t, tolerance);
+        ++i;
+        break;
+      }
+      // Settled tail: once this sample is strictly on the final value's
+      // side and the tail bound proves every later sample is too, no
+      // transition (and so no crossing) is left in this window.
+      if (side == settled_side && i % kSettleCheck == 0 &&
+          std::fabs(final_gap) > scan.settled_gap(t)) {
         ++i;
         break;
       }

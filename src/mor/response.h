@@ -21,7 +21,13 @@
 // and start past the earliest onset; a sample whose recurrence value lies
 // within the scan's drift bound of the decision it feeds is re-evaluated
 // with value(), so brackets, extremum indices and every result bit equal an
-// exact scan's.
+// exact scan's. A crossing window also stops at a settled tail: once the
+// walked sample sits strictly on the final value's side of the level and a
+// closed-form bound on the remaining pole terms (plus the scan's rounding
+// bound) proves every later sample does too, the rest of that window cannot
+// bracket the level. Every window still runs, so a never-crossing search
+// (a quiet victim's glitch check) costs a few settled prefixes instead of
+// 1 + 4 + 16 + 64 horizons of samples.
 #pragma once
 
 #include <complex>

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 namespace rlcsim::repbus {
@@ -33,14 +35,12 @@ RepeaterBusSpec spec_of(const tline::CoupledBus& bus,
   return spec;
 }
 
+// The three pattern walks of one candidate over its (shared) stage models.
 BusDesignEval evaluate(const tline::CoupledBus& bus,
                        const core::MinBuffer& buffer,
                        const OptimizerOptions& options, const Candidate& c,
-                       mor::ConductanceReuse* reuse) {
+                       const StageModels& models) {
   const RepeaterBusSpec spec = spec_of(bus, buffer, options, c);
-  // One model build serves all three pattern walks (the models depend on
-  // the topology and values, never on the drive pattern).
-  const StageModels models = build_stage_models(spec, options.order, reuse);
   const ComposedChainMetrics same =
       compose_bus_chain(spec, core::SwitchingPattern::kSamePhase, models);
   const ComposedChainMetrics opposite =
@@ -123,32 +123,54 @@ BusOptimizationResult optimize_bus_repeaters(const tline::CoupledBus& bus,
   if (candidates.empty())
     throw std::invalid_argument("optimize_bus_repeaters: empty candidate grid");
 
-  // Determinism scheme (the sweep engine's, per topology group): candidates
-  // sharing a stage topology — same (sections, shield layout); h and
-  // placement only change values — share one symbolic G factorization. The
-  // first candidate of each group runs serially on the calling thread and
-  // records it; every other candidate copies the record, so pivot orders
-  // (and results) never depend on the schedule.
-  result.evaluations.assign(candidates.size(), BusDesignEval{});
-  std::map<std::pair<int, int>, mor::ConductanceReuse> donors;
-  std::vector<std::size_t> remaining;
+  // Stage models depend on (sections, shield layout, size) and never on the
+  // placement, so the placement siblings of a size share ONE model build.
+  // Determinism scheme (the sweep engine's, per topology group): models
+  // sharing a stage topology — same (sections, shield layout); h only
+  // changes values — share one symbolic G factorization. The first model of
+  // each group is built serially on the calling thread and records it; every
+  // other model copies the record, so pivot orders (and results) never
+  // depend on the schedule.
+  struct ModelGroup {
+    Candidate first;                  // any member: the model ignores placement
+    std::vector<std::size_t> members;  // candidate indices, grid order
+    std::optional<StageModels> models;  // built serially for donors
+  };
+  std::vector<ModelGroup> groups;
+  std::map<std::tuple<int, int, double>, std::size_t> group_of;
   for (std::size_t idx = 0; idx < candidates.size(); ++idx) {
     const Candidate& c = candidates[idx];
-    const std::pair<int, int> key{c.sections, c.shield_every};
-    auto [it, inserted] = donors.try_emplace(key);
-    if (inserted)
-      result.evaluations[idx] = evaluate(bus, buffer, options, c, &it->second);
-    else
-      remaining.push_back(idx);
+    auto [it, inserted] = group_of.try_emplace(
+        std::make_tuple(c.sections, c.shield_every, c.size), groups.size());
+    if (inserted) groups.push_back({c, {}, std::nullopt});
+    groups[it->second].members.push_back(idx);
   }
-  engine.run_custom(remaining.size(), [&](std::size_t r,
-                                          sweep::SweepEngine::PointContext&) {
-    const std::size_t idx = remaining[r];
-    const Candidate& c = candidates[idx];
-    mor::ConductanceReuse local =
-        donors.at({c.sections, c.shield_every});  // read-only copy per point
-    result.evaluations[idx] = evaluate(bus, buffer, options, c, &local);
-    return result.evaluations[idx].worst_delay;
+  std::map<std::pair<int, int>, mor::ConductanceReuse> donors;
+  for (ModelGroup& group : groups) {
+    const Candidate& c = group.first;
+    auto [it, inserted] = donors.try_emplace({c.sections, c.shield_every});
+    if (inserted)
+      group.models = build_stage_models(spec_of(bus, buffer, options, c),
+                                        options.order, &it->second);
+  }
+  result.evaluations.assign(candidates.size(), BusDesignEval{});
+  engine.run_custom(groups.size(), [&](std::size_t g,
+                                       sweep::SweepEngine::PointContext&) {
+    ModelGroup& group = groups[g];
+    const Candidate& c = group.first;
+    if (!group.models) {
+      mor::ConductanceReuse local =
+          donors.at({c.sections, c.shield_every});  // read-only copy per model
+      group.models = build_stage_models(spec_of(bus, buffer, options, c),
+                                        options.order, &local);
+    }
+    double worst = 0.0;
+    for (const std::size_t idx : group.members) {
+      result.evaluations[idx] =
+          evaluate(bus, buffer, options, candidates[idx], *group.models);
+      worst = std::max(worst, result.evaluations[idx].worst_delay);
+    }
+    return worst;
   });
 
   // Best feasible (ties broken toward smaller area, then grid order).

@@ -6,16 +6,18 @@
 // victim — and placement (uniform / staggered / interleaved, shield
 // insertion) is a design axis alongside sizing. optimize_bus_repeaters()
 // scans that grid with the stage-composed reduced model (stage_compose.h) as
-// the inner loop: each candidate costs one reduced stage-model build plus
-// three closed-form composition walks, so the whole frontier evaluates in
-// the time a handful of cascaded transients would take.
+// the inner loop: the stage models depend on (k, shield layout, h) but not
+// on placement, so there is one reduced stage-model build per (k, shield,
+// h) — shared by that size's placements — and three closed-form
+// composition walks per candidate. The whole frontier evaluates in the time
+// a handful of cascaded transients would take.
 //
 // Parallelism rides the sweep engine's pool with the same determinism
-// contract as every sweep: one reference candidate per distinct stage
-// TOPOLOGY (sections, shield layout) is evaluated serially to record its
-// symbolic G factorization (mor::ConductanceReuse), every remaining
-// candidate copies its group's record — results are bit-identical at any
-// thread count.
+// contract as every sweep: the first model of each distinct stage TOPOLOGY
+// (sections, shield layout) is built serially to record its symbolic G
+// factorization (mor::ConductanceReuse), every other model copies its
+// group's record — results are bit-identical at any thread count, and equal
+// to building every candidate's models separately that way.
 #pragma once
 
 #include <limits>

@@ -74,22 +74,34 @@ StageModels build_stage_models(const RepeaterBusSpec& spec, int order,
                              static_cast<std::size_t>(lines)));
   models.dc.assign(static_cast<std::size_t>(lines),
                    std::vector<double>(static_cast<std::size_t>(lines), 0.0));
-  for (int i = 0; i < lines; ++i) {
-    if (drives[static_cast<std::size_t>(i)] == sim::BusDrive::kShieldGrounded)
-      continue;  // shield outputs are never measured
-    const double max_delay = section.line_at(i).time_of_flight();
-    for (int j = 0; j < lines; ++j) {
-      if (drives[static_cast<std::size_t>(j)] == sim::BusDrive::kShieldGrounded)
-        continue;  // shield drivers never move: zero model
+  // One Krylov sequence per signal driver j serves every output row: the
+  // sequence runs to the longest moment set any row needs, and each (i, j)
+  // transfer reduces its own prefix (bit-identical to a per-pair call).
+  const auto is_shield = [&](int line) {
+    return drives[static_cast<std::size_t>(line)] ==
+           sim::BusDrive::kShieldGrounded;
+  };
+  for (int j = 0; j < lines; ++j) {
+    if (is_shield(j)) continue;  // shield drivers never move: zero model
+    int count = 0;
+    for (int i = 0; i < lines; ++i)
+      if (!is_shield(i))
+        count = std::max(
+            count, 2 * mor::coupled_transfer_order(order, std::abs(i - j)));
+    const std::vector<std::vector<double>> rows = generator.transfer_moments(
+        linear.outputs, linear.inputs[static_cast<std::size_t>(j)], count);
+    for (int i = 0; i < lines; ++i) {
+      if (is_shield(i)) continue;  // shield outputs are never measured
       const int transfer_order =
           mor::coupled_transfer_order(order, std::abs(i - j));
-      const std::vector<double> moments = generator.transfer_moments(
-          linear.outputs[static_cast<std::size_t>(i)],
-          linear.inputs[static_cast<std::size_t>(j)], 2 * transfer_order);
+      const std::vector<double>& row = rows[static_cast<std::size_t>(i)];
+      const std::vector<double> moments(row.begin(),
+                                        row.begin() + 2 * transfer_order);
       models.dc[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
           moments[0];
       models.transfer[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-          mor::reduce_transfer(moments, transfer_order, max_delay);
+          mor::reduce_transfer(moments, transfer_order,
+                               section.line_at(i).time_of_flight());
     }
   }
   return models;

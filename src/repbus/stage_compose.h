@@ -31,9 +31,10 @@
 //     reduction order — the cross-validation tests pin its error against
 //     the true shifted-geometry MNA chain.
 //
-// The composed path is the optimizer's inner loop: one model build plus a
-// few closed-form walks per (h, k, placement) candidate, ~10-100x faster
-// than one cascaded transient (bench/repbus_frontier measures it).
+// The composed path is the optimizer's inner loop: one model build per
+// (h, k, shield layout), shared by every placement, plus three closed-form
+// walks per (h, k, placement) candidate — ~10-100x faster than one cascaded
+// transient (bench/repbus_frontier measures it).
 #pragma once
 
 #include <optional>
@@ -64,7 +65,8 @@ struct StageModels {
 
 // Builds the section circuit (whole-bus totals scaled by 1/k, the same
 // r0/h drivers and h*c0 loads the chain's buffers present) and reduces
-// every signal-line pair over one G factorization. `reuse` shares the
+// every signal-line pair over one G factorization and one Krylov sequence
+// per signal driver. The placement is never read. `reuse` shares the
 // symbolic factorization across calls with an identical section topology
 // (the optimizer's h-axis, for instance, only changes values).
 StageModels build_stage_models(const RepeaterBusSpec& spec, int order,

@@ -4,10 +4,12 @@
 // reduced crosstalk path, and the sweep engine's reduced analyses (one
 // symbolic factorization, bit-identical at any thread count).
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <complex>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <random>
 #include <string>
@@ -23,6 +25,7 @@
 #include "numeric/optimize.h"
 #include "numeric/roots.h"
 #include "numeric/sparse.h"
+#include "obs/metrics.h"
 #include "sim/builders.h"
 #include "sweep/sweep.h"
 #include "tline/transfer.h"
@@ -115,6 +118,59 @@ TEST(Moments, ConductanceReuseReplaysOneSymbolic) {
   EXPECT_EQ(reuse.symbolic_factorizations, 2u);
   EXPECT_EQ(reuse.reuse_hits, 1u);
   EXPECT_EQ(reuse.symbolic, recorded);
+}
+
+TEST(Moments, MultiOutputRowsMatchSingleOutput) {
+  // One Krylov sequence per input serves every output row; each row must be
+  // the per-pair call's moments bit for bit, so prefixes can stand in for
+  // lower-order moment sets.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    std::mt19937_64 engine(seed);
+    const auto uniform = [&](double lo, double hi) {
+      return lo + (hi - lo) * static_cast<double>(engine() >> 11) * 0x1p-53;
+    };
+    const int lines = 2 + static_cast<int>(engine() % 4);
+    const tline::CoupledBus bus = tline::make_bus(
+        lines,
+        {uniform(100.0, 1000.0), uniform(1e-9, 1e-8), uniform(5e-13, 2e-12)},
+        uniform(0.1, 0.5), uniform(0.05, 0.2));
+    const sim::Circuit circuit = sim::build_coupled_bus(
+        bus,
+        core::pattern_drives(lines, bus.victim_index(),
+                             core::SwitchingPattern::kSamePhase, 0),
+        uniform(50.0, 500.0), uniform(1e-15, 1e-13),
+        3 + static_cast<int>(engine() % 6));
+    std::vector<std::string> names;
+    for (int i = 0; i < lines; ++i)
+      names.push_back("line" + std::to_string(i) + ".out");
+    const sim::MnaAssembler mna(circuit);
+    const mor::LinearSystem linear = mor::make_linear_system(mna, names);
+    const mor::MomentGenerator generator(linear);
+    const int count = 2 + static_cast<int>(engine() % 9);
+    for (std::size_t j = 0; j < linear.inputs.size(); ++j) {
+      const auto rows =
+          generator.transfer_moments(linear.outputs, linear.inputs[j], count);
+      ASSERT_EQ(rows.size(), linear.outputs.size());
+      for (std::size_t o = 0; o < rows.size(); ++o) {
+        const std::vector<double> single = generator.transfer_moments(
+            linear.outputs[o], linear.inputs[j], count);
+        ASSERT_EQ(rows[o].size(), single.size());
+        EXPECT_EQ(std::memcmp(rows[o].data(), single.data(),
+                              single.size() * sizeof(double)),
+                  0)
+            << "seed " << seed << " input " << j << " output " << o;
+      }
+    }
+  }
+  const mor::LinearSystem linear = linear_system_of(kSystem, 8);
+  const mor::MomentGenerator generator(linear);
+  using Rows = std::vector<std::vector<double>>;
+  EXPECT_TRUE(generator.transfer_moments(Rows{}, linear.inputs[0], 4).empty());
+  EXPECT_THROW(generator.transfer_moments(linear.outputs, linear.inputs[0], 0),
+               std::invalid_argument);
+  EXPECT_THROW(generator.transfer_moments(Rows{std::vector<double>(3, 1.0)},
+                                          linear.inputs[0], 2),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -377,6 +433,34 @@ std::optional<double> oracle_crossing(const mor::AnalyticResponse& r,
     }
   }
   return std::nullopt;
+}
+
+// oracle_crossing for directions -1, 0 and +1 at once, from one walk of
+// each window's exact grid (index direction + 1).
+std::array<std::optional<double>, 3> oracle_crossings(
+    const mor::AnalyticResponse& r, double max_omega, double level) {
+  std::array<std::optional<double>, 3> found;
+  double window = r.suggested_horizon();
+  for (int attempt = 0; attempt < 4; ++attempt, window *= 4.0) {
+    const std::size_t samples = oracle_samples(window, max_omega, 512);
+    std::vector<double> v;
+    const std::vector<double> t = oracle_grid(r, 0.0, window, samples, &v);
+    for (int direction = -1; direction <= 1; ++direction) {
+      std::optional<double>& out = found[static_cast<std::size_t>(direction + 1)];
+      for (std::size_t i = 1; i <= samples && !out; ++i) {
+        const bool rising = v[i - 1] < level && v[i] >= level;
+        const bool falling = v[i - 1] > level && v[i] <= level;
+        if ((direction >= 0 && rising) || (direction <= 0 && falling)) {
+          numeric::RootOptions tolerance;
+          tolerance.x_tolerance = 1e-14 * window;
+          out = numeric::brent([&](double x) { return r.value(x) - level; },
+                               t[i - 1], t[i], tolerance);
+        }
+      }
+    }
+    if (found[0] && found[1] && found[2]) break;
+  }
+  return found;
 }
 
 mor::ResponseMetrics oracle_measure(const mor::AnalyticResponse& r,
@@ -650,6 +734,173 @@ TEST(AnalyticScan, LongestGridMatches) {
   ASSERT_EQ(oracle_samples(r.suggested_horizon(), omega, 512), 1u << 18);
   EXPECT_TRUE(same_metrics(r.measure(0.0, r.final_value()),
                            oracle_measure(r, omega, 0.0, r.final_value())));
+}
+
+// One contribution as the test adds it, for the settled-tail bound below.
+struct Drive {
+  mor::PoleResidueModel model;
+  double delta = 0.0, rise = 0.0, start = 0.0;
+};
+
+// The math tail bound first_crossing's settled-tail exit relies on:
+// sum_c |delta_c| g_c sum |a| e^{Re p (t - d_c - rise_c)}, g_c = 1 (step) or
+// 2/rise_c (ramp), a = r/p (step) or r/p^2 (ramp); +inf before any onset or
+// ramp end.
+double tail_bound(const std::vector<Drive>& drives, double t) {
+  double tail = 0.0;
+  for (const Drive& d : drives) {
+    const double x = t - d.model.delay - d.start - d.rise;
+    if (x < 0.0) return std::numeric_limits<double>::infinity();
+    double sum = 0.0;
+    for (std::size_t k = 0; k < d.model.poles.size(); ++k) {
+      const std::complex<double> p = d.model.poles[k];
+      const std::complex<double> a =
+          d.rise > 0.0 ? d.model.residues[k] / (p * p) : d.model.residues[k] / p;
+      sum += std::abs(a) * std::exp(p.real() * x);
+    }
+    tail += std::fabs(d.delta) * (d.rise > 0.0 ? 2.0 / d.rise : 1.0) * sum;
+  }
+  return tail;
+}
+
+mor::AnalyticResponse response_of(double dc_offset,
+                                  const std::vector<Drive>& drives) {
+  mor::AnalyticResponse r(dc_offset);
+  for (const Drive& d : drives) r.add_ramp(d.model, d.delta, d.rise, d.start);
+  return r;
+}
+
+double max_omega_of(const std::vector<Drive>& drives) {
+  double w = 0.0;
+  for (const Drive& d : drives)
+    for (const auto& p : d.model.poles) w = std::max(w, std::fabs(p.imag()));
+  return w;
+}
+
+// Levels around the settled tail: never reached, exactly final, a few ulps
+// and a few relative steps off it, and on (and one ulp either side of) the
+// tail bound at several times — every first-crossing direction each.
+void expect_tail_scans_match(double dc_offset, const std::vector<Drive>& drives,
+                             const std::string& label) {
+  const mor::AnalyticResponse r = response_of(dc_offset, drives);
+  const double omega = max_omega_of(drives);
+  const double final_value = r.final_value();
+  const mor::ResponseMetrics range = r.measure(dc_offset, dc_offset, false);
+  const double span =
+      std::max({range.peak_value - range.min_value, std::fabs(final_value),
+                1e-3});
+  std::vector<double> levels = {range.peak_value + span,
+                                range.min_value - span,
+                                final_value,
+                                std::nextafter(final_value, 1e300),
+                                std::nextafter(final_value, -1e300)};
+  for (const double rel : {1e-12, 1e-9, 1e-7, 1e-6, 1e-3}) {
+    levels.push_back(final_value + rel * span);
+    levels.push_back(final_value - rel * span);
+  }
+  const double horizon = r.suggested_horizon();
+  for (const double f : {0.05, 0.2, 0.5, 1.0, 3.0, 10.0}) {
+    const double tail = tail_bound(drives, f * horizon);
+    if (!std::isfinite(tail)) continue;
+    for (const double sign : {1.0, -1.0}) {
+      const double level = final_value + sign * tail;
+      levels.push_back(level);
+      levels.push_back(std::nextafter(level, 1e300));
+      levels.push_back(std::nextafter(level, -1e300));
+    }
+  }
+  std::sort(levels.begin(), levels.end());
+  levels.erase(std::unique(levels.begin(), levels.end()), levels.end());
+  for (const double level : levels) {
+    const auto expected = oracle_crossings(r, omega, level);
+    for (const int direction : {-1, 0, +1})
+      EXPECT_TRUE(same_bits(r.first_crossing(level, direction),
+                            expected[static_cast<std::size_t>(direction + 1)]))
+          << label << " level " << level << " direction " << direction;
+  }
+}
+
+TEST(AnalyticScan, SettledTailMatchesExactScan) {
+  // Seeded random models (cancelling residues included) with steps, ramps
+  // far below one scan step, and ramps spanning much of the window.
+  for (std::uint64_t seed = 408; seed < 424; ++seed) {
+    Draw draw(seed);
+    std::vector<Drive> drives;
+    const int contributions = 1 + static_cast<int>(draw.uniform(0.0, 1.99));
+    for (int c = 0; c < contributions; ++c) {
+      Drive d;
+      d.model = random_model(draw, draw.coin(0.3));
+      d.delta = draw.uniform(-1.5, 1.5);
+      d.start = draw.coin(0.5) ? 0.0 : draw.log_uniform(1e-13, 2e-10);
+      const double pick = draw.uniform(0.0, 1.0);
+      d.rise = pick < 0.3   ? 0.0
+               : pick < 0.6 ? draw.log_uniform(1e-19, 1e-16)
+                            : draw.log_uniform(1e-11, 5e-10);
+      drives.push_back(d);
+    }
+    expect_tail_scans_match(draw.uniform(-0.5, 0.5), drives,
+                            "seed " + std::to_string(seed));
+  }
+
+  // A zero-real-part pair rides on a real pole: the tail bound never
+  // decays, so only levels past the ringing amplitude may settle.
+  Drive ringing;
+  ringing.model.poles = {{-2e10, 0.0}, {0.0, 3e10}, {0.0, -3e10}};
+  ringing.model.residues = {{2e10, 0.0}, {0.0, 1e9}, {0.0, -1e9}};
+  // An unstable pole: no tail bound holds, the scan runs every sample.
+  Drive unstable;
+  unstable.model.poles = {{-2e10, 0.0}, {5e7, 0.0}};
+  unstable.model.residues = {{2e10, 0.0}, {1e3, 0.0}};
+  for (Drive* d : {&ringing, &unstable}) {
+    for (std::size_t k = 0; k < d->model.poles.size(); ++k)
+      d->model.dc_gain -= (d->model.residues[k] / d->model.poles[k]).real();
+    d->model.order = static_cast<int>(d->model.poles.size());
+    d->model.requested_order = d->model.order;
+  }
+  for (const double rise : {0.0, 1e-18, 2e-10}) {
+    ringing.rise = rise;
+    unstable.rise = rise;
+    ringing.delta = 1.0;
+    unstable.delta = -0.7;
+    expect_tail_scans_match(0.1, {ringing}, "ringing rise " +
+                                                std::to_string(rise));
+    expect_tail_scans_match(0.0, {unstable}, "unstable rise " +
+                                                 std::to_string(rise));
+  }
+}
+
+TEST(AnalyticScan, SettledTailShortensNeverCrossingScans) {
+  // A quiet victim's glitch check: a ringing bump that returns to the quiet
+  // level and never reaches half the swing. The exact scan walks all four
+  // windows (1 + 4 + 16 + 64 horizons of samples); the settled-tail exit
+  // stops each window soon after the bump dies.
+  if (!obs::metrics_enabled()) GTEST_SKIP() << "needs RLCSIM_METRICS on";
+  mor::PoleResidueModel m;
+  m.poles = {{-1e10, 4e10}, {-1e10, -4e10}, {-3e10, 0.0}};
+  m.residues = {{1e10, 2e9}, {1e10, -2e9}, {-5e9, 0.0}};
+  for (std::size_t k = 0; k < m.poles.size(); ++k)
+    m.dc_gain -= (m.residues[k] / m.poles[k]).real();
+  m.order = 3;
+  m.requested_order = 3;
+  mor::AnalyticResponse r;
+  r.add_ramp(m, 0.3, 2e-11, 0.0);
+  r.add_ramp(m, -0.3, 2e-11, 5e-11);
+  ASSERT_FALSE(r.first_crossing(0.5, +1).has_value());
+  const double omega = 4e10;
+  std::size_t exact_samples = 0;
+  double window = r.suggested_horizon();
+  for (int attempt = 0; attempt < 4; ++attempt, window *= 4.0)
+    exact_samples += oracle_samples(window, omega, 512);
+  const std::uint64_t before =
+      obs::counter_total("mor.scan_samples").value_or(0);
+  EXPECT_FALSE(r.first_crossing(0.5, +1).has_value());
+  const std::uint64_t walked =
+      obs::counter_total("mor.scan_samples").value_or(0) - before;
+  EXPECT_GT(walked, 0u);
+  EXPECT_LT(walked * 16, exact_samples)
+      << walked << " of " << exact_samples << " samples walked";
+  EXPECT_TRUE(same_bits(r.first_crossing(0.5, +1),
+                        oracle_crossing(r, omega, 0.5, +1)));
 }
 
 // ---------------------------------------------------------------------------

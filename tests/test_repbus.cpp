@@ -7,6 +7,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "repbus/bus_chain.h"
 #include "repbus/optimize.h"
@@ -375,6 +379,99 @@ TEST(BusOptimizer, DeterministicAcrossThreadCounts) {
       reference = values;
     else
       EXPECT_EQ(values, reference);  // bit-identical at any thread count
+  }
+}
+
+// The per-candidate evaluation path the optimizer's shared models must
+// reproduce: every candidate builds its own stage models from a copy of its
+// (sections, shield) group's record — the group's first candidate seeds it —
+// and runs the three pattern walks on them.
+std::vector<repbus::BusDesignEval> per_candidate_evaluations(
+    const tline::CoupledBus& bus, const repbus::OptimizerOptions& options,
+    const std::vector<repbus::BusDesignEval>& grid) {
+  std::map<std::pair<int, int>, mor::ConductanceReuse> records;
+  std::vector<repbus::BusDesignEval> evals;
+  for (const repbus::BusDesignEval& candidate : grid) {
+    repbus::RepeaterBusSpec spec;
+    spec.bus = bus;
+    spec.sections = candidate.sections;
+    spec.size = candidate.size;
+    spec.buffer = kBuf;
+    spec.placement = candidate.placement;
+    spec.segments_per_section = options.segments_per_section;
+    spec.vdd = options.vdd;
+    spec.source_rise = options.source_rise;
+    spec.buffer_rise = options.buffer_rise;
+    spec.shield_every = candidate.shield_every;
+    auto [it, seeds] =
+        records.try_emplace({candidate.sections, candidate.shield_every});
+    mor::ConductanceReuse copy = it->second;
+    const repbus::StageModels models = repbus::build_stage_models(
+        spec, options.order, seeds ? &it->second : &copy);
+    repbus::BusDesignEval eval = candidate;
+    eval.same_phase_delay =
+        repbus::compose_bus_chain(spec, core::SwitchingPattern::kSamePhase,
+                                  models)
+            .victim_delay_50.value();
+    eval.opposite_phase_delay =
+        repbus::compose_bus_chain(spec, core::SwitchingPattern::kOppositePhase,
+                                  models)
+            .victim_delay_50.value();
+    eval.worst_delay =
+        std::max(eval.same_phase_delay, eval.opposite_phase_delay);
+    eval.noise = repbus::compose_bus_chain(
+                     spec, core::SwitchingPattern::kQuietVictim, models)
+                     .peak_noise;
+    eval.area = repbus::repeater_area(spec);
+    eval.feasible = eval.noise <= options.noise_cap;
+    evals.push_back(eval);
+  }
+  return evals;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+::testing::AssertionResult same_eval(const repbus::BusDesignEval& a,
+                                     const repbus::BusDesignEval& b) {
+  if (same_bits(a.size, b.size) && a.sections == b.sections &&
+      a.placement == b.placement && a.shield_every == b.shield_every &&
+      same_bits(a.same_phase_delay, b.same_phase_delay) &&
+      same_bits(a.opposite_phase_delay, b.opposite_phase_delay) &&
+      same_bits(a.worst_delay, b.worst_delay) && same_bits(a.noise, b.noise) &&
+      same_bits(a.area, b.area) && a.feasible == b.feasible)
+    return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "h " << a.size << " k " << a.sections << " placement "
+         << repbus::placement_name(a.placement) << " shield "
+         << a.shield_every << ": worst " << a.worst_delay << " vs "
+         << b.worst_delay << ", noise " << a.noise << " vs " << b.noise;
+}
+
+TEST(BusOptimizer, SharedModelsMatchPerCandidateEvaluation) {
+  // The optimizer builds one stage model per (sections, shield, size) and
+  // walks all three placements on it. Every evaluation must equal the
+  // per-candidate path bit for bit — including the donor size's placement
+  // siblings, which share the donor's fresh factorization instead of
+  // refactoring from a copy of the record.
+  const tline::CoupledBus bus = tline::make_bus(5, kLine, 0.4, 0.25);
+  repbus::OptimizerOptions options;
+  options.sizes = {24.0, 32.0};
+  options.sections = {2, 4};
+  options.shield_options = {0, 2};
+  options.noise_cap = 0.2;
+  for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    sweep::EngineOptions engine_options;
+    engine_options.threads = threads;
+    const sweep::SweepEngine engine(engine_options);
+    const auto result = repbus::optimize_bus_repeaters(bus, kBuf, options, engine);
+    ASSERT_EQ(result.evaluations.size(), 24u);
+    const auto reference =
+        per_candidate_evaluations(bus, options, result.evaluations);
+    for (std::size_t i = 0; i < reference.size(); ++i)
+      EXPECT_TRUE(same_eval(result.evaluations[i], reference[i]))
+          << "candidate " << i << ", " << threads << " threads";
   }
 }
 
