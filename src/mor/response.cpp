@@ -330,7 +330,7 @@ class AnalyticResponse::Scanner {
   // value() and final_value() round on top of the math values (both are
   // evaluation paths the drift bound above already accounts for); the
   // factor 2 is slack for that and for the rounding of the tail sum.
-  double settled_gap(double t) const {
+  double tail_bound(double t) const {
     if (!std::isfinite(tail_rounding_))
       return std::numeric_limits<double>::infinity();
     double tail = 0.0;
@@ -473,7 +473,7 @@ std::optional<double> AnalyticResponse::first_crossing(double level,
       // side and the tail bound proves every later sample is too, no
       // transition (and so no crossing) is left in this window.
       if (side == settled_side && i % kSettleCheck == 0 &&
-          std::fabs(final_gap) > scan.settled_gap(t)) {
+          std::fabs(final_gap) > scan.tail_bound(t)) {
         ++i;
         break;
       }
