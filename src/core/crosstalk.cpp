@@ -215,31 +215,27 @@ CrosstalkMetrics analyze_crosstalk(const tline::CoupledBus& bus,
   const PatternTransient run = pattern_transient(bus, pattern, options);
   const bool victim_switches = pattern != SwitchingPattern::kQuietVictim;
 
+  // The push-out reference; computed only when a push-out exists, absent
+  // (not fatal) in the degenerate-damping corner.
+  std::optional<double> reference;
+  if (victim_switches) reference = isolated_two_pole_delay(run.isolated);
+  // The Miller-degraded corner can be much slower than the isolated
+  // estimate the horizon comes from; measure_transient auto-extends.
+  std::vector<sim::CrossingProbe> crossing;
+  if (victim_switches) crossing.push_back({run.victim_node, 0.5 * options.vdd});
+  const sim::TransientMeasurement measured = sim::measure_transient(
+      run.circuit, crossing, {run.victim_node}, run.transient, "analyze_crosstalk");
   CrosstalkMetrics metrics;
-  sim::Trace victim;
-  if (victim_switches) {
-    // The push-out reference; computed only when a push-out exists, absent
-    // (not fatal) in the degenerate-damping corner.
-    const std::optional<double> reference = isolated_two_pole_delay(run.isolated);
-    // The Miller-degraded corner can be much slower than the isolated
-    // estimate the horizon comes from; run_until_crossing auto-extends.
-    sim::DelayRun delay_run =
-        sim::run_until_crossing(run.circuit, run.victim_node, 0.5 * options.vdd,
-                                run.transient, "analyze_crosstalk");
-    victim = delay_run.result.waveforms.trace(run.victim_node);
-    static_cast<CrosstalkDelay&>(metrics) = delay_fields(delay_run.crossing, reference);
-  } else {
-    victim = sim::run_transient(run.circuit, run.transient)
-                 .waveforms.trace(run.victim_node);
-  }
+  if (victim_switches)
+    static_cast<CrosstalkDelay&>(metrics) = delay_fields(measured.crossings[0], reference);
 
   // Noise: excursion outside the victim's drive envelope [v(0), v(inf)].
   // A quiet victim's envelope collapses to its quiescent level, so this is
   // the classic peak coupled noise; a switching victim's is over/undershoot.
   const double lo = 0.0;
   const double hi = victim_switches ? options.vdd : 0.0;
-  metrics.peak_noise =
-      std::max({0.0, lo - victim.min_value(), victim.max_value() - hi});
+  const sim::Extrema& victim = measured.extrema[0];
+  metrics.peak_noise = std::max({0.0, lo - victim.min, victim.max - hi});
   return metrics;
 }
 
@@ -248,8 +244,8 @@ CrosstalkDelay analyze_crosstalk_delay(const tline::CoupledBus& bus,
                                        const CrosstalkOptions& options) {
   const PatternTransient run = pattern_transient(bus, pattern, options);
   if (pattern == SwitchingPattern::kQuietVictim) {
-    // No delay; the full run only seeds and counts options.reuse.
-    sim::run_transient(run.circuit, run.transient);
+    // No delay; the probe-less run only seeds and counts options.reuse.
+    sim::measure_transient(run.circuit, {}, {}, run.transient, "analyze_crosstalk");
     return {};
   }
   const std::optional<double> reference = isolated_two_pole_delay(run.isolated);

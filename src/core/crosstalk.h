@@ -107,21 +107,22 @@ struct CrosstalkMetrics : CrosstalkDelay {
   double peak_noise = 0.0;
 };
 
-// Simulates the bus under `pattern` and measures the victim. Throws
-// std::invalid_argument for invalid bus/options and std::runtime_error if a
-// switching victim never crosses 50% within the (auto-extended) horizon.
+// Simulates the bus under `pattern` and probes the victim (50% crossing,
+// min/max over the horizon). Throws std::invalid_argument for invalid
+// bus/options and std::runtime_error if a switching victim never crosses 50%
+// within the (auto-extended) horizon.
 CrosstalkMetrics analyze_crosstalk(const tline::CoupledBus& bus,
                                    SwitchingPattern pattern,
                                    const CrosstalkOptions& options);
 
 // The delay fields of analyze_crosstalk(bus, pattern, options), bit for bit,
 // with the same exceptions and messages, from a transient that stops at the
-// victim's first 50% crossing (sim::first_crossing) instead of recording
-// every node to the horizon. No noise is measured, so none is returned. A
-// quiet victim has no crossing: it runs analyze_crosstalk's full transient
-// and returns every field absent, so options.reuse is seeded and counted
-// exactly as analyze_crosstalk would (a sweep's reference point may be
-// quiet).
+// victim's first 50% crossing (sim::first_crossing) instead of running on
+// to the horizon for the victim's extrema. No noise is measured, so none is
+// returned. A quiet victim has no crossing: a probe-less run still steps to
+// analyze_crosstalk's horizon and returns every field absent, so
+// options.reuse is seeded and counted exactly as analyze_crosstalk would (a
+// sweep's reference point may be quiet).
 CrosstalkDelay analyze_crosstalk_delay(const tline::CoupledBus& bus,
                                        SwitchingPattern pattern,
                                        const CrosstalkOptions& options);

@@ -91,8 +91,9 @@ struct HTreeComparison {
   std::size_t threads_used = 0;
 };
 
-// Builds both forms, evaluates the graph with `threads`, runs the oracle
-// transient (horizon auto-extended until every sink crosses), measures.
+// Builds both forms, evaluates the graph with `threads`, and probes every
+// sink's 10/50/90% crossings on the oracle transient (horizon auto-extended
+// until all cross, else it throws naming the sink).
 HTreeComparison compare_h_tree(const HTreeSpec& spec, std::size_t threads = 0);
 
 }  // namespace rlcsim::graph

@@ -13,7 +13,7 @@
 // contributions (one per switching driver of a bus) plus a DC offset, which
 // is exactly how the coupled-bus victim waveform decomposes by linearity.
 //
-// Crossing searches mirror sim::run_until_crossing semantics: a scan window
+// Crossing searches mirror sim::measure_transient's auto-extend: a scan window
 // derived from the model's own time constants, auto-extended x4 up to 4
 // attempts, then sub-sample refinement (Brent) — but each probe evaluates
 // the closed form directly. The coarse scans step every pole term along the
@@ -83,7 +83,8 @@ class AnalyticResponse {
 
   // First crossing of `level` at/after t_from in the given direction
   // (+1 rising, -1 falling, 0 either), with the auto-extending window.
-  // absent = never crosses (run_until_crossing throws here; callers choose).
+  // absent = never crosses (sim::measure_transient throws here; callers
+  // choose).
   std::optional<double> first_crossing(double level, int direction = +1,
                                        double t_from = 0.0) const;
 

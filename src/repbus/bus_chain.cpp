@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "sim/builders.h"
+#include "sim/transient_batch.h"
 #include "tline/rc_line.h"
 
 namespace rlcsim::repbus {
@@ -305,21 +306,15 @@ ChainMetrics simulate_bus_chain(const RepeaterBusSpec& spec,
   transient.dt = dt;
   transient.reuse = reuse;
 
+  std::vector<sim::CrossingProbe> crossing;
+  if (victim_switches) crossing.push_back({node, 0.5 * spec.vdd});
+  const sim::TransientMeasurement measured = sim::measure_transient(
+      chain.circuit, crossing, {node}, transient, "simulate_bus_chain");
   ChainMetrics metrics;
-  sim::TransientResult result;
-  if (victim_switches) {
-    sim::DelayRun run =
-        sim::run_until_crossing(chain.circuit, node, 0.5 * spec.vdd, transient,
-                                "simulate_bus_chain");
-    result = std::move(run.result);
-    metrics.victim_delay_50 = run.crossing;
-  } else {
-    result = sim::run_transient(chain.circuit, transient);
-  }
-  const sim::Trace trace = result.waveforms.trace(node);
+  if (victim_switches) metrics.victim_delay_50 = measured.crossings[0];
   const double hi = victim_switches ? spec.vdd : 0.0;
   metrics.peak_noise =
-      std::max({0.0, -trace.min_value(), trace.max_value() - hi});
+      std::max({0.0, -measured.extrema[0].min, measured.extrema[0].max - hi});
 
   // Glitch scan: every fired quiet-armed repeater (finite fire time) is a
   // coupled-noise spike that crossed threshold and now drives a full swing
@@ -328,7 +323,7 @@ ChainMetrics simulate_bus_chain(const RepeaterBusSpec& spec,
       static_cast<std::size_t>(spec.bus.lines));
   for (std::size_t k = 0; k < chain.buffer_info.size(); ++k) {
     const ChainBufferInfo& info = chain.buffer_info[k];
-    if (info.quiet_armed && std::isfinite(result.buffer_fire_times[k]))
+    if (info.quiet_armed && std::isfinite(measured.buffer_fire_times[k]))
       fired_per_line[static_cast<std::size_t>(info.line)].push_back(
           info.boundary);
   }

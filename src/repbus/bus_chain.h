@@ -151,10 +151,10 @@ struct ChainMetrics {
   std::vector<int> glitch_boundaries;
 };
 
-// Simulates the chain and measures the victim. t_stop/dt = 0 pick automatic
-// values (a per-section Elmore/time-of-flight bound times k, auto-extended
-// by run_until_crossing). `reuse` shares sparse symbolic factorizations
-// across calls over structurally identical chains.
+// Simulates the chain and probes the victim receiver (50% crossing, min/max).
+// t_stop/dt = 0 pick automatic values (a per-section Elmore/time-of-flight
+// bound times k, auto-extended until a switching victim crosses). `reuse`
+// shares sparse symbolic factorizations across structurally equal chains.
 ChainMetrics simulate_bus_chain(const RepeaterBusSpec& spec,
                                 core::SwitchingPattern pattern,
                                 double t_stop = 0.0, double dt = 0.0,

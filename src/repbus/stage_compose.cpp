@@ -104,6 +104,14 @@ StageModels build_stage_models(const RepeaterBusSpec& spec, int order,
                                section.line_at(i).time_of_flight());
     }
   }
+  // Initial per-stage pitch estimate (needed before the first stage has
+  // been measured): the victim's own section 50% delay under a unit step.
+  const auto v = static_cast<std::size_t>(victim);
+  mor::AnalyticResponse self;
+  self.add_step(models.transfer[v][v], 1.0);
+  models.pitch_estimate =
+      self.first_crossing(0.5 * models.dc[v][v], +1)
+          .value_or(spec.bus.line_at(victim).section(spec.sections).time_of_flight());
   return models;
 }
 
@@ -149,16 +157,6 @@ ChainWalk make_chain_walk(const RepeaterBusSpec& spec,
   walk.victim_quiet_level =
       drive_levels(walk.drives[static_cast<std::size_t>(walk.victim)], walk.vdd)
           .pre;
-
-  // Initial per-stage pitch estimate (needed before the first stage has
-  // been measured): the victim's own section 50% delay under a unit step.
-  mor::AnalyticResponse self;
-  self.add_step(walk_model_at(walk, walk.victim, walk.victim), 1.0);
-  walk.pitch_estimate =
-      self.first_crossing(0.5 * walk_dc_at(walk, walk.victim, walk.victim), +1)
-          .value_or(spec.bus.line_at(walk.victim)
-                        .section(spec.sections)
-                        .time_of_flight());
   return walk;
 }
 
@@ -177,7 +175,7 @@ std::vector<StageLineState> initial_chain_state(const ChainWalk& walk) {
     s.post = invert_first ? walk.vdd - levels.post : levels.post;
     s.t = 0.0;
     s.ramp = spec.source_rise;
-    s.pitch = walk.pitch_estimate;
+    s.pitch = walk.models->pitch_estimate;
   }
   return state;
 }

@@ -61,6 +61,9 @@ struct StageModels {
   // would silently mis-compose).
   int sections = 0;
   int shield_every = 0;
+  // Every walk's initial stagger pitch: the victim's unit-step section 50%
+  // delay (its section time of flight if that never crosses).
+  double pitch_estimate = 0.0;
 };
 
 // Builds the section circuit (whole-bus totals scaled by 1/k, the same
@@ -126,7 +129,6 @@ struct ChainWalk {
   int victim = 0;
   double vdd = 1.0;
   double buffer_edge = 0.0;
-  double pitch_estimate = 0.0;
   double victim_quiet_level = 0.0;  // glitch reference level
   bool staggered = false;
   bool interleaved = false;
@@ -134,7 +136,7 @@ struct ChainWalk {
 };
 
 // Validates the spec and the models' chain geometry and captures the walk
-// context (drive table, resolved buffer edge, initial pitch estimate).
+// context (drive table, resolved buffer edge).
 ChainWalk make_chain_walk(const RepeaterBusSpec& spec,
                           core::SwitchingPattern pattern,
                           const StageModels& models);

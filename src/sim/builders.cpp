@@ -159,9 +159,10 @@ double simulate_crosstalk_peak(const CoupledLinesSpec& spec,
   const tline::GateLineLoad one{driver_resistance, spec.line, load_capacitance};
   TransientOptions options;
   options.t_stop = (t_stop > 0.0) ? t_stop : default_transient_horizon(one);
-  const TransientResult result = run_transient(circuit, options);
-  const Trace victim = result.waveforms.trace("vic.out");
-  return std::max(std::fabs(victim.max_value()), std::fabs(victim.min_value()));
+  const Extrema victim =
+      measure_transient(circuit, {}, {"vic.out"}, options, "simulate_crosstalk_peak")
+          .extrema[0];
+  return std::max(std::fabs(victim.max), std::fabs(victim.min));
 }
 
 void add_coupled_bus(Circuit& circuit, const std::string& prefix,

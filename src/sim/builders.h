@@ -71,25 +71,6 @@ Circuit build_gate_line_load(const tline::GateLineLoad& system, int segments,
 // time of flight.
 double default_transient_horizon(const tline::GateLineLoad& system);
 
-// Runs a transient and returns the result together with the first rising
-// crossing of `level` at `node`. If the response has not crossed within
-// options.t_stop, the horizon is extended x4 (up to 4 attempts, resetting
-// dt to the caller's policy each time — 0 re-derives from t_stop); throws
-// std::runtime_error prefixed with `context` if it never crosses. The shared
-// auto-extend policy of every delay-measuring entry point; defined in
-// sim/transient.cpp. Callers that need only `crossing` use
-// sim::first_crossing (sim/transient_batch.h) instead: the same value, but
-// each attempt stops at the crossing and records no waveform. DelayRun is
-// for callers that read the trace after the crossing (peak noise,
-// overshoot) or the run's counts.
-struct DelayRun {
-  TransientResult result;
-  double crossing = 0.0;  // s
-};
-DelayRun run_until_crossing(const Circuit& circuit, const std::string& node,
-                            double level, TransientOptions options,
-                            const char* context);
-
 // Convenience: simulate build_gate_line_load and return the 50% delay of
 // "out". `t_stop` = 0 picks a horizon from the system's time scales
 // automatically; `dt` = 0 picks t_stop / 4000.

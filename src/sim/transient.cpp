@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -16,7 +17,6 @@
 #include "numeric/sparse.h"
 #include "numeric/sparse_batch.h"
 #include "obs/obs.h"
-#include "sim/builders.h"
 #include "sim/transient_batch.h"
 
 // Every transient result is memcmp'd across lane widths; excess-precision
@@ -34,7 +34,7 @@ double nominal_dt(const TransientOptions& options) {
   return options.dt > 0.0 ? options.dt : options.t_stop / 4000.0;
 }
 
-// The option diagnostics run_transient and first_crossing throw; nullptr
+// The option diagnostics run_transient and measure_transient throw; nullptr
 // when the options are valid. run_batched_crossings declines instead, so the
 // caller's per-point first_crossing raises them.
 const char* option_error(const TransientOptions& options) {
@@ -89,30 +89,8 @@ bool same_topology(const Circuit& a, const Circuit& b) {
          });
 }
 
-// The auto-extend policy of every delay measurement: attempt k runs with
-// t_stop * 4^k and the caller's dt policy (0 re-derives the step from each
-// horizon), from `first_attempt` on, until attempt(options) returns a
-// crossing. A batch lane starts at attempt 1, because its shared window was
-// attempt 0.
-[[noreturn]] void throw_never_crossed(const char* context, const std::string& node) {
-  throw std::runtime_error(std::string(context) + ": '" + node +
-                           "' never crossed the threshold within the "
-                           "(auto-extended) horizon");
-}
-
-template <typename Attempt>
-auto extend_until_crossing(TransientOptions options, const std::string& node,
-                           const char* context, int first_attempt, Attempt&& attempt) {
-  for (int k = 0; k < 4; ++k) {
-    if (k >= first_attempt)
-      if (auto crossed = attempt(options)) return std::move(*crossed);
-    options.t_stop *= 4.0;
-  }
-  throw_never_crossed(context, node);
-}
-
 // Which entry point drives the engine. Both step the same way and differ in
-// bookkeeping: a scalar run (run_transient or first_crossing, one lane) may
+// bookkeeping: a scalar run (run_transient or measure_transient, one lane) may
 // seed an empty SolverReuse and factorizes fresh when nothing is recorded; a
 // batch (run_batched_crossings) only replays a complete record, declines
 // lanes that cannot share one step grid, and counts ejected lanes.
@@ -635,52 +613,103 @@ std::optional<LockstepStats> run_lockstep(const std::vector<const Circuit*>& cir
   return stats;
 }
 
-// The crossing recorder: the first rising crossing of `level` at
-// node_id[lane], per lane, read off run_lockstep as it steps. Each lane's
-// "crossed" flag is numeric::find_crossing's rising test
-// (prev - level < 0 && v - level >= 0), and its crossing is find_crossing
-// over the two samples that set it, so it is the crossing a scan of the
-// full trace would find. Stepping stops after the sample at which the last
-// lane crosses; nothing else is recorded. Returns each lane's crossing
-// within options.t_stop (std::nullopt for a lane that did not cross), or
-// std::nullopt when a batch declines.
+// A probe resolved onto a run: its node's lane-major voltage slot
+// (node * W + lane) and, for a crossing probe, the level.
+struct ProbePoint {
+  std::size_t slot = 0;
+  double level = 0.0;
+};
+
+struct ProbeReadings {
+  std::vector<std::optional<double>> crossings;  // absent: not crossed yet
+  std::vector<Extrema> extrema;
+  LockstepStats stats;
+};
+
+// The probe recorder of sim/transient_batch.h, read off run_lockstep as it
+// steps; the extremum probes keep min_element's and max_element's
+// comparisons. Returns std::nullopt when a batch declines.
 template <std::size_t W>
-std::optional<std::vector<std::optional<double>>> window_crossings(
-    const std::vector<const Circuit*>& circuits, const std::vector<NodeId>& node_id,
-    double level, const TransientOptions& options, Caller caller) {
-  std::vector<std::optional<double>> crossings(W);
-  double prev_time = 0.0, prev[W] = {};
+std::optional<ProbeReadings> record_probes(const std::vector<const Circuit*>& circuits,
+                                           const std::vector<ProbePoint>& crossing_probes,
+                                           const std::vector<ProbePoint>& extremum_probes,
+                                           const TransientOptions& options, Caller caller) {
+  ProbeReadings out;
+  out.crossings.resize(crossing_probes.size());
+  out.extrema.resize(extremum_probes.size());
+  std::vector<double> prev(crossing_probes.size());
+  double prev_time = 0.0;
   bool first = true;
-  std::size_t open = W;
+  std::size_t open = crossing_probes.size();
+  const bool to_t_stop = !extremum_probes.empty() || open == 0;
   const auto record = [&](double time, const double* voltage) {
-#pragma GCC unroll 1
-    for (std::size_t lane = 0; lane < W; ++lane) {
-      const double v = voltage[static_cast<std::size_t>(node_id[lane]) * W + lane];
-      if (!first && !crossings[lane] && prev[lane] - level < 0.0 && v - level >= 0.0) {
-        crossings[lane] =
-            numeric::find_crossing({prev_time, time}, {prev[lane], v}, level, 0.0, +1);
+    for (std::size_t k = 0; k < crossing_probes.size(); ++k) {
+      const ProbePoint& p = crossing_probes[k];
+      const double v = voltage[p.slot];
+      if (!first && !out.crossings[k] && prev[k] - p.level < 0.0 && v - p.level >= 0.0) {
+        out.crossings[k] =
+            numeric::find_crossing({prev_time, time}, {prev[k], v}, p.level, 0.0, +1);
         --open;
       }
-      prev[lane] = v;
+      prev[k] = v;
+    }
+    for (std::size_t k = 0; k < extremum_probes.size(); ++k) {
+      const double v = voltage[extremum_probes[k].slot];
+      Extrema& e = out.extrema[k];
+      if (first) e = {v, v};
+      if (v < e.min) e.min = v;
+      if (e.max < v) e.max = v;
     }
     prev_time = time;
     first = false;
-    return open != 0;
+    return open != 0 || to_t_stop;
   };
-  if (!run_lockstep<W>(circuits, options, caller, record)) return std::nullopt;
-  return crossings;
+  std::optional<LockstepStats> stats = run_lockstep<W>(circuits, options, caller, record);
+  if (!stats) return std::nullopt;
+  out.stats = std::move(*stats);
+  return out;
 }
 
-// One circuit's crossing on the recorder, with run_until_crossing's
-// auto-extend policy from `first_attempt` on (scalar bookkeeping).
-double extend_to_crossing(const Circuit& circuit, NodeId node_id, const std::string& node,
-                          double level, const TransientOptions& options,
-                          const char* context, int first_attempt) {
-  return extend_until_crossing(
-      options, node, context, first_attempt, [&](const TransientOptions& attempt) {
-        return (*window_crossings<1>({&circuit}, {node_id}, level, attempt,
-                                     Caller::kScalar))[0];
-      });
+// One circuit on the recorder (scalar bookkeeping) with the auto-extend
+// policy from `first_attempt` on: attempt k runs with t_stop * 4^k. A batch
+// lane starts at attempt 1, because its shared window was attempt 0.
+TransientMeasurement measure_from(const Circuit& circuit,
+                                  const std::vector<CrossingProbe>& crossings,
+                                  const std::vector<std::string>& extrema,
+                                  TransientOptions options, const char* context,
+                                  int first_attempt) {
+  const auto probe_at = [&](const std::string& node, double level) {
+    const auto found = circuit.find_node(node);
+    // WaveformSet::trace's diagnostic: run_transient records no ground column.
+    if (!found || *found == kGround)
+      throw std::out_of_range("WaveformSet: no trace recorded for node '" + node + "'");
+    return ProbePoint{static_cast<std::size_t>(*found), level};
+  };
+  std::vector<ProbePoint> crossing_points, extremum_points;
+  for (const CrossingProbe& probe : crossings)
+    crossing_points.push_back(probe_at(probe.node, probe.level));
+  for (const std::string& node : extrema) extremum_points.push_back(probe_at(node, 0.0));
+
+  std::size_t missed = 0;
+  for (int k = 0; k < 4; ++k, options.t_stop *= 4.0) {
+    if (k < first_attempt) continue;
+    ProbeReadings readings =
+        *record_probes<1>({&circuit}, crossing_points, extremum_points, options,
+                          Caller::kScalar);
+    const auto open = std::find(readings.crossings.begin(), readings.crossings.end(),
+                                std::nullopt);
+    missed = static_cast<std::size_t>(open - readings.crossings.begin());
+    if (open != readings.crossings.end()) continue;
+    TransientMeasurement measured{{}, std::move(readings.extrema),
+                                  std::move(readings.stats.buffer_fire_times),
+                                  readings.stats.steps};
+    for (const std::optional<double>& crossing : readings.crossings)
+      measured.crossings.push_back(*crossing);
+    return measured;
+  }
+  throw std::runtime_error(std::string(context) + ": '" + crossings[missed].node +
+                           "' never crossed the threshold within the "
+                           "(auto-extended) horizon");
 }
 
 }  // namespace
@@ -757,28 +786,20 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
   return result;
 }
 
-DelayRun run_until_crossing(const Circuit& circuit, const std::string& node,
-                            double level, TransientOptions options,
-                            const char* context) {
-  return extend_until_crossing(
-      std::move(options), node, context, 0,
-      [&](const TransientOptions& attempt) -> std::optional<DelayRun> {
-        TransientResult result = run_transient(circuit, attempt);
-        const auto crossing = result.waveforms.trace(node).crossing(level, 0.0, +1);
-        if (!crossing) return std::nullopt;
-        return DelayRun{std::move(result), *crossing};
-      });
+TransientMeasurement measure_transient(const Circuit& circuit,
+                                       const std::vector<CrossingProbe>& crossings,
+                                       const std::vector<std::string>& extrema,
+                                       const TransientOptions& options,
+                                       const char* context) {
+  OBS_SPAN("transient.run");
+  if (const char* error = option_error(options)) throw std::invalid_argument(error);
+  return measure_from(circuit, crossings, extrema, options, context, 0);
 }
 
 double first_crossing(const Circuit& circuit, const std::string& node, double level,
                       const TransientOptions& options, const char* context) {
-  OBS_SPAN("transient.run");
-  if (const char* error = option_error(options)) throw std::invalid_argument(error);
-  const auto found = circuit.find_node(node);
-  // WaveformSet::trace's diagnostic: run_transient records no ground column.
-  if (!found || *found == kGround)
-    throw std::out_of_range("WaveformSet: no trace recorded for node '" + node + "'");
-  return extend_to_crossing(circuit, *found, node, level, options, context, 0);
+  return measure_transient(circuit, {CrossingProbe{node, level}}, {}, options, context)
+      .crossings[0];
 }
 
 std::optional<std::vector<double>> run_batched_crossings(
@@ -789,39 +810,41 @@ std::optional<std::vector<double>> run_batched_crossings(
   if (!numeric::is_supported_lane_width(lanes) || option_error(options) != nullptr)
     return std::nullopt;
   std::vector<const Circuit*> lane_circuits;
-  std::vector<NodeId> node_id;
+  std::vector<ProbePoint> probes;
   for (const Circuit& circuit : circuits) {
     const auto found = circuit.find_node(node);
     if (!found || *found == kGround) return std::nullopt;
+    const std::size_t lane = lane_circuits.size();
+    probes.push_back({static_cast<std::size_t>(*found) * lanes + lane, level});
     lane_circuits.push_back(&circuit);
-    node_id.push_back(*found);
   }
 
   // The shared time grid, up to the sample at which the last lane first
   // crosses (see sim/transient_batch.h).
-  std::optional<std::vector<std::optional<double>>> window;
-  const auto stepped = [&](auto crossings_at) {
-    window = crossings_at(lane_circuits, node_id, level, options, Caller::kBatch);
+  std::optional<ProbeReadings> window;
+  const auto stepped = [&](auto record) {
+    window = record(lane_circuits, probes, {}, options, Caller::kBatch);
   };
   switch (lanes) {
-    case 1: stepped(window_crossings<1>); break;
-    case 4: stepped(window_crossings<4>); break;
-    case 8: stepped(window_crossings<8>); break;
+    case 1: stepped(record_probes<1>); break;
+    case 4: stepped(record_probes<4>); break;
+    case 8: stepped(record_probes<8>); break;
     default: break;  // unreachable: width validated on entry
   }
   if (!window) return std::nullopt;
   OBS_COUNTER_ADD("batch.tiles", 1);
   OBS_COUNTER_ADD("batch.lanes", lanes);
 
-  // A lane that does not cross in the shared window continues with
-  // run_until_crossing's later attempts, so its value stays bit-identical
-  // to a run_until_crossing of that circuit alone.
+  // A lane that does not cross in the shared window continues alone from
+  // attempt 1, so its value stays bit-identical to a first_crossing of that
+  // circuit.
   std::vector<double> crossings(lanes);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
-    const std::optional<double>& crossed = (*window)[lane];
+    const std::optional<double>& crossed = window->crossings[lane];
     crossings[lane] = crossed ? *crossed
-                              : extend_to_crossing(circuits[lane], node_id[lane], node,
-                                                   level, options, context, 1);
+                              : measure_from(circuits[lane], {CrossingProbe{node, level}},
+                                             {}, options, context, 1)
+                                    .crossings[0];
   }
   return crossings;
 }

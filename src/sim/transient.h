@@ -11,10 +11,9 @@
 // (interpolated) crossing time, the buffer is marked fired there, and
 // integration restarts from that breakpoint.
 //
-// One stepping core serves run_transient and run_batched_crossings
-// (sim/transient_batch.h): W circuits of one topology stepped in lockstep,
-// with run_transient as its 1-lane case that records every node up to
-// t_stop (a batch stops at its last lane's crossing instead). The
+// One stepping core (W circuits of one topology in lockstep) serves
+// run_transient, which records every node up to t_stop, and the probe
+// recorder of sim/transient_batch.h, which keeps only what it probes. The
 // assembled MNA system is G + (factor/dt)*C over one fixed sparsity pattern
 // (see sim/mna.h). Every solve is a numeric::SparseLuBatch over one symbolic
 // factorization per run: the one a SolverReuse recorded, or else the run's
@@ -92,8 +91,9 @@ struct TransientResult {
   std::size_t lu_factorizations = 0;  // numeric factorizations (cache misses)
 };
 
-// Runs a transient analysis. Throws std::invalid_argument for bad options
-// and std::runtime_error if the MNA matrix is singular.
+// Runs a transient analysis recording every node (library code measures
+// through sim::measure_transient instead). Throws std::invalid_argument for
+// bad options and std::runtime_error if the MNA matrix is singular.
 TransientResult run_transient(const Circuit& circuit, const TransientOptions& options);
 
 // DC operating point: node voltages (and branch currents) with capacitors

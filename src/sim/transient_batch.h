@@ -1,49 +1,42 @@
-// Crossing-stopped transient stepping: the delay-only entry points.
+// Probe-measured transients: the entry points of every library caller.
 //
-// The paper's delay (eq. 9) is the first 50% crossing of the far-end
-// response, so a delay measurement needs neither the waveform nor the
-// horizon after that crossing. Both entry points here run the transient
-// engine (sim/transient.cpp) through one crossing recorder: per lane it
-// keeps only the last sample of the node the caller asked about, carries a
-// "crossed" flag set by exactly numeric::find_crossing's rising test
-// (prev - level < 0 && v - level >= 0), interpolates the crossing with
-// find_crossing over the two samples that set it, and stops stepping after
-// the sample at which the last flag is set. A lane that never crosses keeps
-// the run going to t_stop.
+// The paper's quantities are a few numbers per node (the eq. 9 delay is the
+// first 50% crossing at the load; the repeater and noise analyses read one
+// node's peak), so no library caller records a waveform. Both entry points
+// run the transient engine (sim/transient.cpp) through one probe recorder:
 //
-//   first_crossing         one circuit (W = 1) with scalar bookkeeping: it
+//   crossing probe  the first rising crossing of `level` at a node: the
+//                   sample pair that passes numeric::find_crossing's rising
+//                   test (prev - level < 0 && v - level >= 0), interpolated
+//                   by find_crossing. Equals Trace::crossing(level, 0, +1).
+//   extremum probe  a running min and max of a node over every sample.
+//                   Equals Trace::min_value / max_value.
+//
+// Stepping stops after the sample at which the last crossing probe crosses,
+// unless an extremum probe is present: then it runs to t_stop. Until every
+// crossing probe has crossed, the run is repeated with t_stop * 4 (up to 4
+// attempts, the caller's dt policy each time) and then throws
+// std::runtime_error naming the node; a run without crossing probes makes
+// one attempt. Every reading comes from the last attempt.
+//
+//   measure_transient      one circuit (W = 1) with scalar bookkeeping: it
 //                          may seed an empty SolverReuse and accepts
-//                          buffered circuits. It serves every sweep point
-//                          that does not batch (the seeded reference point,
-//                          lanes = 1 and per-scenario-horizon sweeps, short
-//                          remainders), every switching-victim
-//                          crosstalk delay and push-out point
-//                          (core::analyze_crosstalk_delay) and the
-//                          delay-only helpers simulate_gate_line_delay and
-//                          simulate_repeater_chain_delay.
+//                          buffered circuits. first_crossing is its
+//                          one-probe case.
 //   run_batched_crossings  W = 1/4/8 buffer-free circuits of one topology on
-//                          one shared time grid. Per step it assembles W
-//                          right-hand sides and performs ONE batched numeric
-//                          refactor/solve over the recorded symbolic
-//                          factorization (numeric::SparseLuBatch, lane-major
-//                          SoA values the autovectorizer turns into SIMD).
-//                          The sweep engine tiles its points in eq. 9 delay
-//                          order, so the lanes of one tile tend to finish
-//                          together.
+//                          one shared time grid, one crossing probe per
+//                          lane, each step ONE batched numeric refactor/
+//                          solve over the recorded symbolic factorization
+//                          (numeric::SparseLuBatch). A lane that does not
+//                          cross in the shared window continues alone from
+//                          attempt 1.
 //
-// Bit-identity contract: both return run_until_crossing(...).crossing bit
-// for bit. The engine's kernels perform each lane's arithmetic in the
-// scalar order (see numeric/sparse_batch.h for the solves and MnaAssembler::
-// stamp_values_into for the matrices), so a lane's numbers do not depend on
-// the lane width; stopping early leaves every earlier sample unchanged,
-// since a run's step grid up to a sample never depends on what follows it.
-// A circuit that does not cross within t_stop continues with
-// run_until_crossing's auto-extend attempts, each on the recorder (a batch
-// lane starts at attempt 1: the shared window was attempt 0).
-//
-// run_until_crossing and run_transient stay full-waveform: callers that read
-// the trace after the crossing (peak noise, overshoot) or the step counts
-// use them.
+// Bit-identity contract: every reading equals the same read of
+// run_transient's full record on the same attempt. The engine's kernels do
+// each lane's arithmetic in the scalar order (numeric/sparse_batch.h,
+// MnaAssembler::stamp_values_into), and a run's step grid up to a sample
+// never depends on what follows it, so neither the lane width nor stopping
+// early changes a bit.
 #pragma once
 
 #include <optional>
@@ -55,12 +48,34 @@
 
 namespace rlcsim::sim {
 
-// First rising crossing of `level` at `node`: the value and the exceptions
-// of run_until_crossing(circuit, node, level, options, context).crossing,
-// with the same auto-extend policy, but every attempt stops at the crossing
-// and records no waveform. Throws std::invalid_argument for bad options,
-// std::out_of_range for a node the circuit lacks (or ground), and
-// std::runtime_error if it never crosses.
+struct CrossingProbe {
+  std::string node;
+  double level = 0.0;  // V, crossed rising
+};
+
+struct Extrema {
+  double min = 0.0;  // V
+  double max = 0.0;
+};
+
+struct TransientMeasurement {
+  std::vector<double> crossings;           // per crossing probe, s
+  std::vector<Extrema> extrema;            // per extremum node
+  std::vector<double> buffer_fire_times;   // +inf where a buffer never fired
+  std::size_t steps = 0;                   // steps of the last attempt
+};
+
+// Throws std::invalid_argument for bad options, std::out_of_range for a
+// probed node the circuit lacks (or ground), and std::runtime_error
+// (prefixed with `context`) for a crossing probe that never crosses.
+TransientMeasurement measure_transient(const Circuit& circuit,
+                                       const std::vector<CrossingProbe>& crossings,
+                                       const std::vector<std::string>& extrema,
+                                       const TransientOptions& options,
+                                       const char* context);
+
+// First rising crossing of `level` at `node`: measure_transient with that
+// one crossing probe.
 double first_crossing(const Circuit& circuit, const std::string& node, double level,
                       const TransientOptions& options, const char* context);
 

@@ -5,10 +5,12 @@
 // engineered zero-pivot ejection), batched AnalyticResponse evaluation vs
 // the scalar closed form, and batched transient sweeps across every
 // (lane width, thread count) combination including tile remainders, NaN
-// points and delay-ordered tiles, and tiles that stop at their last lane's
-// crossing vs single-circuit runs. Plus the zero-coupling pattern
-// regression: a coupling axis through 0 must keep ONE sparsity pattern (2
-// symbolic factorizations per sweep).
+// points and delay-ordered tiles, tiles that stop at their last lane's
+// crossing vs single-circuit runs, and the probe recorder's crossings and
+// extrema vs the full record (tests/full_record.h). Plus the zero-coupling
+// pattern
+// regression: a coupling axis through 0 must keep ONE sparsity pattern
+// (2 symbolic factorizations per sweep).
 #include "numeric/sparse_batch.h"
 
 #include <algorithm>
@@ -23,6 +25,8 @@
 #include <gtest/gtest.h>
 
 #include "core/crosstalk.h"
+#include "full_record.h"
+#include "graph/h_tree.h"
 #include "mor/reduce.h"
 #include "mor/response.h"
 #include "numeric/sparse.h"
@@ -514,8 +518,8 @@ TEST(BatchedCrossingStop, CrossingsMatchSingleCircuitRuns) {
           sim::SolverReuse reuse = seeded;
           sim::TransientOptions alone = options;
           alone.reuse = &reuse;
-          const sim::DelayRun run =
-              sim::run_until_crossing(circuit, "out", 0.5, alone, "reference");
+          const full_record::DelayRun run =
+              full_record::run_until_crossing(circuit, "out", 0.5, alone, "reference");
           expected.push_back(run.crossing);
           if (run.result.waveforms.time().back() > 2.0 * options.t_stop) ++extended;
           reuse = seeded;
@@ -565,7 +569,7 @@ TEST(BatchedCrossingStop, SingleCircuitSeedsAnEmptyRecord) {
   sim::SolverReuse full_record;
   options.reuse = &full_record;
   const double expected =
-      sim::run_until_crossing(tile[3], "out", 0.5, options, "reference").crossing;
+      full_record::run_until_crossing(tile[3], "out", 0.5, options, "reference").crossing;
 
   sim::SolverReuse record;
   options.reuse = &record;
@@ -594,19 +598,19 @@ TEST(BatchedCrossingStop, SingleCircuitErrorsMatchRunUntilCrossing) {
   sim::TransientOptions options;
   options.t_stop = 12e-9;
   options.dt = -1.0;
-  EXPECT_THROW(sim::run_until_crossing(circuit, "out", 0.5, options, "bad dt"),
+  EXPECT_THROW(full_record::run_until_crossing(circuit, "out", 0.5, options, "bad dt"),
                std::invalid_argument);
   EXPECT_THROW(sim::first_crossing(circuit, "out", 0.5, options, "bad dt"),
                std::invalid_argument);
   options.dt = 0.0;
   for (const char* node : {"nowhere", "0"}) {
-    EXPECT_THROW(sim::run_until_crossing(circuit, node, 0.5, options, "node"),
+    EXPECT_THROW(full_record::run_until_crossing(circuit, node, 0.5, options, "node"),
                  std::out_of_range);
     EXPECT_THROW(sim::first_crossing(circuit, node, 0.5, options, "node"),
                  std::out_of_range);
   }
   // Above the 1 V drive: no attempt ever crosses.
-  EXPECT_THROW(sim::run_until_crossing(circuit, "out", 2.0, options, "never"),
+  EXPECT_THROW(full_record::run_until_crossing(circuit, "out", 2.0, options, "never"),
                std::runtime_error);
   EXPECT_THROW(sim::first_crossing(circuit, "out", 2.0, options, "never"),
                std::runtime_error);
@@ -650,7 +654,7 @@ TEST(SweepBatch, EveryPathMatchesPerPointRunUntilCrossing) {
       transient.dt = options.dt;
       sim::SolverReuse reuse = recorded;
       transient.reuse = flat == 0 ? &recorded : &reuse;
-      expected.push_back(sim::run_until_crossing(
+      expected.push_back(full_record::run_until_crossing(
                              sim::build_gate_line_load(system, options.segments), "out",
                              0.5, transient, "per point")
                              .crossing);
@@ -661,6 +665,213 @@ TEST(SweepBatch, EveryPathMatchesPerPointRunUntilCrossing) {
     EXPECT_EQ(result.symbolic_factorizations, 2u);
     EXPECT_EQ(result.batched_points, options.lanes == 8 && options.t_stop > 0.0 ? 44u : 0u);
   }
+}
+
+// ------------------------------------------------- probe recorder
+
+struct ProbeRun {
+  sim::TransientMeasurement got;  // measure_transient
+  full_record::Measured want;     // run_transient + Trace, same attempt
+};
+
+// Runs both and memcmps every reading. A run with an extremum probe, or
+// with no crossing probe, goes to t_stop, so its fire times and step count
+// must match the full record's too.
+ProbeRun expect_matches_full_record(const sim::Circuit& circuit,
+                                    const std::vector<sim::CrossingProbe>& crossings,
+                                    const std::vector<std::string>& extrema,
+                                    const sim::TransientOptions& options) {
+  ProbeRun run{sim::measure_transient(circuit, crossings, extrema, options, "measure"),
+               full_record::measure(circuit, crossings, extrema, options, "measure")};
+  const sim::TransientMeasurement& want = run.want.readings;
+  expect_bits_equal(run.got.crossings, want.crossings, "crossings");
+  EXPECT_EQ(run.got.extrema.size(), want.extrema.size());
+  for (std::size_t k = 0; k < std::min(run.got.extrema.size(), want.extrema.size()); ++k) {
+    expect_bits_equal({run.got.extrema[k].min, run.got.extrema[k].max},
+                      {want.extrema[k].min, want.extrema[k].max}, extrema[k].c_str());
+  }
+  if (!extrema.empty() || crossings.empty()) {
+    expect_bits_equal(run.got.buffer_fire_times, want.buffer_fire_times, "fire times");
+    EXPECT_EQ(run.got.steps, want.steps);
+  } else {
+    EXPECT_LE(run.got.steps, want.steps);
+  }
+  return run;
+}
+
+// Per node, the 10/50/90% crossing probes of a 0 -> vdd response.
+std::vector<sim::CrossingProbe> band_probes(const std::vector<std::string>& nodes,
+                                            double vdd) {
+  std::vector<sim::CrossingProbe> probes;
+  for (const std::string& node : nodes)
+    for (const double fraction : {0.1, 0.5, 0.9}) probes.push_back({node, fraction * vdd});
+  return probes;
+}
+
+// Each node's 10-90 span off the probes vs Trace::rise_time on the record.
+void expect_spans_match(const ProbeRun& run, const std::vector<std::string>& nodes,
+                        double vdd) {
+  for (std::size_t s = 0; s < nodes.size(); ++s) {
+    const double span = run.got.crossings[3 * s + 2] - run.got.crossings[3 * s];
+    const double rise = run.want.result.waveforms.trace(nodes[s]).rise_time(vdd);
+    EXPECT_GT(rise, 0.0) << nodes[s];
+    EXPECT_EQ(std::memcmp(&span, &rise, sizeof(double)), 0) << nodes[s];
+  }
+}
+
+TEST(Measure, MatchesFullRecord) {
+  // Seeded RLC ladders, underdamped to overdamped: crossings + extrema,
+  // extremum only, and crossing only (which stops early).
+  for (const unsigned seed : {31u, 32u, 33u}) {
+    SCOPED_TRACE("ladder seed " + std::to_string(seed));
+    std::mt19937 rng(seed);
+    const auto log_uniform = [&](double lo, double hi) {
+      return std::exp(
+          std::uniform_real_distribution<double>(std::log(lo), std::log(hi))(rng));
+    };
+    const tline::GateLineLoad system{log_uniform(20.0, 500.0),
+                                     {log_uniform(20.0, 1000.0), log_uniform(1e-9, 1e-7),
+                                      log_uniform(0.1e-12, 1e-12)},
+                                     log_uniform(0.01e-12, 0.5e-12)};
+    const sim::Circuit circuit = sim::build_gate_line_load(system, 8);
+    sim::TransientOptions options;
+    options.t_stop = sim::default_transient_horizon(system);
+    const ProbeRun both = expect_matches_full_record(
+        circuit, band_probes({"out", "drv"}, 1.0), {"out", "drv"}, options);
+    expect_spans_match(both, {"out", "drv"}, 1.0);
+    expect_matches_full_record(circuit, {}, {"out"}, options);
+    const ProbeRun crossing_only =
+        expect_matches_full_record(circuit, {{"out", 0.5}}, {}, options);
+    EXPECT_LT(crossing_only.got.steps, crossing_only.want.readings.steps);
+  }
+
+  // A 3-line coupled bus: a switching victim (crossing + extremum) and a
+  // quiet one (extremum only).
+  const tline::CoupledBus bus = tline::make_bus(3, {300.0, 2e-8, 1e-12}, 0.5, 0.3);
+  sim::TransientOptions bus_options;
+  bus_options.t_stop = 2e-9;
+  {
+    SCOPED_TRACE("coupled bus, opposite phase");
+    const sim::Circuit circuit = sim::build_coupled_bus(
+        bus, {sim::BusDrive::kFalling, sim::BusDrive::kRising, sim::BusDrive::kFalling},
+        100.0, 20e-15, 8);
+    expect_matches_full_record(circuit, {{"line1.out", 0.5}}, {"line1.out"}, bus_options);
+  }
+  {
+    SCOPED_TRACE("coupled bus, quiet victim");
+    const sim::Circuit circuit = sim::build_coupled_bus(
+        bus, {sim::BusDrive::kRising, sim::BusDrive::kQuietLow, sim::BusDrive::kRising},
+        100.0, 20e-15, 8);
+    const ProbeRun quiet = expect_matches_full_record(circuit, {}, {"line1.out"}, bus_options);
+    EXPECT_GT(quiet.got.extrema[0].max, 0.0);  // coupled noise, not a flat line
+  }
+
+  // A buffered repeater chain: the fire times come from the same run.
+  {
+    SCOPED_TRACE("repeater chain");
+    sim::RepeaterChainSpec chain;
+    chain.line = {300.0, 3e-9, 3e-12};
+    chain.sections = 3;
+    chain.size = 10.0;
+    chain.r0 = 1000.0;
+    chain.c0 = 5e-15;
+    chain.segments_per_section = 10;
+    const sim::Circuit circuit = sim::build_repeater_chain(chain);
+    sim::TransientOptions options;
+    options.t_stop = 2e-9;
+    const ProbeRun run = expect_matches_full_record(circuit, {{"stage3.out", 0.5}},
+                                                    {"stage3.out"}, options);
+    ASSERT_EQ(run.got.buffer_fire_times.size(), 2u);
+    for (const double fired : run.got.buffer_fire_times) EXPECT_TRUE(std::isfinite(fired));
+  }
+
+  // A 4-level buffered H-tree: 10/50/90% at every sink, crossing only.
+  {
+    SCOPED_TRACE("4-level H-tree");
+    graph::HTreeSpec spec;
+    spec.levels = 4;
+    spec.root_line = {150.0, 5e-10, 3e-13};
+    spec.taper = 0.6;
+    spec.buffer = {3000.0, 5e-15, 1.0, 0.0};
+    spec.size = 32.0;
+    spec.source_rise = 2e-11;
+    spec.segments_per_branch = 5;
+    spec.sink_capacitance = 2e-14;
+    spec.sink_imbalance = 0.15;
+    std::vector<std::string> sinks;
+    const sim::Circuit circuit = graph::build_h_tree_circuit(spec, &sinks);
+    ASSERT_EQ(sinks.size(), 16u);
+    sim::TransientOptions options;
+    options.t_stop = 1e-9;
+    const ProbeRun run =
+        expect_matches_full_record(circuit, band_probes(sinks, spec.vdd), {}, options);
+    expect_spans_match(run, sinks, spec.vdd);
+  }
+}
+
+TEST(Measure, ExtendsUntilEveryProbeCrosses) {
+  // A slow gate line ("out", crossed only on the third attempt) beside a
+  // ringing line driven by a 70 ps pulse ("a.out"). The pulse rings out
+  // inside every attempt, and the first attempt's finer step resolves a
+  // higher peak than the last one's: extrema that did not restart with each
+  // attempt would keep it.
+  sim::Circuit circuit =
+      sim::build_gate_line_load({1000.0, {2000.0, 5e-8, 1e-12}, 1e-12}, 5);
+  circuit.add_voltage_source(
+      "a.in", "0", sim::PwlSpec{{{0.0, 0.0}, {10e-12, 1.0}, {60e-12, 1.0}, {70e-12, 0.0}}},
+      "va");
+  circuit.add_resistor("a.in", "a.drv", 20.0, "ra");
+  sim::add_rlc_ladder(circuit, "a", "a.drv", "a.out", {20.0, 5e-9, 0.2e-12}, 6);
+  circuit.add_capacitor("a.out", "0", 20e-15, 0.0, "ca");
+  sim::TransientOptions options;
+  options.t_stop = 0.3e-9;
+
+  const ProbeRun run =
+      expect_matches_full_record(circuit, {{"out", 0.5}}, {"a.out"}, options);
+  EXPECT_NEAR(run.want.result.waveforms.time().back(), 16.0 * options.t_stop,
+              1e-6 * options.t_stop);
+  const sim::Trace first_attempt = sim::run_transient(circuit, options).waveforms.trace("a.out");
+  EXPECT_GT(first_attempt.max_value(), run.got.extrema[0].max);
+  EXPECT_LT(first_attempt.min_value(), run.got.extrema[0].min);
+
+  const ProbeRun crossing_only = expect_matches_full_record(circuit, {{"out", 0.5}}, {}, options);
+  EXPECT_LT(crossing_only.got.steps, crossing_only.want.readings.steps);
+}
+
+TEST(Measure, NeverCrossingProbeThrowsTheFullRecordsMessage) {
+  const sim::Circuit circuit = stop_tile(4, 23u)[3];
+  sim::TransientOptions options;
+  options.t_stop = 12e-9;
+  // "out" crosses 0.5 but never 2.0, above the 1 V drive.
+  const std::vector<sim::CrossingProbe> probes{{"out", 0.5}, {"out", 2.0}};
+  std::string got, want;
+  try {
+    sim::measure_transient(circuit, probes, {"out"}, options, "never");
+  } catch (const std::runtime_error& e) {
+    got = e.what();
+  }
+  try {
+    full_record::measure(circuit, probes, {"out"}, options, "never");
+  } catch (const std::runtime_error& e) {
+    want = e.what();
+  }
+  EXPECT_EQ(got, "never: 'out' never crossed the threshold within the (auto-extended) horizon");
+  EXPECT_EQ(got, want);
+  EXPECT_THROW(sim::measure_transient(circuit, {}, {"nowhere"}, options, "node"),
+               std::out_of_range);
+}
+
+TEST(Measure, NodePastTheLevelAtTimeZero) {
+  // stop_tile's lane 1 starts at 0.8 V: its first RISING 0.5 crossing is on
+  // the common edge, after the dip, in the recorder as in the record.
+  const sim::Circuit circuit = stop_tile(4, 24u)[1];
+  sim::TransientOptions options;
+  options.t_stop = 12e-9;
+  const ProbeRun run =
+      expect_matches_full_record(circuit, {{"out", 0.5}}, {"out"}, options);
+  EXPECT_GT(run.got.crossings[0], kEdgeStart);
+  EXPECT_LT(run.got.extrema[0].min, 0.5);
+  EXPECT_GE(run.got.extrema[0].max, 0.8);
 }
 
 // ------------------------------------------- zero-coupling pattern fork

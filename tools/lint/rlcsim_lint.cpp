@@ -55,6 +55,12 @@
 //                         back can let it steer a result. Work counts a
 //                         caller needs are counted into caller-owned state
 //                         (reuse records, result structs) instead.
+//   full-record-scope     `run_transient(` or `.waveforms` in src/ outside
+//                         src/sim/transient.{h,cpp} — library callers read
+//                         a few numbers per node, so they measure through
+//                         sim::measure_transient's probes (first crossings,
+//                         extrema); recording every node to the horizon is
+//                         for examples, tests and the netlist CLI.
 //
 // Suppressions: append `// rlcsim-lint: allow(<rule>[, <rule>...])` to the
 // offending line or the line directly above it. Suppressions that suppress
@@ -151,7 +157,13 @@ std::string strip_line_comment(const std::string& line) {
   return line;
 }
 
-enum class Scope { kSrcOnly, kSrcOutsideObs, kEverywhere, kBatchKernels };
+enum class Scope {
+  kSrcOnly,
+  kSrcOutsideObs,
+  kSrcOutsideTransient,
+  kEverywhere,
+  kBatchKernels
+};
 
 struct Rule {
   const char* id;
@@ -237,6 +249,13 @@ std::string check_metric_read(const std::string& code, const std::string&) {
   return {};
 }
 
+std::string check_full_record(const std::string& code, const std::string&) {
+  if (contains_word(code, "run_transient(") || contains(code, ".waveforms"))
+    return "full-waveform record in library code; measure through "
+           "sim::measure_transient's crossing and extremum probes instead";
+  return {};
+}
+
 constexpr Rule kRules[] = {
     {"wallclock-scope", Scope::kSrcOutsideObs,
      "no wall-clock reads in src/ outside src/obs/ (bench mains and the "
@@ -261,6 +280,10 @@ constexpr Rule kRules[] = {
      "metrics_enabled/handle total()) in src/ outside "
      "src/obs/",
      check_metric_read},
+    {"full-record-scope", Scope::kSrcOutsideTransient,
+     "no run_transient( or .waveforms in src/ outside src/sim/transient.{h,cpp} "
+     "(library callers measure through probes)",
+     check_full_record},
 };
 
 // The two files whose lane kernels carry the load-bearing annotations.
@@ -338,6 +361,11 @@ void scan_file(const fs::path& path, const std::string& rel_path,
       // feed a result there. Everything else in src/obs/ is still linted.
       if (rule.scope == Scope::kSrcOutsideObs &&
           (top_dir != "src" || rel_path.rfind("src/obs/", 0) == 0))
+        continue;
+      // The engine's own files define and document the full record.
+      if (rule.scope == Scope::kSrcOutsideTransient &&
+          (top_dir != "src" || rel_path == "src/sim/transient.cpp" ||
+           rel_path == "src/sim/transient.h"))
         continue;
       if (rule.scope == Scope::kBatchKernels && !batch_kernel) continue;
       const std::string message = rule.check(code, raw_prev);
