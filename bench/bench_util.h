@@ -1,8 +1,7 @@
-// Shared formatting helpers for the reproduction benches.
-//
-// Every bench prints (a) the paper's reported numbers where the paper gives
-// them, (b) our measured equivalents, and (c) the deviation — so the console
-// output of `for b in build/bench/*; do $b; done` IS the reproduction record.
+// Shared JSON helpers for the benches. Every bench prints one JSON document
+// that leads with the manifest block and carries the metrics block; the
+// machine-independent members are gated against bench/baselines/ by
+// tools/perfkit/perfkit_compare.
 #pragma once
 
 #include <cerrno>
@@ -139,21 +138,6 @@ inline void batch_run_json(std::size_t lanes, std::size_t threads,
 inline void metrics_json_block(bool last = false) {
   std::printf("  \"metrics\": %s%s\n", rlcsim::obs::metrics_json(2).c_str(),
               last ? "" : ",");
-}
-
-inline void title(const std::string& text) {
-  std::printf("\n================================================================\n");
-  std::printf("%s\n", text.c_str());
-  std::printf("================================================================\n");
-}
-
-inline void section(const std::string& text) {
-  std::printf("\n--- %s ---\n", text.c_str());
-}
-
-inline void row_rule(int width = 78) {
-  for (int i = 0; i < width; ++i) std::printf("-");
-  std::printf("\n");
 }
 
 inline double pct(double value, double reference) {

@@ -38,8 +38,8 @@ using Clock = std::chrono::steady_clock;
 
 constexpr double kMaxAbsErr = 1e-9;
 
-// The benchmark workload: a strongly inductive on-chip line (same flavor as
-// the perf_models bench system) where the paper's analysis matters.
+// The benchmark workload: a strongly inductive on-chip line where the
+// paper's analysis matters.
 const tline::GateLineLoad& bench_system() {
   static const tline::GateLineLoad system{500.0, {500.0, 1e-7, 1e-12}, 0.5e-12};
   return system;

@@ -3,7 +3,7 @@
 // Used to re-derive the paper's fitted coefficients — eq. (9)'s
 // {2.9, 1.35, 1.48} and the repeater error factors' {0.16, 0.24, 0.18, 0.3} —
 // from data generated by our own simulator/optimizer, closing the loop on the
-// reproduction (see core/fitting and bench/fit_coefficients).
+// reproduction (see core/fitting and bench/paper_claims).
 #pragma once
 
 #include <functional>

@@ -168,8 +168,7 @@ double simulate_crosstalk_peak(const CoupledLinesSpec& spec,
 void add_coupled_bus(Circuit& circuit, const std::string& prefix,
                      const std::vector<std::string>& ins,
                      const std::vector<std::string>& outs,
-                     const tline::CoupledBus& bus, int segments,
-                     const StampOptions& stamp) {
+                     const tline::CoupledBus& bus, int segments) {
   tline::validate(bus);
   if (segments < 1)
     throw std::invalid_argument("add_coupled_bus: segments must be >= 1");
@@ -194,12 +193,12 @@ void add_coupled_bus(Circuit& circuit, const std::string& prefix,
   // with the historical ".p<i>" names), plus every farther pair carried by a
   // full-coupling bus (".p<i>x<j>" names). An ADJACENT pair whose Cc/Lm
   // happen to be exactly 0 still stamps STRUCTURAL elements (explicit zero
-  // values, same pattern) unless stamp.prune_zeros — a coupling axis
-  // sweeping through 0 must not fork the sparsity pattern and silently
-  // re-run the symbolic factorization mid-sweep. Entirely-zero FAR pairs
-  // are never stamped: no sweep axis varies them (nearest-neighbor buses
-  // have none by construction, and a full-coupling bus whose far entries
-  // are all 0 stays bit-identical to its nearest-neighbor equivalent).
+  // values, same pattern) — a coupling axis sweeping through 0 must not
+  // fork the sparsity pattern and silently re-run the symbolic
+  // factorization mid-sweep. Entirely-zero FAR pairs are never stamped: no
+  // sweep axis varies them (nearest-neighbor buses have none by
+  // construction, and a full-coupling bus whose far entries are all 0 stays
+  // bit-identical to its nearest-neighbor equivalent).
   for (int i = 0; i < bus.lines; ++i) {
     for (int far = i + 1; far < bus.lines; ++far) {
       const double cc = bus.coupling_cc(i, far);
@@ -219,14 +218,12 @@ void add_coupled_bus(Circuit& circuit, const std::string& prefix,
                                             bus.line_at(far).total_inductance)
                            : 0.0;
       for (int j = 0; j < segments; ++j) {
-        if (cc_seg > 0.0 || !stamp.prune_zeros) {
-          circuit.add_structural_capacitor(node_of(i, j), node_of(far, j),
-                                           cc_seg, 0.0,
-                                           pair + ".cc" + std::to_string(j));
-        }
+        circuit.add_structural_capacitor(node_of(i, j), node_of(far, j),
+                                         cc_seg, 0.0,
+                                         pair + ".cc" + std::to_string(j));
         // A structural mutual needs its two segment inductors to exist —
         // add_rlc_ladder only creates them for inductive lines.
-        if (k > 0.0 || (!stamp.prune_zeros && inductive)) {
+        if (k > 0.0 || inductive) {
           const std::string tag = "." + std::to_string(j) + ".l";
           circuit.add_mutual(line_prefix(i) + tag, line_prefix(far) + tag, k,
                              pair + ".k" + std::to_string(j));

@@ -116,24 +116,15 @@ double simulate_crosstalk_peak(const CoupledLinesSpec& spec,
 // internal elements are named "<prefix>.l<i>...". All coupling stamps land
 // in the MNA C-triplet set over the shared G/C pattern (sim/mna.h), so the
 // sparse symbolic-reuse path applies to buses exactly as to single lines.
-// How add_coupled_bus treats zero-valued coupling entries.
-struct StampOptions {
-  // By default a zero adjacent-pair Cc (and a zero Lm between two inductive
-  // lines) still stamps a STRUCTURAL element — an explicit 0 in the CSR
-  // values on the same pattern — so a coupling axis whose range includes 0
-  // keeps ONE sparsity pattern and ONE symbolic factorization across the
-  // whole sweep. (Entirely-zero far pairs are never stamped: no axis varies
-  // them.) Setting prune_zeros restores the value-dependent pattern fork
-  // (skip every stamp that is exactly 0): the escape hatch for dense
-  // full-coupling buses where the extra structural slots are pure overhead.
-  bool prune_zeros = false;
-};
-
+// A zero adjacent-pair Cc (and a zero Lm between two inductive lines) still
+// stamps a STRUCTURAL element — an explicit 0 in the CSR values on the same
+// pattern — so a coupling axis whose range includes 0 keeps ONE sparsity
+// pattern and ONE symbolic factorization across the whole sweep.
+// (Entirely-zero far pairs are never stamped: no axis varies them.)
 void add_coupled_bus(Circuit& circuit, const std::string& prefix,
                      const std::vector<std::string>& ins,
                      const std::vector<std::string>& outs,
-                     const tline::CoupledBus& bus, int segments,
-                     const StampOptions& stamp = {});
+                     const tline::CoupledBus& bus, int segments);
 
 // What each bus line's driver does during a bus transition.
 enum class BusDrive {

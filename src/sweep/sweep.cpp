@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "core/delay_model.h"
-#include "core/two_pole.h"
 #include "numeric/fp_env.h"
 #include "numeric/sparse_batch.h"
 #include "obs/obs.h"
@@ -102,8 +101,6 @@ double evaluate_point(const Scenario& scenario, Analysis analysis,
   switch (analysis) {
     case Analysis::kClosedFormDelay:
       return core::rlc_delay(scenario.system, options.fit);
-    case Analysis::kTwoPoleDelay:
-      return core::TwoPoleModel(scenario.system).threshold_delay(0.5);
     case Analysis::kTransientDelay:
       return transient_delay_of(scenario, options, reuse);
     case Analysis::kAcBandwidth: {
@@ -118,13 +115,6 @@ double evaluate_point(const Scenario& scenario, Analysis analysis,
     case Analysis::kRepeaterDelay:
       return core::total_delay(scenario.system.line, scenario.buffer,
                                scenario.design, options.fit);
-    case Analysis::kRepeaterOptimum:
-      // Serial per point by design: optimum points are themselves grid
-      // points of an outer parallel sweep, so a nested parallel batch here
-      // would only fight the pool (nested parallel_for degrades to inline).
-      return core::optimize(scenario.system.line, scenario.buffer, options.fit,
-                            /*min_sections=*/1.0)
-          .continuous_delay;
     case Analysis::kCrosstalkDelay:
     case Analysis::kCrosstalkNoise:
     case Analysis::kCrosstalkPushout:
@@ -264,11 +254,9 @@ const char* variable_name(Variable variable) {
 const char* analysis_name(Analysis analysis) {
   switch (analysis) {
     case Analysis::kClosedFormDelay: return "closed_form_delay";
-    case Analysis::kTwoPoleDelay: return "two_pole_delay";
     case Analysis::kTransientDelay: return "transient_delay";
     case Analysis::kAcBandwidth: return "ac_bandwidth";
     case Analysis::kRepeaterDelay: return "repeater_delay";
-    case Analysis::kRepeaterOptimum: return "repeater_optimum";
     case Analysis::kCrosstalkDelay: return "crosstalk_delay";
     case Analysis::kCrosstalkNoise: return "crosstalk_noise";
     case Analysis::kCrosstalkPushout: return "crosstalk_pushout";

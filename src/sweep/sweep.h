@@ -127,12 +127,10 @@ struct SweepSpec {
 
 enum class Analysis {
   kClosedFormDelay,  // eq. (9) 50% delay of scenario.system
-  kTwoPoleDelay,     // moment-matched two-pole threshold delay
   kTransientDelay,   // MNA transient 50% delay (ladder discretization)
   kAcBandwidth,      // -3 dB bandwidth of the gate+line+load transfer, Hz
                      // (NaN when |H| never drops 3 dB inside the window)
   kRepeaterDelay,    // eq. (19) total delay at the scenario's (h, k)
-  kRepeaterOptimum,  // numerically optimized RLC-aware total delay
   kCrosstalkDelay,   // bus victim 50% delay under the scenario's pattern, s
                      // (NaN for kQuietVictim — a quiet victim never switches);
                      // core::analyze_crosstalk_delay, which stops stepping at

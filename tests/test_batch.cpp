@@ -881,24 +881,18 @@ TEST(ZeroCouplingPattern, StructuralStampsKeepOnePattern) {
   const auto bus_of = [&](double cc_ratio) {
     return tline::make_bus(2, line, cc_ratio, 0.0);
   };
-  const auto circuit_of = [&](double cc_ratio, sim::StampOptions stamp) {
+  const auto circuit_of = [&](double cc_ratio) {
     sim::Circuit c;
     c.add_resistor("in0", "0", 50.0, "g0");
     c.add_resistor("in1", "0", 50.0, "g1");
     sim::add_coupled_bus(c, "bus", {"in0", "in1"}, {"out0", "out1"},
-                         bus_of(cc_ratio), 6, stamp);
+                         bus_of(cc_ratio), 6);
     return c;
   };
-  const sim::MnaAssembler zero(circuit_of(0.0, {}));
-  const sim::MnaAssembler coupled(circuit_of(0.5, {}));
+  const sim::MnaAssembler zero(circuit_of(0.0));
+  const sim::MnaAssembler coupled(circuit_of(0.5));
   EXPECT_EQ(zero.system_pattern()->row_ptr, coupled.system_pattern()->row_ptr);
   EXPECT_EQ(zero.system_pattern()->col_idx, coupled.system_pattern()->col_idx);
-
-  // The escape hatch restores the value-dependent (pruned) pattern.
-  sim::StampOptions prune;
-  prune.prune_zeros = true;
-  const sim::MnaAssembler pruned(circuit_of(0.0, prune));
-  EXPECT_LT(pruned.system_pattern()->nnz(), zero.system_pattern()->nnz());
 }
 
 // The acceptance regression: a coupling axis whose range INCLUDES 0 stays

@@ -32,6 +32,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -56,8 +57,8 @@ const char* direction_name(Direction d) {
 }
 
 struct MetricSpec {
-  const char* name;       // stable report/trajectory identifier
-  const char* pointer;    // perfkit_json.h pointer-with-selectors
+  std::string name;       // stable report/trajectory identifier
+  std::string pointer;    // perfkit_json.h pointer-with-selectors
   Direction direction;    // which way "better" points (exact: neither)
   double tolerance;       // relative window half-width vs |baseline|
   double abs_tolerance;   // absolute window floor (libm / rounding slack)
@@ -68,6 +69,25 @@ struct BenchCatalog {
   const char* bench;
   std::vector<MetricSpec> metrics;
 };
+
+// paper_claims' records (bench/paper_claims.cpp), one pair per claim id:
+// `reproduced` is held exactly, and `measured` in a two-sided window of 2%
+// relative with a 0.001 absolute floor. That is mor_accuracy's
+// accuracy-percentage shape, two-sided because a claim's value has no good
+// direction, and tighter because no claim depends on timing or threads.
+std::vector<MetricSpec> claim_metrics(std::initializer_list<const char*> ids) {
+  std::vector<MetricSpec> specs;
+  specs.reserve(2 * ids.size());
+  for (const char* raw : ids) {
+    const std::string id = raw;
+    const std::string claim = "/claims/id=" + id;
+    specs.push_back({id + ".reproduced", claim + "/reproduced",
+                     Direction::kExact, 0.0, 0.0, true});
+    specs.push_back({id + ".measured", claim + "/measured", Direction::kExact,
+                     0.02, 0.001, true});
+  }
+  return specs;
+}
 
 // The blessing catalog: which members of each bench's JSON are headline
 // metrics, and how tightly each is held. `--bless` resolves these pointers
@@ -192,6 +212,25 @@ const std::vector<BenchCatalog>& catalog() {
             "/gates/transient_speedup_w8_vs_w1", Direction::kHigher, 0.75, 0.0,
             false},
        }},
+      {"paper_claims",
+       claim_metrics({"table1_worst_err_pct", "table1_mean_err_pct",
+                      "table1_low_r_worst_err_pct", "table1_low_r_mean_err_pct",
+                      "ladder_vs_exact_worst_pct", "fig2_rtct0_worst_dev_pct",
+                      "fig2_rtct1_worst_dev_pct", "fig2_rtct5_worst_dev_pct",
+                      "eq14_15_excess_delay_worst_pct",
+                      "chain_rc_over_closed_form_t5_pct",
+                      "chain_rc_over_optimum_t5_pct",
+                      "eq16_delay_increase_t3_pct", "rc_penalty_vs_optimum_t3_pct",
+                      "eq16_delay_increase_t5_pct", "rc_penalty_vs_optimum_t5_pct",
+                      "eq16_delay_increase_t10_pct",
+                      "rc_penalty_vs_optimum_t10_pct", "eq18_area_increase_t3_pct",
+                      "eq18_area_increase_t5_pct", "rlc_sizing_power_saved_pct",
+                      "eq9_fit_exp_scale", "eq9_fit_exp_power", "eq9_fit_linear",
+                      "eq9_fit_worst_point_pct", "eq14_fit_a", "eq14_fit_b",
+                      "eq15_fit_a", "eq15_fit_b", "length_exponent_rc_wire",
+                      "length_exponent_lc_wire", "tech_t_lr_250nm",
+                      "tech_area_increase_250nm_pct", "tech_t_lr_130nm",
+                      "tech_area_increase_130nm_pct"})},
       // Synthetic bench for the comparator's own golden tests
       // (tools/perfkit/testdata): one metric per classification knob.
       {"demo",
