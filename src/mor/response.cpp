@@ -122,8 +122,8 @@ namespace {
 // OUTSIDE the lane loop, so each (pole, coefficient) pair is loaded once per
 // block instead of once per sample.
 constexpr std::size_t kScanBlock = 8;
-// first_crossing tries the settled-tail exit on every kSettleCheck-th grid
-// index (each try costs one exp per pole term).
+// Both scans try their early exits on every kSettleCheck-th grid index
+// (each try costs one exp per pole term).
 constexpr std::size_t kSettleCheck = 64;
 }  // namespace
 
@@ -222,6 +222,49 @@ double AnalyticResponse::suggested_horizon() const {
 //  * Superposition adds each contribution to the running sum: one rounding
 //    per add per path against |dc_offset| + sum of contribution bounds.
 // The final factor 2 is slack for the first-order (1 + x)^K ~ 1 + Kx steps.
+//
+// value()'s own rounding, E: |value(t) - y(t)| <= E for every grid sample t
+// past every onset and ramp end, y the exact exponential sum at that double
+// t. bound() is a DIFFERENCE of two evaluation paths, and the dc x products
+// it cancels do not cancel against y, so E is derived on its own. Same u, T,
+// S, Q and n; exp, sin and cos are taken within one ulp each.
+//  * Arguments. ts = fl(t - d) is within uT of t - d and a ramp's
+//    tau = fl(ts - rise) within 2uT of t - d - rise; fl(p x) adds u|p|T, so
+//    each exp argument sits within 3u|p|T of the exact one and each exp
+//    (|e| <= 1 on stable poles) within u(5 + 3.1|p|T) |e| of its exact value.
+//  * Step. a e rounds within 3u|a||e|, the n-term sum adds nuS, dc + s and
+//    delta (...) round once each: E_c <= |delta| u ((16 + n) S + 4TQ + 2|dc|).
+//  * Ramp. In z(x) = dc x + sum Re(a (e - 1)) the argument errors of both
+//    z's cost 3u|dc|T through dc x (the exps' are counted above). Inside one
+//    z: (e - 1) and a (e - 1) round within 2u|a| and 6u|a|, the n terms
+//    (each <= 2|a|) add 2nuS, dc x and the final add round within
+//    u (2|dc|T + 2S). z_on - z_off rounds within u (2|dc|T + 4S); / rise and
+//    * delta round once each against |delta| (|dc| + 2S / rise). Together,
+//    rounded up: E_c <= |delta| u ((10|dc|T + (40 + 4n) S + 8TQ) / rise
+//    + 2|dc|).
+//  * Superposition. Each += rounds within u (|dc_offset| + sum of the
+//    contribution magnitudes).
+// E is twice the sum: slack for the dropped second-order terms and for the
+// <= 4u relative rounding of the increment it is compared against below.
+//
+// Monotone tail. Past every onset and ramp end,
+//   y'(t) = sum_k Re(kappa_k e^{p_k x_k}),  x_k = t - d_c - rise_c,
+// with kappa = delta a p (step) or delta a p (e^{p rise} - 1) / rise (ramp).
+// Let p* be the largest Re p. When p* < 0 and every term with Re p = p* is
+// real, D(t) = sum over those terms of kappa e^{p* x} scales exactly as
+// e^{p* t}, while R(t) = sum over the rest of |kappa| e^{Re p x} shrinks at
+// least that fast. So |D(t)| > R(t) gives |y'(s)| >= (|D| - R) e^{p* (s - t)}
+// with y' of D's sign for every s >= t, and consecutive grid samples at or
+// after t (spacing >= h - 8uT: each point is within 3uT of its exact time)
+// differ in y by at least (h - 8uT) (|D| - R) e^{p* (T - t)}. When that
+// exceeds 2E, value() is strictly monotone over those samples too. The
+// computed D and R carry rounding from kappa (within 12u |kappa|, plus
+// u (8 + 2|p| rise) |delta a p| / rise on a ramp: e^{p rise} - 1 is within
+// u (7 + 1.1|p| rise) of exact, its argument, exp and subtraction each
+// rounding, a cancellation charged absolutely), from the decays e^{Re p x} (x within 2uT:
+// u (2 + 4|p|T) relative), from the two sums (Nu each over all N terms)
+// and from |D| - R, so R is charged u (20 + 2N + 4|p|T) |kappa| per term,
+// plus that ramp term, times e^{Re p x}.
 class AnalyticResponse::Scanner {
  public:
   static constexpr int kReseed = 64;
@@ -253,6 +296,8 @@ class AnalyticResponse::Scanner {
         stable = stable && p.real() <= 0.0;
       }
       piece.end = poles_.size();
+      piece.s = s;
+      piece.q = q;
       piece.tail_scale =
           std::fabs(c.delta) * (c.rise == 0.0 ? 1.0 : 2.0 / c.rise);
       pieces_.push_back(piece);
@@ -330,19 +375,41 @@ class AnalyticResponse::Scanner {
   // value() and final_value() round on top of the math values (both are
   // evaluation paths the drift bound above already accounts for); the
   // factor 2 is slack for that and for the rounding of the tail sum.
-  double tail_bound(double t) const {
+  //
+  // With `slope`, also the monotone-tail certificate at t (derived above)
+  // from the same decays: +1 / -1 when value() is proven strictly
+  // increasing / decreasing over the grid samples from t on, else 0.
+  double tail_bound(double t, int* slope = nullptr) {
+    if (slope) *slope = 0;
     if (!std::isfinite(tail_rounding_))
       return std::numeric_limits<double>::infinity();
-    double tail = 0.0;
+    const bool certify = slope && certifiable();
+    double tail = 0.0, dominant = 0.0, rest = 0.0;
     for (std::size_t k = 0; k < pieces_.size(); ++k) {
       const Contribution& c = response_.contributions_[k];
       const double x = (t - c.delay) - c.rise;
       if (!(x >= 0.0)) return std::numeric_limits<double>::infinity();
       const Piece& piece = pieces_[k];
       double sum = 0.0;
-      for (std::size_t j = piece.begin; j < piece.end; ++j)
-        sum += abs_a_[j] * std::exp(poles_[j].real() * x);
+      for (std::size_t j = piece.begin; j < piece.end; ++j) {
+        const double decay = std::exp(poles_[j].real() * x);
+        sum += abs_a_[j] * decay;
+        if (!certify) continue;
+        const Slope& slope_term = slopes_[j];
+        if (poles_[j].real() == slowest_)
+          dominant += slope_term.kappa * decay;
+        else
+          rest += slope_term.abs_kappa * decay;
+        rest += slope_term.slack * decay;
+      }
       tail += piece.tail_scale * sum;
+    }
+    if (certify) {
+      const double margin = std::fabs(dominant) - rest;
+      const double increment =
+          step_ * margin * std::exp(slowest_ * (t_end_ - t));
+      if (margin > 0.0 && increment > 2.0 * value_rounding_)
+        *slope = dominant > 0.0 ? +1 : -1;
     }
     return 2.0 * (tail + tail_rounding_);
   }
@@ -379,8 +446,73 @@ class AnalyticResponse::Scanner {
     std::size_t begin = 0, end = 0;  // the contribution's terms
     double sum_re_a = 0.0;           // sum Re(a): the ramp's "- 1" terms
     double tail_scale = 0.0;         // |delta| (step) or 2|delta|/rise (ramp)
+    double s = 0.0, q = 0.0;         // S = sum |a|, Q = sum |a||p|
     int on = -1, off = -1;  // samples since the last seed; -1 = not yet live
   };
+
+  // Whether the monotone-tail certificate can hold at all: p* real and
+  // stable, E finite. Its inputs (p*, E and the kappa terms) are built on
+  // the first call, so scans that never try it (first_crossing) pay
+  // nothing.
+  bool certifiable() {
+    if (certificate_ != Certificate::kUnknown)
+      return certificate_ == Certificate::kReady;
+    certificate_ = Certificate::kNever;
+    constexpr double u = std::numeric_limits<double>::epsilon() / 2.0;
+    slowest_ = -std::numeric_limits<double>::infinity();
+    bool real = false;
+    for (const Complex& p : poles_) {
+      if (p.real() > slowest_) {
+        slowest_ = p.real();
+        real = p.imag() == 0.0;
+      } else if (p.real() == slowest_) {
+        real = real && p.imag() == 0.0;
+      }
+    }
+    if (!(slowest_ < 0.0) || !real) return false;
+
+    const double t_max = std::max(std::fabs(t0_), std::fabs(t0_ + span_));
+    const double n_all = static_cast<double>(poles_.size());
+    slopes_.reserve(poles_.size());
+    double rounding = 0.0, magnitudes = std::fabs(response_.dc_offset_);
+    for (std::size_t k = 0; k < pieces_.size(); ++k) {
+      const Contribution& c = response_.contributions_[k];
+      const double s = pieces_[k].s, q = pieces_[k].q;
+      const double n = static_cast<double>(c.terms.size());
+      const double delta = std::fabs(c.delta), dc = std::fabs(c.dc);
+      if (c.rise == 0.0) {
+        rounding += delta * u * ((16.0 + n) * s + 4.0 * t_max * q + 2.0 * dc);
+        magnitudes += delta * (dc + s);
+      } else {
+        rounding += delta * u *
+                    ((10.0 * dc * t_max + (40.0 + 4.0 * n) * s +
+                      8.0 * t_max * q) / c.rise +
+                     2.0 * dc);
+        magnitudes += delta * (dc + 2.0 * s / c.rise);
+      }
+      for (std::size_t j = pieces_[k].begin; j < pieces_[k].end; ++j) {
+        const Complex p = poles_[j];
+        const Complex ap = Complex(ar_[j], ai_[j]) * p;
+        Complex kappa = c.delta * ap;
+        double slack = 20.0 + 2.0 * n_all + 4.0 * std::abs(p) * t_max;
+        if (c.rise != 0.0) {
+          kappa = kappa * (std::exp(p * c.rise) - 1.0) / c.rise;
+          slack = slack * std::abs(kappa) + (8.0 + 2.0 * std::abs(p) * c.rise) *
+                                                delta * std::abs(ap) / c.rise;
+        } else {
+          slack *= std::abs(kappa);
+        }
+        slopes_.push_back({kappa.real(), std::abs(kappa), u * slack});
+      }
+    }
+    rounding += u * static_cast<double>(pieces_.size()) * magnitudes;
+    value_rounding_ = 2.0 * rounding;
+    step_ = span_ / static_cast<double>(samples_) - 8.0 * u * t_max;
+    t_end_ = point(samples_);
+    if (!std::isfinite(value_rounding_) || !(step_ > 0.0)) return false;
+    certificate_ = Certificate::kReady;
+    return true;
+  }
 
   // Moves one term set to the current sample — a direct exp at onset and
   // every kReseed samples, one multiply by w otherwise — and returns
@@ -415,10 +547,21 @@ class AnalyticResponse::Scanner {
   std::size_t first_live_ = 0;
   double bound0_ = 0.0, bound1_ = 0.0;
   double tail_rounding_ = 0.0;  // bound() over the whole grid
+  // Monotone-tail certificate inputs (built by certifiable()): E, the
+  // grid's last time, h - 8uT and the slowest decay rate p*.
+  enum class Certificate { kUnknown, kNever, kReady };
+  Certificate certificate_ = Certificate::kUnknown;
+  double value_rounding_ = 0.0, t_end_ = 0.0, step_ = 0.0, slowest_ = 0.0;
   std::vector<Piece> pieces_;
   std::vector<Complex> poles_;
   // Structure of arrays over every term of every contribution.
   std::vector<double> wr_, wi_, ar_, ai_, abs_a_, zr_, zi_, zr_off_, zi_off_;
+  // Per term: Re kappa, |kappa| and the certificate's rounding charge
+  // (built by certifiable()).
+  struct Slope {
+    double kappa, abs_kappa, slack;
+  };
+  std::vector<Slope> slopes_;
 };
 
 std::optional<double> AnalyticResponse::first_crossing(double level,
@@ -527,7 +670,10 @@ ResponseMetrics AnalyticResponse::measure(double drive_lo, double drive_hi,
     e.exact = true;
     ++exact;
   };
-  for (std::size_t i = scan.first_live(); i <= samples; ++i) {
+  const double final_v = final_value();
+  bool settled_exit = false, monotone_exit = false;
+  std::size_t i = scan.first_live();
+  for (; i <= samples; ++i) {
     const double t = scan.point(i);
     const double estimate = scan.estimate(t);
     const double bound = 2.0 * scan.bound(t);
@@ -553,12 +699,44 @@ ResponseMetrics AnalyticResponse::measure(double drive_lo, double drive_hi,
       settle(lo);
       if (exact_v() < lo.v) lo = {v, i, true};
     }
+    if (i % kSettleCheck != 0 || i == samples) continue;
+    // Proven early exits; both only shorten the walk. Settled extrema: no
+    // later sample comes within tail_bound(t) of either running extremum
+    // (held exactly first; the pre-test on held estimates, each within
+    // `bound` of its exact value, skips those evaluations when the exit
+    // cannot fire). Monotone tail: every later sample strictly beats the
+    // one before it, so only the last can move one extremum, and only by
+    // strictly beating it (an earlier index wins a tie).
+    int slope = 0;
+    const double tail = scan.tail_bound(t, &slope);
+    if (!std::isfinite(tail)) continue;
+    if (hi.v - final_v > tail - bound && final_v - lo.v > tail - bound) {
+      settle(hi);
+      settle(lo);
+      if (hi.v - final_v > tail && final_v - lo.v > tail) {
+        settled_exit = true;
+        ++i;
+        break;
+      }
+    }
+    if (slope != 0) {
+      settle(hi);
+      settle(lo);
+      const double end = value(scan.point(samples));
+      ++exact;
+      if (slope > 0 && end > hi.v) hi = {end, samples, true};
+      if (slope < 0 && end < lo.v) lo = {end, samples, true};
+      monotone_exit = true;
+      ++i;
+      break;
+    }
   }
   settle(hi);
   settle(lo);
-  OBS_COUNTER_ADD("mor.scan_samples",
-                  samples + 1 - std::min(samples + 1, scan.first_live()));
+  OBS_COUNTER_ADD("mor.scan_samples", i - std::min(i, scan.first_live()));
   OBS_COUNTER_ADD("mor.scan_exact_fallbacks", exact);
+  OBS_COUNTER_ADD("mor.extremum_settled_exits", settled_exit);
+  OBS_COUNTER_ADD("mor.extremum_monotone_exits", monotone_exit);
   const auto refine = [&](std::size_t i, int sign, double coarse) {
     if (i == 0 || i == samples) return coarse;
     const double dt = horizon / static_cast<double>(samples);

@@ -27,7 +27,12 @@
 // bound) proves every later sample does too, the rest of that window cannot
 // bracket the level. Every window still runs, so a never-crossing search
 // (a quiet victim's glitch check) costs a few settled prefixes instead of
-// 1 + 4 + 16 + 64 horizons of samples.
+// 1 + 4 + 16 + 64 horizons of samples. The extremum scan stops early on two
+// proofs: settled extrema (the running max and min lie strictly outside the
+// same tail bound around the final value) and a monotone tail (the slowest
+// pole is real and its derivative term outweighs every other term's bound,
+// by more than value()'s own rounding over one grid step), after which only
+// the last sample can still move one extremum.
 #pragma once
 
 #include <complex>
@@ -92,7 +97,10 @@ class AnalyticResponse {
   // (drive_lo = initial drive level, drive_hi = final). delay_50/rise are
   // absent when the envelope has no swing (a quiet victim). `want_rise`
   // skips the two 10%/90% crossing scans for callers that only consume
-  // delay and peaks (the reduced-crosstalk hot path).
+  // delay and peaks (the reduced-crosstalk hot path). peak_value and
+  // min_value are the exact grid scan's, refined; the scan may stop before
+  // the horizon once a settled-extrema or monotone-tail proof shows no later
+  // sample can change them.
   ResponseMetrics measure(double drive_lo, double drive_hi,
                           bool want_rise = true) const;
 

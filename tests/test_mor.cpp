@@ -903,6 +903,162 @@ TEST(AnalyticScan, SettledTailShortensNeverCrossingScans) {
                         oracle_crossing(r, omega, 0.5, +1)));
 }
 
+// A model from explicit poles and residues, its DC gain set so the step
+// response starts at 0.
+mor::PoleResidueModel model_of(std::vector<std::complex<double>> poles,
+                               std::vector<std::complex<double>> residues) {
+  mor::PoleResidueModel m;
+  m.poles = std::move(poles);
+  m.residues = std::move(residues);
+  for (std::size_t k = 0; k < m.poles.size(); ++k)
+    m.dc_gain -= (m.residues[k] / m.poles[k]).real();
+  m.order = static_cast<int>(m.poles.size());
+  m.requested_order = m.order;
+  return m;
+}
+
+// measure() against the exact scan, for the swing to the final value and for
+// a quiet drive at the initial level.
+void expect_measure_matches(const std::vector<Drive>& drives, double lo,
+                            const std::string& label) {
+  const mor::AnalyticResponse r = response_of(lo, drives);
+  const double omega = max_omega_of(drives);
+  const double hi = r.final_value();
+  EXPECT_TRUE(same_metrics(r.measure(lo, hi), oracle_measure(r, omega, lo, hi)))
+      << label;
+  EXPECT_TRUE(same_metrics(r.measure(lo, lo, false),
+                           oracle_measure(r, omega, lo, lo)))
+      << label << " (quiet)";
+}
+
+TEST(AnalyticScan, ExtremumExitMatchesExactScan) {
+  // Responses on which the extremum scan's settled-extrema and monotone-tail
+  // exits fire, nearly fire, or must not fire; rising and falling swings
+  // throughout (the sign of delta).
+  for (std::uint64_t seed = 600; seed < 640; ++seed) {
+    Draw draw(seed);
+    const double rate = 1.0 / draw.log_uniform(1e-11, 1e-10);
+    const double sign = draw.coin(0.5) ? 1.0 : -1.0;
+    const double lo = draw.uniform(-0.5, 0.5);
+    const std::string label = "seed " + std::to_string(seed);
+
+    // A single dominant real pole under a faster, smaller ringing pair; a
+    // step, a short ramp, or two staggered drivers of the same model.
+    const double fast = rate * draw.uniform(3.0, 8.0);
+    const std::complex<double> ring(-fast, fast * draw.uniform(0.5, 2.0));
+    const std::complex<double> ring_r(fast * draw.uniform(-0.2, 0.2),
+                                      fast * draw.uniform(-0.2, 0.2));
+    Drive dominant;
+    dominant.model = model_of({{-rate, 0.0}, ring, std::conj(ring)},
+                              {{rate, 0.0}, ring_r, std::conj(ring_r)});
+    dominant.delta = sign * draw.uniform(0.2, 1.5);
+    dominant.rise = draw.coin(0.5) ? 0.0 : draw.uniform(0.05, 1.0) / rate;
+    expect_measure_matches({dominant}, lo, label + " dominant pole");
+    Drive second = dominant;
+    second.delta = sign * draw.uniform(0.2, 1.5);
+    second.start = draw.uniform(0.2, 2.0) / rate;
+    expect_measure_matches({dominant, second}, lo, label + " staggered");
+
+    // Near-tied slow real poles with opposite-sign residues: the slope
+    // changes sign at t_star, so the slowest term alone does not prove a
+    // monotone tail until well after it.
+    const double eps = draw.uniform(0.05, 0.5);
+    const double t_star = draw.uniform(1.0, 8.0) / rate;
+    Drive tied;
+    tied.model = model_of(
+        {{-rate, 0.0}, {-rate * (1.0 + eps), 0.0}},
+        {{rate, 0.0}, {-rate * std::exp(eps * rate * t_star), 0.0}});
+    tied.delta = sign * draw.uniform(0.2, 1.5);
+    tied.rise = draw.coin(0.5) ? 0.0 : draw.uniform(0.05, 0.5) / rate;
+    expect_measure_matches({tied}, lo, label + " near-tied poles");
+
+    // A complex slowest pair: no monotone certificate, settled extrema only.
+    const std::complex<double> slow(-rate, rate * draw.uniform(0.3, 3.0));
+    const std::complex<double> slow_r(rate * draw.uniform(0.2, 1.0),
+                                      rate * draw.uniform(-1.0, 1.0));
+    Drive pair;
+    pair.model = model_of({slow, std::conj(slow), {-fast, 0.0}},
+                          {slow_r, std::conj(slow_r), {fast, 0.0}});
+    pair.delta = sign * draw.uniform(0.2, 1.5);
+    pair.rise = draw.coin(0.5) ? 0.0 : draw.uniform(0.05, 1.0) / rate;
+    expect_measure_matches({pair}, lo, label + " complex slowest pair");
+
+    // A ramp ending late in the window: the tail left after it is flat to
+    // within value()'s rounding, which the certificate must not trust.
+    const mor::PoleResidueModel single =
+        model_of({{-rate, 0.0}}, {{rate, 0.0}});
+    Drive late;
+    late.model = single;
+    late.delta = sign * draw.uniform(0.2, 1.5);
+    late.rise = draw.uniform(5.0, 40.0) / rate;
+    expect_measure_matches({late}, lo, label + " late ramp end");
+    late.model = dominant.model;
+    expect_measure_matches({late}, lo, label + " late ramp end, ringing");
+
+    // An unstable pole: neither exit may fire.
+    Drive unstable;
+    unstable.model =
+        model_of({{-rate, 0.0}, {rate * draw.uniform(1e-3, 0.05), 0.0}},
+                 {{rate, 0.0}, {rate * 1e-4, 0.0}});
+    unstable.delta = sign * draw.uniform(0.2, 1.5);
+    expect_measure_matches({unstable}, lo, label + " unstable pole");
+
+    // Quiet bumps: a driver and its opposite a little later. One real pole
+    // decays back without undershoot; the ringing model undershoots.
+    const double rise = draw.uniform(0.05, 1.0) / rate;
+    const double gap = draw.uniform(0.1, 2.0) / rate;
+    for (const bool ringing : {false, true}) {
+      Drive up;
+      up.model = ringing ? pair.model : single;
+      up.delta = sign * draw.uniform(0.2, 1.5);
+      up.rise = rise;
+      Drive down = up;
+      down.delta = -up.delta;
+      down.start = gap;
+      expect_measure_matches({up, down}, lo,
+                             label + (ringing ? " bump, undershoot" : " bump"));
+    }
+  }
+}
+
+TEST(AnalyticScan, ExtremumExitShortensMonotoneScans) {
+  // A one-contribution dominant-pole ramp: the exact scan walks its whole
+  // grid although the maximum sits on the last sample; the monotone-tail
+  // exit stops it soon after the ramp ends. An overshooting step stops
+  // through the settled-extrema exit instead.
+  if (!obs::metrics_enabled()) GTEST_SKIP() << "needs RLCSIM_METRICS on";
+  const double rate = 2e10;
+  Drive ramp;
+  ramp.model = model_of({{-rate, 0.0}, {-8.0 * rate, 0.0}},
+                        {{rate, 0.0}, {0.5 * rate, 0.0}});
+  ramp.delta = 1.0;
+  ramp.rise = 0.5 / rate;
+  Drive overshoot;
+  const std::complex<double> p(-rate, 3.0 * rate), res(rate, -2.0 * rate);
+  overshoot.model = model_of({p, std::conj(p)}, {res, std::conj(res)});
+  overshoot.delta = -0.8;
+  for (const auto& [drive, counter] :
+       {std::pair{ramp, "mor.extremum_monotone_exits"},
+        std::pair{overshoot, "mor.extremum_settled_exits"}}) {
+    const mor::AnalyticResponse r = response_of(0.0, {drive});
+    const double omega = max_omega_of({drive});
+    const std::size_t grid = oracle_samples(r.suggested_horizon(), omega, 1024);
+    const auto read = [](const char* name) {
+      return obs::counter_total(name).value_or(0);
+    };
+    const std::uint64_t samples_before = read("mor.scan_samples");
+    const std::uint64_t exits_before = read(counter);
+    // A quiet drive: measure() runs the extremum scan and nothing else.
+    const mor::ResponseMetrics m = r.measure(0.0, 0.0, false);
+    const std::uint64_t walked = read("mor.scan_samples") - samples_before;
+    EXPECT_GT(walked, 0u) << counter;
+    EXPECT_LT(walked * 4, grid)
+        << counter << ": " << walked << " of " << grid << " samples walked";
+    EXPECT_EQ(read(counter) - exits_before, 1u) << counter;
+    EXPECT_TRUE(same_metrics(m, oracle_measure(r, omega, 0.0, 0.0))) << counter;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Reduced crosstalk
 // ---------------------------------------------------------------------------

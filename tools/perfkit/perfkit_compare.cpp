@@ -192,7 +192,7 @@ const std::vector<BenchCatalog>& catalog() {
            {"graph.nodes_evaluated", "/metrics/counters/graph.nodes_evaluated",
             Direction::kExact, 0.0, 0.0, true},
            // Analytic-scan grid points walked: any change to the sampling
-           // grid or the dead-time skip moves it.
+           // grid, the dead-time skip or an early exit moves it.
            {"mor.scan_samples", "/metrics/counters/mor.scan_samples",
             Direction::kExact, 0.0, 0.0, true},
        }},
