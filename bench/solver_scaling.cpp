@@ -11,7 +11,14 @@
 // difference between the two solutions. The dense LU is skipped above the
 // size where O(n^3) stops being benchmarkable (null in the JSON).
 //
-// Exit status: 1 if any max_abs_err exceeds 1e-9 (sparse vs dense oracle).
+// Each transient row also times numeric::SparseLuBatch solves at lane
+// widths W = 1/4/8 (per-lane ns/solve and ns/nnz of the factors; lane w
+// carries the matrix scaled by 1 + w/64 and the same excitation) and
+// memcmps every lane against a scalar SparseLu refactor + solve of its
+// values (batch_matches_scalar).
+//
+// Exit status: 1 if any max_abs_err exceeds 1e-9 (sparse vs dense oracle)
+// or any batched lane differs from its scalar solve by a single bit.
 //
 // Usage: solver_scaling [--fast]
 //   --fast   caps N at 500 (CI smoke run)
@@ -27,6 +34,7 @@
 #include "bench_util.h"
 #include "numeric/matrix.h"
 #include "numeric/sparse.h"
+#include "numeric/sparse_batch.h"
 #include "sim/builders.h"
 #include "sim/mna.h"
 #include "tline/rc_line.h"
@@ -81,7 +89,50 @@ struct Comparison {
   double dense_factor_s = 0.0;
   double dense_solve_s = 0.0;
   double max_abs_err = 0.0;
+  // Batched solves (real transient matrices only), per lane width in
+  // kBatchLaneWidths order.
+  bool have_batch = false;
+  double batch_lane_solve_s[3] = {0.0, 0.0, 0.0};
+  bool batch_matches_scalar = true;
 };
+
+// Times W-lane SparseLuBatch solves over `a` (lane w: values scaled by
+// 1 + w/64, right-hand side b) and memcmps each lane against a scalar
+// refactor + solve of the same values.
+void compare_batched(const numeric::RealSparse& a, const std::vector<double>& b,
+                     Comparison& c) {
+  const numeric::RealSparseLu donor(a);
+  const std::size_t n = b.size();
+  c.have_batch = true;
+  for (std::size_t k = 0; k < std::size(numeric::kBatchLaneWidths); ++k) {
+    const std::size_t lanes = numeric::kBatchLaneWidths[k];
+    numeric::BatchedValues values(static_cast<std::size_t>(a.nnz()), lanes);
+    numeric::BatchedValues rhs(n, lanes), x(n, lanes);
+    std::vector<std::vector<double>> lane_values(lanes, a.values());
+    for (std::size_t w = 0; w < lanes; ++w) {
+      for (double& v : lane_values[w]) v *= 1.0 + static_cast<double>(w) / 64.0;
+      values.set_lane(w, lane_values[w]);
+      rhs.set_lane(w, b);
+    }
+    numeric::SparseLuBatch batch(donor, lanes);
+    batch.refactor(values);
+    c.batch_lane_solve_s[k] = seconds_per_call([&] {
+                                std::copy(rhs.data(), rhs.data() + n * lanes, x.data());
+                                batch.solve_in_place(x);
+                              }) /
+                              static_cast<double>(lanes);
+    for (std::size_t w = 0; w < lanes; ++w) {
+      numeric::RealSparseLu scalar(donor);
+      scalar.refactor(numeric::RealSparse(a.pattern_ptr(), lane_values[w]));
+      const std::vector<double> expected = scalar.solve(b);
+      std::vector<double> got;
+      x.extract_lane(w, got);
+      c.batch_matches_scalar = c.batch_matches_scalar &&
+                               std::memcmp(expected.data(), got.data(),
+                                           n * sizeof(double)) == 0;
+    }
+  }
+}
 
 // Times SparseLu and (when with_dense) the dense LuFactorization on `a`,
 // solving a x = b with each.
@@ -143,6 +194,15 @@ void print_row(int segments, std::size_t unknowns, const Comparison& c, bool las
                       c.have_dense);
   std::printf(", ");
   json_number_or_null("max_abs_err", c.max_abs_err, c.have_dense);
+  if (c.have_batch) {
+    for (std::size_t k = 0; k < std::size(numeric::kBatchLaneWidths); ++k) {
+      const double ns = 1e9 * c.batch_lane_solve_s[k];
+      std::printf(", \"batch_w%zu_lane_solve_ns\": %.1f, \"batch_w%zu_ns_per_nnz\": %.3f",
+                  numeric::kBatchLaneWidths[k], ns, numeric::kBatchLaneWidths[k],
+                  ns / static_cast<double>(c.factor_nnz));
+    }
+    std::printf(", \"batch_matches_scalar\": %s", c.batch_matches_scalar ? "true" : "false");
+  }
   std::printf("}%s\n", last ? "" : ",");
   std::fflush(stdout);
 }
@@ -169,7 +229,7 @@ int main(int argc, char** argv) {
               "(Rtr=500, Rt=500, Lt=1e-7, Ct=1e-12, CL=0.5e-12); transient "
               "trapezoidal dt=%.6e s, AC at 1 GHz\",\n", dt);
 
-  bool accurate = true;
+  bool accurate = true, identical = true;
   for (const bool ac : {false, true}) {
     std::printf("  \"%s\": [\n", ac ? "ac" : "transient");
     for (std::size_t idx = 0; idx < sizes.size(); ++idx) {
@@ -193,17 +253,22 @@ int main(int argc, char** argv) {
         std::vector<double> b(unknowns);
         b[drive] = 1.0;
         c = compare_solvers(a, b, n <= dense_transient_cap);
+        compare_batched(a, b, c);
       }
       accurate = accurate && c.max_abs_err <= kMaxAbsErr;
+      identical = identical && c.batch_matches_scalar;
       print_row(n, unknowns, c, idx + 1 == sizes.size());
     }
     std::printf("  ],\n");
   }
   std::printf("  \"max_abs_err_ok\": %s,\n", accurate ? "true" : "false");
+  std::printf("  \"batch_matches_scalar\": %s,\n", identical ? "true" : "false");
   benchutil::metrics_json_block(/*last=*/true);
   std::printf("}\n");
   if (!accurate)
     std::fprintf(stderr, "solver_scaling: sparse vs dense max_abs_err > %g\n",
                  kMaxAbsErr);
-  return accurate ? 0 : 1;
+  if (!identical)
+    std::fprintf(stderr, "solver_scaling: a batched lane differs from its scalar solve\n");
+  return accurate && identical ? 0 : 1;
 }

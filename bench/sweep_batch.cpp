@@ -24,12 +24,15 @@
 // sim::first_crossing each) at their own, so the ratio is what batching
 // buys over single-circuit stepping, net of the steps a tile's fast lanes
 // wait for its slowest. It is set for the host-tuned build
-// (-DRLCSIM_NATIVE=ON), where the batch kernels' guarded lane updates
-// (`w[lane] = (v != 0) ? w[lane] - l[lane]*v : w[lane]`) vectorize through
-// a packed blend that baseline x86-64 (SSE2) lacks; nine full native runs
-// on a 4-core x86-64 host read 2.18x-3.35x (median 2.79x), and portable
-// runs 1.76x-2.34x. CI therefore runs the full bench in the RLCSIM_NATIVE
-// bench job and only the --fast identity gates in the portable smoke job.
+// (-DRLCSIM_NATIVE=ON). The LU solve program's plain column updates
+// vectorize on baseline x86-64 (SSE2) as well; only its guarded blend for
+// columns that mix zero and nonzero lanes
+// (`w[lane] = (v != 0) ? w[lane] - l[lane]*v : w[lane]`) needs a packed
+// blend that SSE2 lacks. Nine full native runs on a 4-core x86-64 host
+// read 2.18x-3.35x (median 2.79x). Portable runs read 1.76x-2.34x while the
+// solve ran scalar there, and 1.72x-2.49x (median 2.38x, four runs) since.
+// CI therefore runs the full bench in the RLCSIM_NATIVE bench job and only
+// the --fast identity gates in the portable smoke job.
 //
 // Usage: sweep_batch [--fast] [--points N] [--segments N] [--repeats N]
 //                    [--dump F]

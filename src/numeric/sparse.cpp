@@ -5,6 +5,7 @@
 #include <numeric>
 #include <queue>
 
+#include "numeric/lu_program.h"
 #include "obs/metrics.h"
 
 namespace rlcsim::numeric {
@@ -200,69 +201,89 @@ std::vector<int> rcm_ordering(const SparsePattern& pattern) {
 
 // --------------------------------------------------------------------- LU
 
-template <typename T>
-SparseLu<T>::SparseLu(const SparseMatrix<T>& a) {
-  n_ = a.size();
-  if (n_ == 0) throw std::invalid_argument("SparseLu: empty matrix");
-  pattern_ = a.pattern_ptr();
+namespace {
 
-  if (n_ > 2) {
-    perm_ = rcm_ordering(*pattern_);
-  } else {
-    perm_.resize(static_cast<std::size_t>(n_));
-    std::iota(perm_.begin(), perm_.end(), 0);
-  }
-  inv_perm_.resize(static_cast<std::size_t>(n_));
-  for (int i = 0; i < n_; ++i) inv_perm_[static_cast<std::size_t>(perm_[i])] = i;
-
-  build_csc(a);
-  work_.assign(static_cast<std::size_t>(n_), T{});
-  full_factor(a);
-}
-
-template <typename T>
-void SparseLu<T>::build_csc(const SparseMatrix<T>& a) {
-  const auto& pattern = a.pattern();
+// CSC view of the permuted matrix A2 = A(perm, perm): for column j of A2,
+// csc_row[p] is the A2 row index and csc_src[p] the index into the input
+// CSR value array (so refactor scatters values without rebuilding).
+void build_csc(const SparsePattern& pattern, LuProgram& prog) {
+  const int n = pattern.n;
   const int nnz = pattern.nnz();
-  csc_ptr_.assign(static_cast<std::size_t>(n_) + 1, 0);
-  csc_row_.resize(static_cast<std::size_t>(nnz));
-  csc_src_.resize(static_cast<std::size_t>(nnz));
+  std::vector<int> inv_perm(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) inv_perm[static_cast<std::size_t>(prog.perm[i])] = i;
+  prog.csc_ptr.assign(static_cast<std::size_t>(n) + 1, 0);
+  prog.csc_row.resize(static_cast<std::size_t>(nnz));
+  prog.csc_src.resize(static_cast<std::size_t>(nnz));
 
   for (int p = 0; p < nnz; ++p)
-    ++csc_ptr_[static_cast<std::size_t>(
-                    inv_perm_[static_cast<std::size_t>(pattern.col_idx[p])]) +
-                1];
-  for (int j = 0; j < n_; ++j) csc_ptr_[j + 1] += csc_ptr_[j];
+    ++prog.csc_ptr[static_cast<std::size_t>(
+                       inv_perm[static_cast<std::size_t>(pattern.col_idx[p])]) +
+                   1];
+  for (int j = 0; j < n; ++j) prog.csc_ptr[j + 1] += prog.csc_ptr[j];
 
-  std::vector<int> fill(csc_ptr_.begin(), csc_ptr_.end() - 1);
-  for (int r = 0; r < n_; ++r) {
-    const int r2 = inv_perm_[static_cast<std::size_t>(r)];
+  std::vector<int> fill(prog.csc_ptr.begin(), prog.csc_ptr.end() - 1);
+  for (int r = 0; r < n; ++r) {
+    const int r2 = inv_perm[static_cast<std::size_t>(r)];
     for (int p = pattern.row_ptr[r]; p < pattern.row_ptr[r + 1]; ++p) {
-      const int j2 = inv_perm_[static_cast<std::size_t>(pattern.col_idx[p])];
+      const int j2 = inv_perm[static_cast<std::size_t>(pattern.col_idx[p])];
       const int pos = fill[static_cast<std::size_t>(j2)]++;
-      csc_row_[static_cast<std::size_t>(pos)] = r2;
-      csc_src_[static_cast<std::size_t>(pos)] = p;
+      prog.csc_row[static_cast<std::size_t>(pos)] = r2;
+      prog.csc_src[static_cast<std::size_t>(pos)] = p;
     }
   }
 }
 
+}  // namespace
+
 template <typename T>
-void SparseLu<T>::full_factor(const SparseMatrix<T>& a) {
+SparseLu<T>::SparseLu(const SparseMatrix<T>& a) : n_(a.size()), pattern_(a.pattern_ptr()) {
+  if (n_ == 0) throw std::invalid_argument("SparseLu: empty matrix");
+
+  LuProgram ordering;
+  ordering.n = n_;
+  if (n_ > 2) {
+    ordering.perm = rcm_ordering(*pattern_);
+  } else {
+    ordering.perm.resize(static_cast<std::size_t>(n_));
+    std::iota(ordering.perm.begin(), ordering.perm.end(), 0);
+  }
+  build_csc(*pattern_, ordering);
+  full_factor(a, std::move(ordering));
+}
+
+template <typename T>
+SparseLu<T>::SparseLu(SparsePatternPtr pattern, std::shared_ptr<const LuProgram> program)
+    : n_(program->n),
+      pattern_(std::move(pattern)),
+      program_(std::move(program)),
+      lx_(program_->li.size()),
+      ux_(program_->ui.size()) {}
+
+template <typename T>
+void SparseLu<T>::full_factor(const SparseMatrix<T>& a, LuProgram prog) {
   const auto& av = a.values();
   const std::size_t reserve = 4 * static_cast<std::size_t>(a.nnz()) +
                               2 * static_cast<std::size_t>(n_);
+  const auto& csc_ptr = prog.csc_ptr;
+  const auto& csc_row = prog.csc_row;
+  const auto& csc_src = prog.csc_src;
+  auto& lp = prog.lp;
+  auto& li = prog.li;
+  auto& up = prog.up;
+  auto& ui = prog.ui;
+  auto& pivot_inv = prog.pivot_inv;  // A2 row -> pivot position
 
-  lp_.assign(1, 0);
-  up_.assign(1, 0);
-  li_.clear();
-  ui_.clear();
+  lp.assign(1, 0);
+  up.assign(1, 0);
+  li.clear();
+  ui.clear();
   lx_.clear();
   ux_.clear();
-  li_.reserve(reserve);
+  li.reserve(reserve);
   lx_.reserve(reserve);
-  ui_.reserve(reserve);
+  ui.reserve(reserve);
   ux_.reserve(reserve);
-  pivot_inv_.assign(static_cast<std::size_t>(n_), -1);
+  pivot_inv.assign(static_cast<std::size_t>(n_), -1);
 
   std::vector<T> x(static_cast<std::size_t>(n_), T{});
   std::vector<char> marked(static_cast<std::size_t>(n_), 0);
@@ -272,22 +293,22 @@ void SparseLu<T>::full_factor(const SparseMatrix<T>& a) {
 
   // Iterative DFS through L's structure: the pattern of L\A2(:,j) is the set
   // of rows reachable from A2(:,j)'s rows. Emits into xi[top..n) in
-  // topological order. Row indices are A2 (pre-pivot) rows; pivot_inv_ maps
+  // topological order. Row indices are A2 (pre-pivot) rows; pivot_inv maps
   // a row to its L column once it has been chosen as a pivot.
   const auto dfs = [&](int start, int top) {
     int head = 0;
     dfs_stack[0] = start;
     while (head >= 0) {
       const int i = dfs_stack[static_cast<std::size_t>(head)];
-      const int jl = pivot_inv_[static_cast<std::size_t>(i)];
+      const int jl = pivot_inv[static_cast<std::size_t>(i)];
       if (!marked[static_cast<std::size_t>(i)]) {
         marked[static_cast<std::size_t>(i)] = 1;
-        pos_stack[static_cast<std::size_t>(head)] = (jl < 0) ? 0 : lp_[jl];
+        pos_stack[static_cast<std::size_t>(head)] = (jl < 0) ? 0 : lp[jl];
       }
       bool done = true;
-      const int p_end = (jl < 0) ? 0 : lp_[jl + 1];
+      const int p_end = (jl < 0) ? 0 : lp[jl + 1];
       for (int p = pos_stack[static_cast<std::size_t>(head)]; p < p_end; ++p) {
-        const int child = li_[static_cast<std::size_t>(p)];
+        const int child = li[static_cast<std::size_t>(p)];
         if (marked[static_cast<std::size_t>(child)]) continue;
         pos_stack[static_cast<std::size_t>(head)] = p + 1;
         dfs_stack[static_cast<std::size_t>(++head)] = child;
@@ -305,24 +326,24 @@ void SparseLu<T>::full_factor(const SparseMatrix<T>& a) {
   for (int j = 0; j < n_; ++j) {
     // --- symbolic: reachability of column j ------------------------------
     int top = n_;
-    for (int p = csc_ptr_[j]; p < csc_ptr_[j + 1]; ++p) {
-      const int i = csc_row_[static_cast<std::size_t>(p)];
+    for (int p = csc_ptr[j]; p < csc_ptr[j + 1]; ++p) {
+      const int i = csc_row[static_cast<std::size_t>(p)];
       if (!marked[static_cast<std::size_t>(i)]) top = dfs(i, top);
     }
 
     // --- numeric: x = L \ A2(:,j) ---------------------------------------
     for (int p = top; p < n_; ++p) x[static_cast<std::size_t>(xi[p])] = T{};
-    for (int p = csc_ptr_[j]; p < csc_ptr_[j + 1]; ++p)
-      x[static_cast<std::size_t>(csc_row_[p])] += av[static_cast<std::size_t>(csc_src_[p])];
+    for (int p = csc_ptr[j]; p < csc_ptr[j + 1]; ++p)
+      x[static_cast<std::size_t>(csc_row[p])] += av[static_cast<std::size_t>(csc_src[p])];
     for (int p = top; p < n_; ++p) {
       const int i = xi[static_cast<std::size_t>(p)];
       marked[static_cast<std::size_t>(i)] = 0;  // reset for the next column
-      const int jl = pivot_inv_[static_cast<std::size_t>(i)];
+      const int jl = pivot_inv[static_cast<std::size_t>(i)];
       if (jl < 0) continue;
       const T xi_val = x[static_cast<std::size_t>(i)];
       if (xi_val == T{}) continue;
-      for (int q = lp_[jl] + 1; q < lp_[jl + 1]; ++q)
-        x[static_cast<std::size_t>(li_[q])] -= lx_[static_cast<std::size_t>(q)] * xi_val;
+      for (int q = lp[jl] + 1; q < lp[jl + 1]; ++q)
+        x[static_cast<std::size_t>(li[q])] -= lx_[static_cast<std::size_t>(q)] * xi_val;
     }
 
     // --- pivot: largest magnitude among not-yet-pivotal rows -------------
@@ -330,7 +351,7 @@ void SparseLu<T>::full_factor(const SparseMatrix<T>& a) {
     double pivot_mag = -1.0;
     for (int p = top; p < n_; ++p) {
       const int i = xi[static_cast<std::size_t>(p)];
-      if (pivot_inv_[static_cast<std::size_t>(i)] >= 0) continue;
+      if (pivot_inv[static_cast<std::size_t>(i)] >= 0) continue;
       const double m = magnitude(x[static_cast<std::size_t>(i)]);
       if (m > pivot_mag) {
         pivot_mag = m;
@@ -344,31 +365,33 @@ void SparseLu<T>::full_factor(const SparseMatrix<T>& a) {
     // --- emit U(:,j) in discovery (topological) order, pivot last --------
     for (int p = top; p < n_; ++p) {
       const int i = xi[static_cast<std::size_t>(p)];
-      const int jl = pivot_inv_[static_cast<std::size_t>(i)];
+      const int jl = pivot_inv[static_cast<std::size_t>(i)];
       if (jl < 0) continue;
-      ui_.push_back(jl);
+      ui.push_back(jl);
       ux_.push_back(x[static_cast<std::size_t>(i)]);
     }
-    ui_.push_back(j);
+    ui.push_back(j);
     ux_.push_back(pivot);
-    up_.push_back(static_cast<int>(ui_.size()));
+    up.push_back(static_cast<int>(ui.size()));
 
     // --- emit L(:,j): unit diagonal first --------------------------------
-    pivot_inv_[static_cast<std::size_t>(pivot_row)] = j;
-    li_.push_back(pivot_row);
+    pivot_inv[static_cast<std::size_t>(pivot_row)] = j;
+    li.push_back(pivot_row);
     lx_.push_back(T{1});
     for (int p = top; p < n_; ++p) {
       const int i = xi[static_cast<std::size_t>(p)];
-      if (pivot_inv_[static_cast<std::size_t>(i)] >= 0) continue;
-      li_.push_back(i);
+      if (pivot_inv[static_cast<std::size_t>(i)] >= 0) continue;
+      li.push_back(i);
       lx_.push_back(x[static_cast<std::size_t>(i)] / pivot);
     }
-    lp_.push_back(static_cast<int>(li_.size()));
+    lp.push_back(static_cast<int>(li.size()));
   }
 
   // Remap L's rows from A2 space into pivot space so the solves and the
   // refactorization replay work entirely in final row order.
-  for (auto& i : li_) i = pivot_inv_[static_cast<std::size_t>(i)];
+  for (auto& i : li) i = pivot_inv[static_cast<std::size_t>(i)];
+  prog.compile();
+  program_ = std::make_shared<const LuProgram>(std::move(prog));
 
   OBS_COUNTER_ADD("lu.symbolic", 1);
   OBS_COUNTER_ADD("lu.numeric", 1);
@@ -377,31 +400,37 @@ void SparseLu<T>::full_factor(const SparseMatrix<T>& a) {
 template <typename T>
 bool SparseLu<T>::numeric_refactor(const SparseMatrix<T>& a) {
   const auto& av = a.values();
-  std::vector<T>& x = work_;
+  const LuProgram& prog = *program_;
+  const auto& lp = prog.lp;
+  const auto& li = prog.li;
+  const auto& up = prog.up;
+  const auto& ui = prog.ui;
+  std::vector<T>& x = refactor_work_;
+  x.resize(static_cast<std::size_t>(n_));
 
   for (int j = 0; j < n_; ++j) {
-    for (int q = up_[j]; q < up_[j + 1]; ++q) x[static_cast<std::size_t>(ui_[q])] = T{};
-    for (int q = lp_[j]; q < lp_[j + 1]; ++q) x[static_cast<std::size_t>(li_[q])] = T{};
-    for (int p = csc_ptr_[j]; p < csc_ptr_[j + 1]; ++p)
-      x[static_cast<std::size_t>(pivot_inv_[static_cast<std::size_t>(csc_row_[p])])] +=
-          av[static_cast<std::size_t>(csc_src_[p])];
+    for (int q = up[j]; q < up[j + 1]; ++q) x[static_cast<std::size_t>(ui[q])] = T{};
+    for (int q = lp[j]; q < lp[j + 1]; ++q) x[static_cast<std::size_t>(li[q])] = T{};
+    for (int p = prog.csc_ptr[j]; p < prog.csc_ptr[j + 1]; ++p)
+      x[static_cast<std::size_t>(prog.pivot_inv[static_cast<std::size_t>(prog.csc_row[p])])] +=
+          av[static_cast<std::size_t>(prog.csc_src[p])];
 
     // Replay the recorded elimination sequence (stored topologically).
-    for (int q = up_[j]; q < up_[j + 1] - 1; ++q) {
-      const int k = ui_[static_cast<std::size_t>(q)];
+    for (int q = up[j]; q < up[j + 1] - 1; ++q) {
+      const int k = ui[static_cast<std::size_t>(q)];
       const T ukj = x[static_cast<std::size_t>(k)];
       ux_[static_cast<std::size_t>(q)] = ukj;
       if (ukj == T{}) continue;
-      for (int r = lp_[k] + 1; r < lp_[k + 1]; ++r)
-        x[static_cast<std::size_t>(li_[r])] -= lx_[static_cast<std::size_t>(r)] * ukj;
+      for (int r = lp[k] + 1; r < lp[k + 1]; ++r)
+        x[static_cast<std::size_t>(li[r])] -= lx_[static_cast<std::size_t>(r)] * ukj;
     }
 
     const T pivot = x[static_cast<std::size_t>(j)];
     if (pivot == T{}) return false;  // stale pivot order: caller re-pivots
-    ux_[static_cast<std::size_t>(up_[j + 1]) - 1] = pivot;
-    lx_[static_cast<std::size_t>(lp_[j])] = T{1};
-    for (int r = lp_[j] + 1; r < lp_[j + 1]; ++r)
-      lx_[static_cast<std::size_t>(r)] = x[static_cast<std::size_t>(li_[r])] / pivot;
+    ux_[static_cast<std::size_t>(up[j + 1]) - 1] = pivot;
+    lx_[static_cast<std::size_t>(lp[j])] = T{1};
+    for (int r = lp[j] + 1; r < lp[j + 1]; ++r)
+      lx_[static_cast<std::size_t>(r)] = x[static_cast<std::size_t>(li[r])] / pivot;
   }
 
   OBS_COUNTER_ADD("lu.numeric", 1);
@@ -412,7 +441,7 @@ template <typename T>
 bool SparseLu<T>::refactor(const SparseMatrix<T>& a) {
   if (a.pattern_ptr() != pattern_) {
     // Structurally identical patterns are as good as pointer-identical ones:
-    // the recorded CSC scatter map (csc_src_) indexes CSR value positions,
+    // the recorded CSC scatter map (csc_src) indexes CSR value positions,
     // which depend only on the structure. Adopting the caller's pattern
     // pointer makes every later refactor against it an O(1) check. This is
     // what lets a sweep reuse one symbolic analysis across circuits that are
@@ -422,7 +451,7 @@ bool SparseLu<T>::refactor(const SparseMatrix<T>& a) {
     pattern_ = a.pattern_ptr();
   }
   if (numeric_refactor(a)) return false;
-  full_factor(a);
+  full_factor(a, *program_);  // same ordering, fresh pivots and program
   return true;
 }
 
@@ -438,28 +467,7 @@ void SparseLu<T>::solve_in_place(std::vector<T>& x) const {
   if (x.size() != static_cast<std::size_t>(n_))
     throw std::invalid_argument("SparseLu::solve: rhs size mismatch");
   OBS_COUNTER_ADD("lu.solves", 1);
-  std::vector<T>& w = work_;
-
-  // A2 = A(perm,perm) and P2 A2 = L U, so w = P2 * (b permuted by perm).
-  for (int i = 0; i < n_; ++i)
-    w[static_cast<std::size_t>(pivot_inv_[i])] = x[static_cast<std::size_t>(perm_[i])];
-
-  for (int j = 0; j < n_; ++j) {  // L: unit diagonal stored first per column
-    const T xj = w[static_cast<std::size_t>(j)];
-    if (xj == T{}) continue;
-    for (int p = lp_[j] + 1; p < lp_[j + 1]; ++p)
-      w[static_cast<std::size_t>(li_[p])] -= lx_[static_cast<std::size_t>(p)] * xj;
-  }
-  for (int j = n_ - 1; j >= 0; --j) {  // U: pivot stored last per column
-    const T xj = (w[static_cast<std::size_t>(j)] /=
-                  ux_[static_cast<std::size_t>(up_[j + 1]) - 1]);
-    if (xj == T{}) continue;
-    for (int p = up_[j]; p < up_[j + 1] - 1; ++p)
-      w[static_cast<std::size_t>(ui_[p])] -= ux_[static_cast<std::size_t>(p)] * xj;
-  }
-
-  for (int j = 0; j < n_; ++j)
-    x[static_cast<std::size_t>(perm_[j])] = w[static_cast<std::size_t>(j)];
+  program_->solve<1>(lx_.data(), ux_.data(), x.data());
 }
 
 template class SparseLu<double>;

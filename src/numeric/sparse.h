@@ -35,6 +35,8 @@
 
 namespace rlcsim::numeric {
 
+struct LuProgram;  // numeric/lu_program.h
+
 // ------------------------------------------------------------------ pattern
 
 // One (row, col, value) assembly entry. Duplicates are summed on compression.
@@ -136,9 +138,12 @@ std::vector<int> rcm_ordering(const SparsePattern& pattern);
 // to a fresh full factorization (a new symbolic analysis) rather than
 // failing, and reports that it did so.
 //
-// Copying a SparseLu copies the factors; copy + refactor is the cheap way to
-// hold several numeric factorizations (e.g. one per transient step size)
-// that share one symbolic analysis.
+// The recorded structure is compiled once per symbolic analysis into an
+// immutable solve program (numeric/lu_program.h) that every copy shares;
+// copying a SparseLu copies only the numeric factors, so copy + refactor is
+// the cheap way to hold several numeric factorizations (e.g. one per
+// transient step size) over one symbolic analysis. A re-pivot compiles a
+// new program for the re-pivoted copy alone.
 template <typename T>
 class SparseLu {
  public:
@@ -152,42 +157,34 @@ class SparseLu {
   std::size_t size() const { return static_cast<std::size_t>(n_); }
 
   std::vector<T> solve(const std::vector<T>& b) const;
-  // In-place variant for hot loops (no allocation beyond an internal
-  // workspace reused across calls).
+  // In-place variant for hot loops. Allocates nothing and writes no state
+  // of the factorization, so threads may solve through one const SparseLu.
   void solve_in_place(std::vector<T>& x) const;
 
   // Fill statistics (L + U stored entries, including both diagonals).
-  std::size_t factor_nnz() const { return li_.size() + ui_.size(); }
+  std::size_t factor_nnz() const { return lx_.size() + ux_.size(); }
 
  private:
-  // The scenario-batched value layer replays this factorization's recorded
-  // elimination sequence for W value lanes at once (numeric/sparse_batch.h).
+  // The scenario-batched value layer replays this factorization's program
+  // for W value lanes at once (numeric/sparse_batch.h).
   friend class SparseLuBatch;
 
-  void build_csc(const SparseMatrix<T>& a);
-  void full_factor(const SparseMatrix<T>& a);
+  // A factorization over an existing program whose factors are still to be
+  // computed by refactor() (the batch's per-lane scalar fallback).
+  SparseLu(SparsePatternPtr pattern, std::shared_ptr<const LuProgram> program);
+
+  // Factors `a` with pivoting over `program`'s ordering (perm + CSC map) and
+  // compiles the result into program_.
+  void full_factor(const SparseMatrix<T>& a, LuProgram program);
   bool numeric_refactor(const SparseMatrix<T>& a);
 
   int n_ = 0;
   SparsePatternPtr pattern_;  // of the assembled matrix (for refactor checks)
-
-  // Symmetric fill-reducing permutation: perm_[new] = old, inv_perm_[old] = new.
-  std::vector<int> perm_, inv_perm_;
-
-  // CSC view of the permuted matrix A2 = A(perm, perm): for column j of A2,
-  // csc_row_[p] is the A2 row index and csc_src_[p] the index into the input
-  // CSR value array (so refactor scatters values without rebuilding).
-  std::vector<int> csc_ptr_, csc_row_, csc_src_;
-
-  // Factors of P2 * A2 = L * U. L columns store the unit diagonal first; U
-  // columns store the pivot last. Row indices of L are in pivot (final)
-  // order; U row indices are pivot-order too, stored in the topological
-  // order the factorization discovered (which is what refactor replays).
-  std::vector<int> lp_, li_, up_, ui_;
+  std::shared_ptr<const LuProgram> program_;
+  // Factor values of P2 * A(perm, perm) = L * U, in program_'s L/U entry
+  // order.
   std::vector<T> lx_, ux_;
-  std::vector<int> pivot_inv_;  // A2 row -> pivot position
-
-  mutable std::vector<T> work_;  // solve scratch, size n
+  std::vector<T> refactor_work_;  // refactor scratch; solves need none
 };
 
 using RealSparseLu = SparseLu<double>;

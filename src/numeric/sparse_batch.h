@@ -9,16 +9,18 @@
 // factorization's recorded pivot order updating all W lanes per CSR slot.
 //
 // The lane loops are plain double arithmetic over contiguous double[W]
-// blocks — exactly the shape the autovectorizer turns into SIMD under
-// -march=native — with NO intrinsics, so correctness never depends on the
-// target ISA. Bit-identity contract: because the pivot order is frozen from
-// the donor's symbolic analysis, every lane takes the same control path and
-// performs the same arithmetic, in the same order, as W independent scalar
-// SparseLu::refactor calls — results are bit-identical (the scalar replay's
-// exact-zero guards are reproduced per lane as value-preserving blends, so
-// even signed zeros match). A lane whose values hit the exact-zero stale
-// pivot ejects to the scalar path INDIVIDUALLY (SparseLu copy + refactor,
-// which re-pivots), again matching what the scalar path would have done.
+// blocks — the shape the autovectorizer turns into packed SIMD, on baseline
+// x86-64 (SSE2) as under -march=native — with NO intrinsics, so correctness
+// never depends on the target ISA. Bit-identity contract: because the pivot
+// order is frozen from the donor's symbolic analysis, every lane performs
+// the same arithmetic, in the same order, as W independent scalar
+// SparseLu::refactor + solve calls — results are bit-identical (the scalar
+// replay's exact-zero skips are reproduced per lane: a column whose lanes
+// are all nonzero updates plainly, one with zero lanes through a
+// value-preserving blend, so even signed zeros match). A lane whose values
+// hit the exact-zero stale pivot ejects to the scalar path INDIVIDUALLY (a
+// SparseLu over the same program + refactor, which re-pivots), again
+// matching what the scalar path would have done.
 //
 // Lane widths are W in {1, 4, 8}, dispatched at runtime (templated kernels
 // instantiated per width); RLCSIM_LANES overrides the default dispatch.
@@ -80,15 +82,16 @@ class BatchedValues {
 };
 
 // Batched numeric refactorization + solve along a donor RealSparseLu's
-// recorded symbolic analysis. The donor is copied at construction (so the
-// batch owns its symbolic state) and also serves as the template for the
-// per-lane scalar ejection fallback.
+// recorded symbolic analysis. The batch shares the donor's immutable solve
+// program (numeric/lu_program.h) and pattern — it copies none of the
+// donor's factors — and the program also seeds the per-lane scalar
+// ejection fallback.
 class SparseLuBatch {
  public:
   // Throws std::invalid_argument for an unsupported lane count.
   SparseLuBatch(const RealSparseLu& donor, std::size_t lanes);
 
-  std::size_t size() const { return donor_.size(); }
+  std::size_t size() const { return static_cast<std::size_t>(pattern_->n); }
   std::size_t lanes() const { return lanes_; }
 
   // Numeric-only refactorization of all W lanes: `values` must hold the CSR
@@ -101,6 +104,8 @@ class SparseLuBatch {
   // In-place batched triangular solves: x holds W right-hand sides
   // (slots() == size()) and receives the W solutions. Ejected lanes are
   // routed through their scalar fallback factorization transparently.
+  // Writes no state of the batch, so threads may solve through one const
+  // SparseLuBatch.
   void solve_in_place(BatchedValues& x) const;
 
   // Lanes ejected by the last refactor() (zero stale pivot -> scalar path).
@@ -110,18 +115,15 @@ class SparseLuBatch {
  private:
   template <int W>
   void refactor_kernel(const BatchedValues& values);
-  template <int W>
-  void solve_kernel(BatchedValues& x) const;
 
-  RealSparseLu donor_;
+  std::shared_ptr<const LuProgram> program_;
+  SparsePatternPtr pattern_;
   std::size_t lanes_ = 1;
-  // Batched factor values, lane-major over the donor's lx_/ux_ layouts.
+  // Batched factor values, lane-major over the program's L/U entries.
   std::vector<double> lx_, ux_;
   std::vector<char> ejected_;
   // Scalar fallbacks, allocated lazily per ejected lane.
-  mutable std::vector<std::unique_ptr<RealSparseLu>> scalar_;
-  mutable std::vector<double> work_;         // n * lanes solve scratch
-  mutable std::vector<double> scalar_work_;  // n scratch for ejected lanes
+  std::vector<std::unique_ptr<RealSparseLu>> scalar_;
 };
 
 }  // namespace rlcsim::numeric

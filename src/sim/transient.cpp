@@ -357,7 +357,7 @@ std::optional<LockstepStats> run_lockstep(const std::vector<const Circuit*>& cir
   };
 
   // Transient RHS: transient_rhs_into with the lane loop innermost. The
-  // kernels use SparseLuBatch::solve_kernel's vectorization recipe —
+  // kernels use the LU solve program's vectorization recipe —
   // restrict-qualified base pointers, per-element staging arrays, and
   // `#pragma GCC unroll 1` to keep the lane loops as loops — because the
   // same phantom store/load aliasing otherwise compiles them scalar.

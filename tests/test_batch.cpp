@@ -2,15 +2,15 @@
 // whole feature rests on ONE claim — a W-lane batch produces bit-identical
 // numbers to W independent scalar runs — so these tests compare raw bytes
 // (memcmp), not tolerances: solver lanes vs scalar SparseLu (including an
-// engineered zero-pivot ejection), batched AnalyticResponse evaluation vs
-// the scalar closed form, and batched transient sweeps across every
-// (lane width, thread count) combination including tile remainders, NaN
-// points and delay-ordered tiles, tiles that stop at their last lane's
-// crossing vs single-circuit runs, and the probe recorder's crossings and
-// extrema vs the full record (tests/full_record.h). Plus the zero-coupling
-// pattern
-// regression: a coupling axis through 0 must keep ONE sparsity pattern
-// (2 symbolic factorizations per sweep).
+// engineered zero-pivot ejection, signed-zero right-hand sides, row-pivoting
+// systems, and const solves from several threads), batched
+// AnalyticResponse evaluation vs the scalar closed form, and batched
+// transient sweeps across every (lane width, thread count) combination
+// including tile remainders, NaN points and delay-ordered tiles, tiles that
+// stop at their last lane's crossing vs single-circuit runs, and the probe
+// recorder's crossings and extrema vs the full record (tests/full_record.h).
+// Plus the zero-coupling pattern regression: a coupling axis through 0 must
+// keep ONE sparsity pattern (2 symbolic factorizations per sweep).
 #include "numeric/sparse_batch.h"
 
 #include <algorithm>
@@ -20,6 +20,7 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -197,6 +198,164 @@ TEST(SparseLuBatchTest, ZeroPivotLaneEjectsIndividually) {
     rhs.extract_lane(w, got);
     expect_bits_equal(scalar.solve(b), got, "ejected-lane solve");
   }
+}
+
+// Solves W right-hand sides through a batch whose lanes all carry `m`'s
+// values and memcmps every lane against a scalar refactor + solve. Both run
+// one solve program, so the residual check anchors them to m x = b.
+void expect_lanes_match_scalar(const RealSparse& m,
+                               const std::vector<std::vector<double>>& lane_rhs,
+                               const char* what) {
+  const RealSparseLu donor(m);
+  const std::size_t lanes = lane_rhs.size();
+  BatchedValues values(static_cast<std::size_t>(m.nnz()), lanes);
+  BatchedValues rhs(static_cast<std::size_t>(m.size()), lanes);
+  for (std::size_t w = 0; w < lanes; ++w) {
+    values.set_lane(w, m.values());
+    rhs.set_lane(w, lane_rhs[w]);
+  }
+  SparseLuBatch batch(donor, lanes);
+  batch.refactor(values);
+  ASSERT_EQ(batch.ejected_lane_count(), 0u) << what;
+  batch.solve_in_place(rhs);
+  RealSparseLu scalar(donor);
+  scalar.refactor(m);
+  for (std::size_t w = 0; w < lanes; ++w) {
+    std::vector<double> got;
+    rhs.extract_lane(w, got);
+    expect_bits_equal(scalar.solve(lane_rhs[w]), got, what);
+    const std::vector<double> back = m.multiply(got);
+    for (std::size_t i = 0; i < back.size(); ++i)
+      EXPECT_NEAR(back[i], lane_rhs[w][i], 1e-12) << what << " residual, row " << i;
+  }
+}
+
+// Right-hand sides whose multipliers are exactly zero in some lanes (the
+// solve's guarded blend), in every lane (the column skip), or in none (the
+// plain update): every 5th entry is a signed zero in all lanes, others are
+// -0.0 or +0.0 in some lanes, and the last lane of a batch is all -0.0.
+std::vector<std::vector<double>> signed_zero_rhs(std::size_t n, std::size_t lanes,
+                                                 unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> value(-1.0, 1.0);
+  std::vector<std::vector<double>> rhs(lanes, std::vector<double>(n));
+  for (std::size_t w = 0; w < lanes; ++w)
+    for (std::size_t i = 0; i < n; ++i) {
+      double& b = rhs[w][i];
+      if (i % 5 == 0)
+        b = (w % 2 != 0) ? -0.0 : 0.0;
+      else if ((i + w) % 3 == 0)
+        b = -0.0;
+      else if ((i + w) % 7 == 0)
+        b = 0.0;
+      else
+        b = value(rng);
+      if (lanes > 1 && w + 1 == lanes) b = -0.0;
+    }
+  return rhs;
+}
+
+// The solve takes a plain (vectorized) update only where every lane's
+// multiplier is nonzero; zero multipliers must keep the scalar skip's
+// bits, signed zeros included.
+TEST(SparseLuBatchTest, ZeroMultipliersKeepScalarBits) {
+  // [[2, 1], [1, 3]]: row 0 pivots column 0, L multiplier 0.5, U entry 1.
+  // For b = (-0, -0) the skips keep x = (-0, -0); the unguarded updates
+  // would give -0.0 - 0.5 * (-0.0) = +0.0 in L and likewise in U.
+  const RealSparse two(2, {{0, 0, 2.0}, {0, 1, 1.0}, {1, 0, 1.0}, {1, 1, 3.0}});
+  const std::vector<double> neg_zero{-0.0, -0.0};
+  const std::vector<double> scalar = RealSparseLu(two).solve(neg_zero);
+  EXPECT_TRUE(std::signbit(scalar[0]) && scalar[0] == 0.0);
+  EXPECT_TRUE(std::signbit(scalar[1]) && scalar[1] == 0.0);
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+    // Every lane zero (column skip), then zero lanes mixed with nonzero ones.
+    expect_lanes_match_scalar(
+        two, std::vector<std::vector<double>>(lanes, neg_zero), "2x2, all lanes -0");
+    std::vector<std::vector<double>> mixed(lanes, neg_zero);
+    for (std::size_t w = 1; w < lanes; w += 2) mixed[w] = {1.0 + w, -2.0};
+    expect_lanes_match_scalar(two, mixed, "2x2, mixed -0 lanes");
+  }
+
+  // Row-pivoting systems, so the solve's cycle moves run: [[0, 1], [1, x]]
+  // (the zero stored), and three such blocks (zero diagonal absent) coupled
+  // in a chain.
+  const RealSparse pivot2(2, {{0, 0, 0.0}, {0, 1, 1.0}, {1, 0, 1.0}, {1, 1, 0.75}});
+  std::vector<numeric::Triplet<double>> chain;
+  for (int b = 0; b < 3; ++b) {
+    chain.push_back({2 * b, 2 * b + 1, 1.0});
+    chain.push_back({2 * b + 1, 2 * b, 1.0});
+    chain.push_back({2 * b + 1, 2 * b + 1, 2.0 + b});
+    if (b < 2) {
+      chain.push_back({2 * b + 1, 2 * b + 3, 0.25});
+      chain.push_back({2 * b + 3, 2 * b + 1, -0.5});
+    }
+  }
+  const RealSparse pivot6(6, chain);
+  const RealSparse random23(23, random_system(23, 4.0 / 23, 40u));
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+    expect_lanes_match_scalar(pivot2, signed_zero_rhs(2, lanes, 1u), "pivot 2x2");
+    expect_lanes_match_scalar(pivot6, signed_zero_rhs(6, lanes, 2u), "pivot chain");
+    expect_lanes_match_scalar(random23, signed_zero_rhs(23, lanes, 3u), "random 23");
+  }
+}
+
+// Solves on a const factorization write no shared state: threads solving
+// through one RealSparseLu and one SparseLuBatch get the serial bits.
+TEST(SparseLuBatchTest, ConstSolvesAreThreadSafe) {
+  constexpr int n = 60;
+  constexpr std::size_t lanes = 8;
+  constexpr int kThreads = 4;
+  constexpr int kRhs = 16;
+  const RealSparse m(n, random_system(n, 4.0 / n, 77u));
+  const RealSparseLu lu(m);
+  BatchedValues values(static_cast<std::size_t>(m.nnz()), lanes);
+  for (std::size_t w = 0; w < lanes; ++w) {
+    std::vector<double> v = m.values();
+    for (double& x : v) x *= 1.0 + 0.125 * static_cast<double>(w);
+    values.set_lane(w, v);
+  }
+  SparseLuBatch batch_factor(lu, lanes);
+  batch_factor.refactor(values);
+  const SparseLuBatch& batch = batch_factor;
+
+  std::mt19937 rng(5u);
+  std::uniform_real_distribution<double> value(-1.0, 1.0);
+  std::vector<std::vector<double>> rhs(kRhs, std::vector<double>(n * lanes));
+  for (auto& b : rhs)
+    for (double& x : b) x = value(rng);
+  // Scalar solves take the first n entries of each right-hand side.
+  struct Solutions {
+    std::vector<std::vector<double>> scalar = std::vector<std::vector<double>>(kRhs);
+    std::vector<BatchedValues> batch =
+        std::vector<BatchedValues>(kRhs, BatchedValues(n, lanes));
+  };
+  const auto solve_all = [&](Solutions& out) {
+    for (int k = 0; k < kRhs; ++k) {
+      out.scalar[k].assign(rhs[k].begin(), rhs[k].begin() + n);
+      lu.solve_in_place(out.scalar[k]);
+      std::copy(rhs[k].begin(), rhs[k].end(), out.batch[k].data());
+      batch.solve_in_place(out.batch[k]);
+    }
+  };
+  Solutions serial;
+  solve_all(serial);
+
+  std::vector<Solutions> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 20; ++rep) solve_all(results[t]);
+    });
+  for (std::thread& th : threads) th.join();
+
+  for (const Solutions& got : results)
+    for (int k = 0; k < kRhs; ++k) {
+      expect_bits_equal(serial.scalar[k], got.scalar[k], "threaded scalar solve");
+      EXPECT_EQ(std::memcmp(serial.batch[k].data(), got.batch[k].data(),
+                            n * lanes * sizeof(double)),
+                0)
+          << "threaded batch solve";
+    }
 }
 
 // ----------------------------------------------------- AnalyticResponse

@@ -33,7 +33,8 @@
 //                         justified (observability counters and the pool's
 //                         own worker identity are the sanctioned cases).
 //   lane-unroll           a batch-kernel lane loop (`for (... lane ... < W;`
-//                         in numeric/sparse_batch.cpp or sim/transient.cpp,
+//                         in numeric/sparse_batch.cpp, numeric/lu_program.*
+//                         (the LU solve program) or sim/transient.cpp,
 //                         home of the transient engine's kernels) without
 //                         `#pragma GCC unroll 1` directly above it — the
 //                         pragma is load-bearing: GCC fully peels W-trip
@@ -41,7 +42,7 @@
 //                         re-roll them, so a missing pragma silently
 //                         de-vectorizes the kernel the ≥4x throughput gate
 //                         is calibrated on.
-//   kernel-restrict       a `.data()`-derived raw double* base in those two
+//   kernel-restrict       a `.data()`-derived raw double* base in those
 //                         kernel files without __restrict — phantom
 //                         aliasing between the SoA buffers otherwise forces
 //                         scalar codegen (same gate as above).
@@ -286,9 +287,11 @@ constexpr Rule kRules[] = {
      check_full_record},
 };
 
-// The two files whose lane kernels carry the load-bearing annotations.
+// The files whose lane kernels carry the load-bearing annotations.
 bool is_batch_kernel_file(const std::string& rel_path) {
   return rel_path == "src/numeric/sparse_batch.cpp" ||
+         rel_path == "src/numeric/lu_program.h" ||
+         rel_path == "src/numeric/lu_program.cpp" ||
          rel_path == "src/sim/transient.cpp";
 }
 
