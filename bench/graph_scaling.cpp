@@ -2,14 +2,10 @@
 // STATUS is the CI gate (0 = pass, 1 = a gate failed, 2 = usage error):
 //
 //   1. DETERMINISM — evaluating the same graph at 1/2/3 threads returns
-//      BIT-IDENTICAL results (every arrival, slew, noise, and chain metric
-//      compared as raw bytes). The levelized parallel evaluation owns no
-//      shared mutable state, so this is exact, not a tolerance.
-//   2. CHAIN EQUIVALENCE — a repeatered-bus chain evaluated as a path of
-//      graph nodes reproduces repbus::compose_bus_chain BIT-FOR-BIT across
-//      placements x switching patterns (both run the same chain-walk
-//      helpers; the graph embedding must not perturb a single operation).
-//   3. H-TREE ACCURACY — per-sink arrival and slew of a >= 15-stage clock
+//      BIT-IDENTICAL results (every arrival, slew and noise compared as raw
+//      bytes). The levelized parallel evaluation owns no shared mutable
+//      state, so this is exact, not a tolerance.
+//   2. H-TREE ACCURACY — per-sink arrival and slew of a >= 15-stage clock
 //      H-tree (structurally imbalanced, so skew is nonzero) within 3% of
 //      the cascaded full-MNA oracle, and the skew disagreement within 3% of
 //      the mean sink arrival.
@@ -27,8 +23,6 @@
 #include "bench_util.h"
 #include "graph/h_tree.h"
 #include "graph/timing_graph.h"
-#include "repbus/stage_compose.h"
-#include "tline/coupled_bus.h"
 
 using namespace rlcsim;
 
@@ -50,23 +44,9 @@ bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
                                    a.size() * sizeof(double)) == 0);
 }
 
-bool identical_chain(const repbus::ComposedChainMetrics& a,
-                     const repbus::ComposedChainMetrics& b) {
-  if (a.victim_delay_50.has_value() != b.victim_delay_50.has_value())
-    return false;
-  if (a.victim_delay_50 && !bits_equal(*a.victim_delay_50, *b.victim_delay_50))
-    return false;
-  return bits_equal(a.peak_noise, b.peak_noise) &&
-         bits_equal(a.victim_fire_times, b.victim_fire_times) &&
-         a.glitch_fired == b.glitch_fired &&
-         a.glitch_depth == b.glitch_depth &&
-         a.glitch_boundaries == b.glitch_boundaries;
-}
-
 bool identical_graph(const graph::GraphResult& a,
                      const graph::GraphResult& b) {
-  if (a.nodes.size() != b.nodes.size() || a.chains.size() != b.chains.size())
-    return false;
+  if (a.nodes.size() != b.nodes.size()) return false;
   for (std::size_t k = 0; k < a.nodes.size(); ++k) {
     const graph::NodeMetrics& m = a.nodes[k];
     const graph::NodeMetrics& n = b.nodes[k];
@@ -79,21 +59,7 @@ bool identical_graph(const graph::GraphResult& a,
       if (m.slew[s] && !bits_equal(*m.slew[s], *n.slew[s])) return false;
     }
   }
-  for (std::size_t c = 0; c < a.chains.size(); ++c)
-    if (!identical_chain(a.chains[c], b.chains[c])) return false;
   return true;
-}
-
-// The repbus_frontier bus: 5 coupled Table-1 lines, R0 C0 = 15 ps repeaters.
-repbus::RepeaterBusSpec chain_spec(repbus::Placement placement, bool fast) {
-  repbus::RepeaterBusSpec spec;
-  spec.bus = tline::make_bus(5, {500.0, 1e-8, 1e-12}, 0.4, 0.25);
-  spec.sections = 4;
-  spec.size = 32.0;
-  spec.buffer = {3000.0, 5e-15, 1.0, 0.0};
-  spec.placement = placement;
-  spec.segments_per_section = fast ? 8 : 12;
-  return spec;
 }
 
 graph::HTreeSpec tree_spec(bool fast) {
@@ -149,42 +115,7 @@ int main(int argc, char** argv) {
   std::printf("  \"bench\": \"graph_scaling\",\n");
   std::printf("  \"fast\": %s,\n", fast ? "true" : "false");
 
-  // ---------------------------------------- 2. chain equivalence (bitwise)
-  const repbus::Placement placements[] = {repbus::Placement::kUniform,
-                                          repbus::Placement::kStaggered,
-                                          repbus::Placement::kInterleaved};
-  const core::SwitchingPattern patterns[] = {
-      core::SwitchingPattern::kSamePhase,
-      core::SwitchingPattern::kOppositePhase,
-      core::SwitchingPattern::kQuietVictim};
-  bool chains_identical = true;
-  std::printf("  \"chain_equivalence\": [\n");
-  for (std::size_t p = 0; p < 3; ++p) {
-    const repbus::RepeaterBusSpec spec = chain_spec(placements[p], fast);
-    const repbus::StageModels models = repbus::build_stage_models(spec, 4);
-    for (std::size_t q = 0; q < 3; ++q) {
-      const repbus::ComposedChainMetrics composed =
-          repbus::compose_bus_chain(spec, patterns[q], models);
-      graph::TimingGraph g;
-      g.add_bus_chain(spec, patterns[q], models);
-      bool identical = true;
-      for (const std::size_t t : threads) {
-        const graph::GraphResult result = g.evaluate(t);
-        identical = identical && identical_chain(result.chains[0], composed);
-      }
-      chains_identical = chains_identical && identical;
-      std::printf("    {\"placement\": \"%s\", \"pattern\": \"%s\", "
-                  "\"bit_identical\": %s}%s\n",
-                  repbus::placement_name(placements[p]),
-                  core::switching_pattern_name(patterns[q]),
-                  identical ? "true" : "false",
-                  p == 2 && q == 2 ? "" : ",");
-    }
-  }
-  std::printf("  ],\n");
-  if (!chains_identical) pass = false;
-
-  // ------------------------------------- 3. H-tree vs cascaded-MNA oracle
+  // ------------------------------------- 2. H-tree vs cascaded-MNA oracle
   const graph::HTreeSpec tree = tree_spec(fast);
   const graph::HTreeComparison compare = graph::compare_h_tree(tree);
   std::printf("  \"h_tree\": {\"levels\": %d, \"stages\": %zu, \"sinks\": "
@@ -229,8 +160,6 @@ int main(int argc, char** argv) {
   if (!deterministic) pass = false;
   std::printf("  \"determinism\": {\"bit_identical_across_threads\": %s},\n",
               deterministic ? "true" : "false");
-  std::printf("  \"chain_bit_identical\": %s,\n",
-              chains_identical ? "true" : "false");
 
   // ----------------------------------------------------------------- gates
   std::printf("  \"gates\": [\n");
@@ -240,8 +169,6 @@ int main(int argc, char** argv) {
        false);
   gate("h_tree_skew_err_pct", 100.0 * compare.skew_error, 3.0, &pass, false);
   // Boolean gates framed as 0/1 ratios so `value <= limit` reads uniformly.
-  gate("chain_equivalence_failures", chains_identical ? 0.0 : 1.0, 0.0, &pass,
-       false);
   gate("thread_determinism_failures", deterministic ? 0.0 : 1.0, 0.0, &pass,
        true);
   std::printf("  ],\n");

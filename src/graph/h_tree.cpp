@@ -131,7 +131,6 @@ HTreeGraph build_h_tree(const HTreeSpec& spec) {
     }
     node.pre = 0.0;
     node.post = spec.vdd;
-    node.vdd = spec.vdd;
     tree.stage_nodes.push_back(tree.graph.add_stage(std::move(node)));
   }
   const int first_leaf = (1 << (spec.levels - 1)) - 1;

@@ -46,14 +46,6 @@ StageModel reduce_stage(const sim::Circuit& circuit,
   return model;
 }
 
-int TimingGraph::fanin_of(const NodeRecord& record) const {
-  if (record.chain < 0) return record.stage.fanin.node;
-  return record.chain_stage == 1
-             ? -1
-             : chains_[static_cast<std::size_t>(record.chain)].first_node +
-                   record.chain_stage - 2;
-}
-
 int TimingGraph::add_stage(StageNode node) {
   if (node.model.transfer.empty() ||
       node.model.transfer.size() != node.model.dc.size())
@@ -65,8 +57,6 @@ int TimingGraph::add_stage(StageNode node) {
         "TimingGraph: a stage driver must transition (pre != post)");
   if (!(node.ramp >= 0.0) || !std::isfinite(node.ramp))
     throw std::invalid_argument("TimingGraph: ramp must be finite and >= 0");
-  if (!(node.vdd > 0.0))
-    throw std::invalid_argument("TimingGraph: vdd must be > 0");
   // DAG by construction: a fanin may only name an ALREADY-ADDED node, so a
   // cycle (including a self-edge) cannot be expressed at all.
   if (node.fanin.node < -1 ||
@@ -75,12 +65,9 @@ int TimingGraph::add_stage(StageNode node) {
         "TimingGraph: fanin must reference an already-added node (or -1 for "
         "the primary input)");
   if (node.fanin.node >= 0) {
-    const NodeRecord& fanin =
-        nodes_[static_cast<std::size_t>(node.fanin.node)];
-    const int outputs =
-        fanin.chain >= 0
-            ? chains_[static_cast<std::size_t>(fanin.chain)].spec.bus.lines
-            : static_cast<int>(fanin.stage.model.transfer.size());
+    const int outputs = static_cast<int>(
+        nodes_[static_cast<std::size_t>(node.fanin.node)]
+            .model.transfer.size());
     if (node.fanin.output < 0 || node.fanin.output >= outputs)
       throw std::invalid_argument(
           "TimingGraph: fanin output out of range for node " +
@@ -89,44 +76,9 @@ int TimingGraph::add_stage(StageNode node) {
     throw std::invalid_argument(
         "TimingGraph: the primary input has a single output (0)");
   }
-  NodeRecord record;
-  record.stage = std::move(node);
-  nodes_.push_back(std::move(record));
+  nodes_.push_back(std::move(node));
   return static_cast<int>(nodes_.size()) - 1;
 }
-
-int TimingGraph::add_bus_chain(const repbus::RepeaterBusSpec& spec,
-                               core::SwitchingPattern pattern,
-                               repbus::StageModels models) {
-  // Validation (spec fields + model/geometry compatibility) is exactly
-  // make_chain_walk's; the walk itself is rebuilt against the graph-owned
-  // copies at evaluate time.
-  (void)repbus::make_chain_walk(spec, pattern, models);
-  ChainRecord chain;
-  chain.spec = spec;
-  chain.pattern = pattern;
-  chain.models = std::move(models);
-  chain.first_node = static_cast<int>(nodes_.size());
-  const int id = static_cast<int>(chains_.size());
-  chains_.push_back(std::move(chain));
-  for (int stage = 1; stage <= spec.sections; ++stage) {
-    NodeRecord record;
-    record.chain = id;
-    record.chain_stage = stage;
-    nodes_.push_back(std::move(record));
-  }
-  return id;
-}
-
-namespace {
-
-// Running state of one chain, carried node to node along the chain's path.
-struct ChainScratch {
-  std::vector<repbus::StageLineState> state;
-  repbus::ComposedChainMetrics metrics;
-};
-
-}  // namespace
 
 GraphResult TimingGraph::evaluate(std::size_t threads) const {
   OBS_SPAN("graph.evaluate");
@@ -136,7 +88,6 @@ GraphResult TimingGraph::evaluate(std::size_t threads) const {
   OBS_COUNTER_ADD("graph.nodes_evaluated", n);
   GraphResult out;
   out.nodes.resize(n);
-  out.chains.resize(chains_.size());
 
   // Topological levelization: level = 1 + level(fanin). Fanins always
   // precede their nodes (DAG by construction), so one forward pass settles
@@ -144,7 +95,7 @@ GraphResult TimingGraph::evaluate(std::size_t threads) const {
   std::vector<std::size_t> level(n, 0);
   std::size_t max_level = 0;
   for (std::size_t k = 0; k < n; ++k) {
-    const int fanin = fanin_of(nodes_[k]);
+    const int fanin = nodes_[k].fanin.node;
     level[k] = fanin < 0 ? 0 : level[static_cast<std::size_t>(fanin)] + 1;
     max_level = std::max(max_level, level[k]);
   }
@@ -152,85 +103,48 @@ GraphResult TimingGraph::evaluate(std::size_t threads) const {
   for (std::size_t k = 0; k < n; ++k) buckets[level[k]].push_back(k);
   out.levels = buckets.size();
 
-  // The chain walks hold pointers into chains_, which is immutable here.
-  std::vector<repbus::ChainWalk> walks;
-  walks.reserve(chains_.size());
-  for (const ChainRecord& chain : chains_)
-    walks.push_back(
-        repbus::make_chain_walk(chain.spec, chain.pattern, chain.models));
-  std::vector<ChainScratch> scratch(n);
-
   runtime::ThreadPool pool(threads);
   out.threads_used = pool.size();
 
   for (std::size_t lvl = 0; lvl < buckets.size(); ++lvl) {
     const std::vector<std::size_t>& bucket = buckets[lvl];
     // One level at a time; within a level every node writes ONLY its own
-    // slots (out.nodes[k], scratch[k]) and reads only completed levels —
-    // the determinism contract needs nothing further.
+    // slot (out.nodes[k]) and reads only completed levels — the
+    // determinism contract needs nothing further.
     OBS_SPAN("graph.level", static_cast<long>(lvl));
     pool.parallel_for(bucket.size(), [&](std::size_t b, std::size_t) {
       const std::size_t k = bucket[b];
-      const NodeRecord& record = nodes_[k];
-      if (record.chain >= 0) {
-        const repbus::ChainWalk& walk =
-            walks[static_cast<std::size_t>(record.chain)];
-        ChainScratch local;
-        if (record.chain_stage == 1) {
-          local.state = repbus::initial_chain_state(walk);
-          local.metrics.victim_fire_times.push_back(0.0);
-        } else {
-          local = scratch[k - 1];  // the previous chain node, one level up
-        }
-        const repbus::ChainStageResult result = repbus::evaluate_chain_stage(
-            walk, local.state, record.chain_stage);
-        repbus::accumulate_chain_stage(walk, result, record.chain_stage,
-                                       local.state, local.metrics);
-        out.nodes[k].arrival = result.next_t;
-        out.nodes[k].peak_noise = result.victim_noise;
-        scratch[k] = std::move(local);
-      } else {
-        const StageNode& node = record.stage;
-        const double t_fire =
-            node.fanin.node < 0
-                ? 0.0
-                : out.nodes[static_cast<std::size_t>(node.fanin.node)]
-                      .arrival[static_cast<std::size_t>(node.fanin.output)];
-        NodeMetrics& metrics = out.nodes[k];
-        const std::size_t outputs = node.model.transfer.size();
-        metrics.arrival.resize(outputs);
-        metrics.slew.resize(outputs);
-        const double delta = node.post - node.pre;
-        for (std::size_t s = 0; s < outputs; ++s) {
-          mor::AnalyticResponse response(node.pre * node.model.dc[s]);
-          if (node.ramp > 0.0)
-            response.add_ramp(node.model.transfer[s], delta, node.ramp,
-                              t_fire);
-          else
-            response.add_step(node.model.transfer[s], delta, t_fire);
-          const double lo = node.pre * node.model.dc[s];
-          const double hi = response.final_value();
-          const mor::ResponseMetrics measured =
-              response.measure(lo, hi, /*want_rise=*/true);
-          if (!measured.delay_50)
-            throw std::runtime_error(
-                "TimingGraph: node " + std::to_string(k) + " output " +
-                node.model.outputs[s] +
-                " never crossed 50% within the (auto-extended) window");
-          metrics.arrival[s] = *measured.delay_50;
-          metrics.slew[s] = measured.rise_10_90;
-          metrics.peak_noise =
-              std::max(metrics.peak_noise, measured.peak_noise);
-        }
+      const StageNode& node = nodes_[k];
+      const double t_fire =
+          node.fanin.node < 0
+              ? 0.0
+              : out.nodes[static_cast<std::size_t>(node.fanin.node)]
+                    .arrival[static_cast<std::size_t>(node.fanin.output)];
+      NodeMetrics& metrics = out.nodes[k];
+      const std::size_t outputs = node.model.transfer.size();
+      metrics.arrival.resize(outputs);
+      metrics.slew.resize(outputs);
+      const double delta = node.post - node.pre;
+      for (std::size_t s = 0; s < outputs; ++s) {
+        mor::AnalyticResponse response(node.pre * node.model.dc[s]);
+        if (node.ramp > 0.0)
+          response.add_ramp(node.model.transfer[s], delta, node.ramp, t_fire);
+        else
+          response.add_step(node.model.transfer[s], delta, t_fire);
+        const double lo = node.pre * node.model.dc[s];
+        const double hi = response.final_value();
+        const mor::ResponseMetrics measured =
+            response.measure(lo, hi, /*want_rise=*/true);
+        if (!measured.delay_50)
+          throw std::runtime_error(
+              "TimingGraph: node " + std::to_string(k) + " output " +
+              node.model.outputs[s] +
+              " never crossed 50% within the (auto-extended) window");
+        metrics.arrival[s] = *measured.delay_50;
+        metrics.slew[s] = measured.rise_10_90;
+        metrics.peak_noise = std::max(metrics.peak_noise, measured.peak_noise);
       }
     });
-  }
-
-  for (std::size_t c = 0; c < chains_.size(); ++c) {
-    const ChainRecord& chain = chains_[c];
-    const std::size_t last = static_cast<std::size_t>(
-        chain.first_node + chain.spec.sections - 1);
-    out.chains[c] = scratch[last].metrics;
   }
   return out;
 }

@@ -1,5 +1,5 @@
-// Timing-graph engine over reduced stage macromodels — the DAG
-// generalization of repbus::compose_bus_chain.
+// Timing-graph engine over reduced stage macromodels: an STA-style DAG of
+// driver stages composed through 50% fire times.
 //
 // Topology model: a node is ONE driver stage — a buffer (or the external
 // input) driving a reduced macromodel of its interconnect (point-to-point
@@ -7,9 +7,9 @@
 // output. An edge is a (node, output) pin: the 50% crossing measured at a
 // stage output IS the absolute start time of the fanout stage's driver
 // ramp — exactly the fire-time semantics of the MNA chain's switching
-// buffers and of compose_bus_chain's stage walk. Nothing in the graph steps
-// time: every node evaluation is a closed-form mor::AnalyticResponse
-// superposition, measured once.
+// buffers and of repbus::compose_bus_chain's stage walk. Nothing in the
+// graph steps time: every node evaluation is a closed-form
+// mor::AnalyticResponse superposition, measured once.
 //
 // Evaluation is topological levelization on the work-stealing thread pool:
 // level(n) = 1 + level(fanin), nodes of one level evaluated by one
@@ -18,12 +18,6 @@
 // the contract every subsystem of this repo keeps. Graphs are DAGs by
 // construction (a stage may only reference an already-added fanin), so
 // cycles are unrepresentable rather than detected.
-//
-// Linear chains embed exactly: add_bus_chain expands a repeatered-bus spec
-// into `sections` chain nodes that call the SAME repbus chain-walk helpers
-// (evaluate_chain_stage / accumulate_chain_stage) compose_bus_chain calls,
-// one stage per node — so a chain evaluated through the graph reproduces
-// compose_bus_chain bit-for-bit, at any thread count.
 #pragma once
 
 #include <cstddef>
@@ -33,7 +27,6 @@
 
 #include "mor/moments.h"
 #include "mor/reduce.h"
-#include "repbus/stage_compose.h"
 #include "sim/circuit.h"
 
 namespace rlcsim::graph {
@@ -64,7 +57,7 @@ struct Pin {
   int output = 0;
 };
 
-// One generic stage: its reduced model, where its driver's fire time comes
+// One stage: its reduced model, where its driver's fire time comes
 // from, and the driver's transition.
 struct StageNode {
   StageModel model;
@@ -72,15 +65,11 @@ struct StageNode {
   double pre = 0.0;   // driver output level before it fires
   double post = 1.0;  // ... after (ramped over `ramp` from the fire time)
   double ramp = 0.0;  // driver edge duration, s (0 = ideal step)
-  double vdd = 1.0;   // envelope reference for the 50% / 10-90 measurements
 };
 
-// Per-node results. Generic stage nodes: arrival = absolute 50% crossing
-// per output, slew = 10-90 transition per output (absent when the response
-// never brackets the levels), peak_noise = worst excursion outside the
-// drive envelope. Chain nodes: arrival = the stage's measured per-line
-// crossings (next fire times), peak_noise = the victim's stage noise,
-// slew empty.
+// Per-node results: arrival = absolute 50% crossing per output, slew =
+// 10-90 transition per output (absent when the response never brackets the
+// levels), peak_noise = worst excursion outside the drive envelope.
 struct NodeMetrics {
   std::vector<double> arrival;
   std::vector<std::optional<double>> slew;
@@ -89,28 +78,16 @@ struct NodeMetrics {
 
 struct GraphResult {
   std::vector<NodeMetrics> nodes;
-  // One ComposedChainMetrics per add_bus_chain call, identical to what
-  // compose_bus_chain returns for the same (spec, pattern, models).
-  std::vector<repbus::ComposedChainMetrics> chains;
   std::size_t levels = 0;
   std::size_t threads_used = 0;
 };
 
 class TimingGraph {
  public:
-  // Adds a generic stage; returns its node id. Throws std::invalid_argument
+  // Adds a stage; returns its node id. Throws std::invalid_argument
   // on an empty/mismatched model, a fanin pin referencing a not-yet-added
   // node (the DAG-by-construction rule), or an out-of-range fanin output.
   int add_stage(StageNode node);
-
-  // Expands a repeatered-bus chain into `spec.sections` linearly dependent
-  // chain nodes (node s evaluates walk stage s+1... i.e. stage s, fed by
-  // node s-1) and returns the chain id indexing GraphResult::chains.
-  // Validates spec/models via repbus::make_chain_walk. The models are
-  // copied into the graph; the first chain node's ids follow the nodes
-  // already added.
-  int add_bus_chain(const repbus::RepeaterBusSpec& spec,
-                    core::SwitchingPattern pattern, repbus::StageModels models);
 
   std::size_t node_count() const { return nodes_.size(); }
 
@@ -120,22 +97,7 @@ class TimingGraph {
   GraphResult evaluate(std::size_t threads = 0) const;
 
  private:
-  struct NodeRecord {
-    int chain = -1;       // -1 = generic stage, else chain id
-    int chain_stage = 0;  // 1-based walk stage (chain nodes only)
-    StageNode stage;      // generic nodes only
-  };
-  struct ChainRecord {
-    repbus::RepeaterBusSpec spec;
-    core::SwitchingPattern pattern = core::SwitchingPattern::kQuietVictim;
-    repbus::StageModels models;
-    int first_node = 0;
-  };
-
-  int fanin_of(const NodeRecord& record) const;
-
-  std::vector<NodeRecord> nodes_;
-  std::vector<ChainRecord> chains_;
+  std::vector<StageNode> nodes_;
 };
 
 }  // namespace rlcsim::graph

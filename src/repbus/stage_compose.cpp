@@ -117,6 +117,31 @@ StageModels build_stage_models(const RepeaterBusSpec& spec, int order,
 
 namespace {
 
+// Per-line drive state entering a stage.
+struct StageLineState {
+  double pre = 0.0;    // wire level before the transition
+  double post = 0.0;   // ... after it (pre == post: quiet)
+  double t = 0.0;      // absolute fire time of this stage's driver
+  double ramp = 0.0;   // driver edge duration
+  double pitch = 0.0;  // last measured per-stage delay (stagger smearing)
+  bool glitched = false;  // a quiet-armed boundary fired: full swing follows
+};
+
+// Immutable per-walk context: everything a stage evaluation needs that does
+// not change from stage to stage.
+struct ChainWalk {
+  const RepeaterBusSpec* spec = nullptr;
+  const StageModels* models = nullptr;
+  std::vector<sim::BusDrive> drives;
+  int victim = 0;
+  double vdd = 1.0;
+  double buffer_edge = 0.0;
+  double victim_quiet_level = 0.0;  // glitch reference level
+  bool staggered = false;
+  bool interleaved = false;
+  bool victim_switches = false;
+};
+
 bool walk_is_signal(const ChainWalk& walk, int i) {
   return walk.drives[static_cast<std::size_t>(i)] !=
          sim::BusDrive::kShieldGrounded;
@@ -131,8 +156,8 @@ double walk_dc_at(const ChainWalk& walk, int i, int j) {
   return walk.models->dc[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
 }
 
-}  // namespace
-
+// Validates the spec and the models' chain geometry and captures the walk
+// context (drive table, resolved buffer edge).
 ChainWalk make_chain_walk(const RepeaterBusSpec& spec,
                           core::SwitchingPattern pattern,
                           const StageModels& models) {
@@ -160,25 +185,16 @@ ChainWalk make_chain_walk(const RepeaterBusSpec& spec,
   return walk;
 }
 
-std::vector<StageLineState> initial_chain_state(const ChainWalk& walk) {
-  const RepeaterBusSpec& spec = *walk.spec;
-  const int lines = spec.bus.lines;
-  std::vector<StageLineState> state(static_cast<std::size_t>(lines));
-  for (int i = 0; i < lines; ++i) {
-    const DriveLevels levels =
-        drive_levels(walk.drives[static_cast<std::size_t>(i)], walk.vdd);
-    StageLineState& s = state[static_cast<std::size_t>(i)];
-    const bool invert_first = walk.interleaved &&
-                              is_alternate_line(i, walk.victim) &&
-                              walk_is_signal(walk, i);
-    s.pre = invert_first ? walk.vdd - levels.pre : levels.pre;
-    s.post = invert_first ? walk.vdd - levels.post : levels.post;
-    s.t = 0.0;
-    s.ramp = spec.source_rise;
-    s.pitch = walk.models->pitch_estimate;
-  }
-  return state;
-}
+// One stage's closed-form evaluation: the measured 50% crossings per line
+// (the next stage's fire times), the victim's stage noise, and — for a
+// still-quiet victim at an interior boundary — whether the stage output
+// crossed the downstream quiet-armed repeater's threshold (glitch firing).
+struct ChainStageResult {
+  std::vector<double> next_t;
+  double victim_noise = 0.0;
+  bool glitch_fired = false;
+  double glitch_time = 0.0;  // absolute fire time of the glitched buffer
+};
 
 ChainStageResult evaluate_chain_stage(const ChainWalk& walk,
                                       const std::vector<StageLineState>& state,
@@ -265,71 +281,77 @@ ChainStageResult evaluate_chain_stage(const ChainWalk& walk,
   return result;
 }
 
-void advance_chain_state(const ChainWalk& walk, const ChainStageResult& result,
-                         std::vector<StageLineState>& state) {
-  const RepeaterBusSpec& spec = *walk.spec;
-  const int lines = spec.bus.lines;
-  // Measured crossings become the next stage's fire times, the buffer edge
-  // becomes the drive ramp, and inverting repeaters flip the next stage's
-  // levels. A fired quiet-armed boundary drives the victim to the opposite
-  // rail, as the MNA buffer does.
-  for (int i = 0; i < lines; ++i) {
-    if (!walk_is_signal(walk, i)) continue;
-    StageLineState& s = state[static_cast<std::size_t>(i)];
-    const bool invert = walk.interleaved && is_alternate_line(i, walk.victim);
-    if (i == walk.victim && result.glitch_fired) {
-      s.post = walk.vdd - s.pre;
-      s.pitch = std::max(result.glitch_time - s.t, 0.0);
-      s.t = result.glitch_time;
-      s.ramp = walk.buffer_edge;
-      s.glitched = true;
-    } else if (s.pre != s.post) {
-      const double t50 = result.next_t[static_cast<std::size_t>(i)];
-      s.pitch = std::max(t50 - s.t, 0.0);
-      s.t = t50;
-      s.ramp = walk.buffer_edge;
-    }
-    const double pre = invert ? walk.vdd - s.pre : s.pre;
-    const double post = invert ? walk.vdd - s.post : s.post;
-    s.pre = pre;
-    s.post = post;
-  }
-}
-
-bool accumulate_chain_stage(const ChainWalk& walk,
-                            const ChainStageResult& result, int stage,
-                            std::vector<StageLineState>& state,
-                            ComposedChainMetrics& metrics) {
-  const RepeaterBusSpec& spec = *walk.spec;
-  const std::size_t victim = static_cast<std::size_t>(walk.victim);
-  metrics.peak_noise = std::max(metrics.peak_noise, result.victim_noise);
-  // Boundary `stage` fired: either the first quiet-armed firing, or the
-  // full swing of an already-glitched victim arriving at the next boundary.
-  if (result.glitch_fired ||
-      (state[victim].glitched && stage < spec.sections)) {
-    metrics.glitch_fired = true;
-    metrics.glitch_boundaries.push_back(stage);
-    metrics.glitch_depth = static_cast<int>(metrics.glitch_boundaries.size());
-  }
-  if (stage == spec.sections) {
-    if (walk.victim_switches) metrics.victim_delay_50 = result.next_t[victim];
-    return false;
-  }
-  advance_chain_state(walk, result, state);
-  metrics.victim_fire_times.push_back(state[victim].t);
-  return true;
-}
+}  // namespace
 
 ComposedChainMetrics compose_bus_chain(const RepeaterBusSpec& spec,
                                        core::SwitchingPattern pattern,
                                        const StageModels& models) {
   const ChainWalk walk = make_chain_walk(spec, pattern, models);
-  std::vector<StageLineState> state = initial_chain_state(walk);
+  const int lines = spec.bus.lines;
+  const std::size_t victim = static_cast<std::size_t>(walk.victim);
+
+  // The per-line state entering stage 1: levels from the drive table, the
+  // stagger pitch seeded from the victim's own unit-step section delay.
+  std::vector<StageLineState> state(static_cast<std::size_t>(lines));
+  for (int i = 0; i < lines; ++i) {
+    const DriveLevels levels =
+        drive_levels(walk.drives[static_cast<std::size_t>(i)], walk.vdd);
+    StageLineState& s = state[static_cast<std::size_t>(i)];
+    const bool invert_first = walk.interleaved &&
+                              is_alternate_line(i, walk.victim) &&
+                              walk_is_signal(walk, i);
+    s.pre = invert_first ? walk.vdd - levels.pre : levels.pre;
+    s.post = invert_first ? walk.vdd - levels.post : levels.post;
+    s.t = 0.0;
+    s.ramp = spec.source_rise;
+    s.pitch = models.pitch_estimate;
+  }
+
   ComposedChainMetrics metrics;
   metrics.victim_fire_times.push_back(0.0);
   for (int stage = 1; stage <= spec.sections; ++stage) {
     const ChainStageResult result = evaluate_chain_stage(walk, state, stage);
-    if (!accumulate_chain_stage(walk, result, stage, state, metrics)) break;
+    metrics.peak_noise = std::max(metrics.peak_noise, result.victim_noise);
+    // Boundary `stage` fired: either the first quiet-armed firing, or the
+    // full swing of an already-glitched victim arriving at the next
+    // boundary.
+    if (result.glitch_fired ||
+        (state[victim].glitched && stage < spec.sections)) {
+      metrics.glitch_fired = true;
+      metrics.glitch_boundaries.push_back(stage);
+      metrics.glitch_depth =
+          static_cast<int>(metrics.glitch_boundaries.size());
+    }
+    if (stage == spec.sections) {
+      if (walk.victim_switches) metrics.victim_delay_50 = result.next_t[victim];
+      break;
+    }
+    // Measured crossings become the next stage's fire times, the buffer
+    // edge becomes the drive ramp, and inverting repeaters flip the next
+    // stage's levels. A fired quiet-armed boundary drives the victim to the
+    // opposite rail, as the MNA buffer does.
+    for (int i = 0; i < lines; ++i) {
+      if (!walk_is_signal(walk, i)) continue;
+      StageLineState& s = state[static_cast<std::size_t>(i)];
+      const bool invert = walk.interleaved && is_alternate_line(i, walk.victim);
+      if (i == walk.victim && result.glitch_fired) {
+        s.post = walk.vdd - s.pre;
+        s.pitch = std::max(result.glitch_time - s.t, 0.0);
+        s.t = result.glitch_time;
+        s.ramp = walk.buffer_edge;
+        s.glitched = true;
+      } else if (s.pre != s.post) {
+        const double t50 = result.next_t[static_cast<std::size_t>(i)];
+        s.pitch = std::max(t50 - s.t, 0.0);
+        s.t = t50;
+        s.ramp = walk.buffer_edge;
+      }
+      const double pre = invert ? walk.vdd - s.pre : s.pre;
+      const double post = invert ? walk.vdd - s.post : s.post;
+      s.pre = pre;
+      s.post = post;
+    }
+    metrics.victim_fire_times.push_back(state[victim].t);
   }
   return metrics;
 }

@@ -101,84 +101,10 @@ struct ComposedChainMetrics {
   std::vector<int> glitch_boundaries;
 };
 
-// ---------------- chain-walk building blocks (shared with src/graph/) ----
-//
-// compose_bus_chain is a sequential walk of per-stage closed-form
-// evaluations; the timing-graph engine runs the SAME walk as a path of DAG
-// nodes. Both call these helpers, which perform identical floating-point
-// operations in identical order — that is what makes a linear-chain graph
-// reproduce compose_bus_chain bit-for-bit.
-
-// Per-line drive state entering a stage.
-struct StageLineState {
-  double pre = 0.0;    // wire level before the transition
-  double post = 0.0;   // ... after it (pre == post: quiet)
-  double t = 0.0;      // absolute fire time of this stage's driver
-  double ramp = 0.0;   // driver edge duration
-  double pitch = 0.0;  // last measured per-stage delay (stagger smearing)
-  bool glitched = false;  // a quiet-armed boundary fired: full swing follows
-};
-
-// Immutable per-walk context: everything a stage evaluation needs that does
-// not change from stage to stage. Holds POINTERS to the spec and models —
-// the caller keeps both alive for the walk's lifetime.
-struct ChainWalk {
-  const RepeaterBusSpec* spec = nullptr;
-  const StageModels* models = nullptr;
-  std::vector<sim::BusDrive> drives;
-  int victim = 0;
-  double vdd = 1.0;
-  double buffer_edge = 0.0;
-  double victim_quiet_level = 0.0;  // glitch reference level
-  bool staggered = false;
-  bool interleaved = false;
-  bool victim_switches = false;
-};
-
-// Validates the spec and the models' chain geometry and captures the walk
-// context (drive table, resolved buffer edge).
-ChainWalk make_chain_walk(const RepeaterBusSpec& spec,
-                          core::SwitchingPattern pattern,
-                          const StageModels& models);
-
-// The per-line state entering stage 1 (levels from the drive table, stagger
-// pitch seeded from the victim's own unit-step section delay).
-std::vector<StageLineState> initial_chain_state(const ChainWalk& walk);
-
-// One stage's closed-form evaluation: the measured 50% crossings per line
-// (the next stage's fire times), the victim's stage noise, and — for a
-// still-quiet victim at an interior boundary — whether the stage output
-// crossed the downstream quiet-armed repeater's threshold (glitch firing).
-struct ChainStageResult {
-  std::vector<double> next_t;
-  double victim_noise = 0.0;
-  bool glitch_fired = false;
-  double glitch_time = 0.0;  // absolute fire time of the glitched buffer
-};
-ChainStageResult evaluate_chain_stage(const ChainWalk& walk,
-                                      const std::vector<StageLineState>& state,
-                                      int stage);
-
-// Applies one stage's crossings to the state: fire times advance, the
-// buffer edge becomes the drive ramp, interleaved alternate lines invert,
-// and a fired quiet-armed boundary turns the victim into a full-swing
-// transition toward the opposite rail (exactly what the MNA chain's
-// quiet-armed buffer drives).
-void advance_chain_state(const ChainWalk& walk, const ChainStageResult& result,
-                         std::vector<StageLineState>& state);
-
-// Folds one evaluated stage into the running metrics, then either advances
-// the state and records the victim fire time (interior stages, returns
-// true) or closes out the chain delay (final stage, returns false).
-// compose_bus_chain's loop body and a graph chain node are both exactly one
-// evaluate_chain_stage + one accumulate_chain_stage.
-bool accumulate_chain_stage(const ChainWalk& walk,
-                            const ChainStageResult& result, int stage,
-                            std::vector<StageLineState>& state,
-                            ComposedChainMetrics& metrics);
-
 // Composes the chain from prebuilt models (the hot path: the optimizer
 // reuses one StageModels across the same-/opposite-/quiet-pattern walks).
+// Throws std::invalid_argument on an invalid spec or on models built for a
+// different chain geometry (bus width, sections, or shield layout).
 ComposedChainMetrics compose_bus_chain(const RepeaterBusSpec& spec,
                                        core::SwitchingPattern pattern,
                                        const StageModels& models);

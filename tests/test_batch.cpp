@@ -297,6 +297,43 @@ TEST(SparseLuBatchTest, ZeroMultipliersKeepScalarBits) {
     expect_lanes_match_scalar(pivot6, signed_zero_rhs(6, lanes, 2u), "pivot chain");
     expect_lanes_match_scalar(random23, signed_zero_rhs(23, lanes, 3u), "random 23");
   }
+
+  // The refactor's column step: [[5, 1], [1, 1]] records row 0 as the
+  // first pivot. Even lanes turn that pivot into 1e-310 and a01 into 0, so
+  // their L multiplier 1 / 1e-310 overflows to inf while their U entry u01
+  // is exactly 0; odd lanes keep u01 = 1, so the column is mixed. The
+  // guarded blend keeps a11 for the even lanes, as the scalar skip does;
+  // the plain update would give a11 - inf * 0 = NaN.
+  const RealSparse donor_matrix(
+      2, {{0, 0, 5.0}, {0, 1, 1.0}, {1, 0, 1.0}, {1, 1, 1.0}});
+  const RealSparseLu donor(donor_matrix);
+  for (const std::size_t lanes : {std::size_t{4}, std::size_t{8}}) {
+    BatchedValues values(static_cast<std::size_t>(donor_matrix.nnz()), lanes);
+    BatchedValues rhs(2, lanes);
+    std::vector<std::vector<double>> lane_values(lanes), lane_rhs(lanes);
+    for (std::size_t w = 0; w < lanes; ++w) {
+      const bool tiny = w % 2 == 0;
+      // CSR order: a00, a01, a10, a11.
+      lane_values[w] = tiny ? std::vector<double>{1e-310, 0.0, 1.0, 2.0 + w}
+                            : std::vector<double>{4.0, 1.0, 1.0, 2.0 + w};
+      lane_rhs[w] = {tiny ? 0.0 : 1.0, -1.0 - static_cast<double>(w)};
+      values.set_lane(w, lane_values[w]);
+      rhs.set_lane(w, lane_rhs[w]);
+    }
+    SparseLuBatch batch(donor, lanes);
+    batch.refactor(values);
+    ASSERT_EQ(batch.ejected_lane_count(), 0u);
+    batch.solve_in_place(rhs);
+    for (std::size_t w = 0; w < lanes; ++w) {
+      RealSparseLu scalar(donor);
+      EXPECT_FALSE(scalar.refactor(RealSparse(donor_matrix.pattern_ptr(), lane_values[w])));
+      const std::vector<double> expected = scalar.solve(lane_rhs[w]);
+      ASSERT_TRUE(std::isfinite(expected[0]) && std::isfinite(expected[1]));
+      std::vector<double> got;
+      rhs.extract_lane(w, got);
+      expect_bits_equal(expected, got, "inf multiplier, zero U entry");
+    }
+  }
 }
 
 // Solves on a const factorization write no shared state: threads solving

@@ -1,7 +1,6 @@
 // Timing-graph engine (src/graph/): wire-tree stamping, construction
-// validation, linear-chain bit-identity against repbus::compose_bus_chain,
-// H-tree skew/slew against the cascaded full-MNA oracle, and thread-count
-// determinism of the levelized parallel evaluation.
+// validation, H-tree skew/slew against the cascaded full-MNA oracle, and
+// thread-count determinism of the levelized parallel evaluation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +8,6 @@
 
 #include "graph/h_tree.h"
 #include "graph/timing_graph.h"
-#include "repbus/stage_compose.h"
 #include "sim/builders.h"
 #include "sim/transient.h"
 
@@ -17,20 +15,7 @@ namespace {
 
 using namespace rlcsim;
 
-// The Table-1-derived bench bus (see test_repbus.cpp).
-const tline::LineParams kLine{500.0, 1e-8, 1e-12};
 const core::MinBuffer kBuf{3000.0, 5e-15, 1.0, 0.0};
-
-repbus::RepeaterBusSpec chain_spec(repbus::Placement placement) {
-  repbus::RepeaterBusSpec spec;
-  spec.bus = tline::make_bus(5, kLine, 0.4, 0.25);
-  spec.sections = 4;
-  spec.size = 32.0;
-  spec.buffer = kBuf;
-  spec.placement = placement;
-  spec.segments_per_section = 8;
-  return spec;
-}
 
 graph::HTreeSpec tree_spec() {
   graph::HTreeSpec spec;
@@ -45,20 +30,6 @@ graph::HTreeSpec tree_spec() {
   spec.sink_imbalance = 0.15;
   spec.order = 4;
   return spec;
-}
-
-// Exact equality, field by field — the embedding must not perturb one bit.
-void expect_chain_identical(const repbus::ComposedChainMetrics& a,
-                            const repbus::ComposedChainMetrics& b) {
-  ASSERT_EQ(a.victim_delay_50.has_value(), b.victim_delay_50.has_value());
-  if (a.victim_delay_50) {
-    EXPECT_EQ(*a.victim_delay_50, *b.victim_delay_50);
-  }
-  EXPECT_EQ(a.peak_noise, b.peak_noise);
-  EXPECT_EQ(a.victim_fire_times, b.victim_fire_times);
-  EXPECT_EQ(a.glitch_fired, b.glitch_fired);
-  EXPECT_EQ(a.glitch_depth, b.glitch_depth);
-  EXPECT_EQ(a.glitch_boundaries, b.glitch_boundaries);
 }
 
 // ---------------------------------------------------------------------------
@@ -190,44 +161,6 @@ TEST(TimingGraph, ReduceStageRejectsNonSingleDriverCircuits) {
   circuit.add_resistor("in2", "out", 100.0, "r2");
   EXPECT_THROW(graph::reduce_stage(circuit, {"out"}, 2, 0.0),
                std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// Linear chains: the graph must reproduce compose_bus_chain BIT-FOR-BIT
-// ---------------------------------------------------------------------------
-
-TEST(TimingGraph, LinearChainBitIdenticalToComposeBusChain) {
-  for (const auto placement :
-       {repbus::Placement::kUniform, repbus::Placement::kStaggered,
-        repbus::Placement::kInterleaved}) {
-    const repbus::RepeaterBusSpec spec = chain_spec(placement);
-    const repbus::StageModels models = repbus::build_stage_models(spec, 4);
-    for (const auto pattern : {core::SwitchingPattern::kOppositePhase,
-                               core::SwitchingPattern::kQuietVictim}) {
-      const repbus::ComposedChainMetrics composed =
-          repbus::compose_bus_chain(spec, pattern, models);
-      graph::TimingGraph g;
-      const int chain = g.add_bus_chain(spec, pattern, models);
-      EXPECT_EQ(chain, 0);
-      EXPECT_EQ(g.node_count(), 4u);
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-        const graph::GraphResult result = g.evaluate(threads);
-        ASSERT_EQ(result.chains.size(), 1u);
-        expect_chain_identical(result.chains[0], composed);
-      }
-    }
-  }
-}
-
-TEST(TimingGraph, ChainGeometryMismatchIsRejected) {
-  const repbus::RepeaterBusSpec spec = chain_spec(repbus::Placement::kUniform);
-  repbus::RepeaterBusSpec other = spec;
-  other.sections = 3;
-  const repbus::StageModels models = repbus::build_stage_models(other, 4);
-  graph::TimingGraph g;
-  EXPECT_THROW(
-      g.add_bus_chain(spec, core::SwitchingPattern::kSamePhase, models),
-      std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

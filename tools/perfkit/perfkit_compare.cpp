@@ -183,9 +183,6 @@ const std::vector<BenchCatalog>& catalog() {
             0.25, 0.05, true},
            {"h_tree_skew_err_pct", "/gates/gate=h_tree_skew_err_pct/value",
             Direction::kLower, 0.25, 0.05, true},
-           {"chain_equivalence_failures",
-            "/gates/gate=chain_equivalence_failures/value", Direction::kExact,
-            0.0, 0.0, true},
            {"thread_determinism_failures",
             "/gates/gate=thread_determinism_failures/value", Direction::kExact,
             0.0, 0.0, true},
