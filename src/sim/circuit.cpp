@@ -1,6 +1,5 @@
 #include "sim/circuit.h"
 
-#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <stdexcept>
@@ -8,15 +7,13 @@
 namespace rlcsim::sim {
 namespace {
 
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return s;
-}
-
+// "0" or "gnd" in any case.
 bool is_ground_name(const std::string& name) {
-  const std::string l = lower(name);
-  return l == "0" || l == "gnd";
+  const auto lower_is = [&](std::size_t i, char c) {
+    return std::tolower(static_cast<unsigned char>(name[i])) == c;
+  };
+  return name == "0" ||
+         (name.size() == 3 && lower_is(0, 'g') && lower_is(1, 'n') && lower_is(2, 'd'));
 }
 
 double pwl_value(const PwlSpec& spec, double t) {
@@ -74,17 +71,17 @@ double source_value(const SourceSpec& spec, double t) {
 
 NodeId Circuit::node(const std::string& name) {
   if (is_ground_name(name)) return kGround;
-  for (std::size_t i = 0; i < node_names_.size(); ++i)
-    if (node_names_[i] == name) return static_cast<NodeId>(i);
-  node_names_.push_back(name);
-  return static_cast<NodeId>(node_names_.size() - 1);
+  const auto [it, inserted] =
+      node_ids_.try_emplace(name, static_cast<NodeId>(node_names_.size()));
+  if (inserted) node_names_.push_back(name);
+  return it->second;
 }
 
 std::optional<NodeId> Circuit::find_node(const std::string& name) const {
   if (is_ground_name(name)) return kGround;
-  for (std::size_t i = 0; i < node_names_.size(); ++i)
-    if (node_names_[i] == name) return static_cast<NodeId>(i);
-  return std::nullopt;
+  const auto it = node_ids_.find(name);
+  if (it == node_ids_.end()) return std::nullopt;
+  return it->second;
 }
 
 const std::string& Circuit::node_name(NodeId id) const {

@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <optional>
 #include <string>
+#include <unordered_map>  // rlcsim-lint: allow(unordered-container)
 #include <variant>
 #include <vector>
 
@@ -202,6 +203,10 @@ class Circuit {
 
  private:
   std::vector<std::string> node_names_;
+  // Name -> index into node_names_, for O(1) node()/find_node(). Lookup
+  // only, never iterated: ids follow insertion order in node_names_.
+  // rlcsim-lint: allow(unordered-container)
+  std::unordered_map<std::string, NodeId> node_ids_;
   std::vector<Resistor> resistors_;
   std::vector<Capacitor> capacitors_;
   std::vector<Inductor> inductors_;

@@ -7,8 +7,11 @@
 // well-conditioned. Buffers contribute their input capacitance and a Norton
 // (source/Rout) output stage, so they add no extra unknowns.
 //
-// The assembler stamps the circuit ONCE, at construction, into two
-// frequency/timestep-independent triplet sets sharing one sparsity pattern:
+// An assembler is a compiled stamp program (sim/stamp_program.h: the
+// unknown layout, the sparsity patterns and the slot of every stamp, fixed
+// by the topology) plus one circuit's element values, read once at
+// construction into two frequency/timestep-independent stamp sets over one
+// shared sparsity pattern:
 //
 //   G — conductances and source/inductor incidence (+/-1) entries;
 //   C — capacitances, and the inductor -L / mutual -M branch entries.
@@ -18,20 +21,24 @@
 //   transient:  G + (factor/dt) * C      (factor = 1 BE, 2 trapezoidal)
 //   AC:         G + s * C                (s = j*2*pi*f)
 //
-// so a transient run or an AC sweep assembles the pattern exactly once and
-// only rewrites the CSR value array afterwards. Every analysis solves those
-// systems with the sparse LU. The dense matrices returned by
-// dc_matrix()/transient_matrix() are densified from the same triplets; no
-// analysis uses them — they feed the tests' dense-LU correctness oracle and
-// the dense-vs-sparse benchmarks.
+// so a transient run or an AC sweep only rewrites the CSR value array. A
+// sweep compiles the program once per topology and views every point's
+// circuit through it; the values summed into each slot, and their order,
+// are those of compressing the circuit's own triplets, so sharing a program
+// never changes a bit. Every analysis solves those systems with the sparse
+// LU. The dense matrices returned by dc_matrix()/transient_matrix() are
+// densified from the same stamps; no analysis uses them — they feed the
+// tests' dense-LU correctness oracle and the dense-vs-sparse benchmarks.
 #pragma once
 
 #include <complex>
+#include <memory>
 #include <vector>
 
 #include "numeric/matrix.h"
 #include "numeric/sparse.h"
 #include "sim/circuit.h"
+#include "sim/stamp_program.h"
 
 namespace rlcsim::numeric {
 class BatchedValues;  // numeric/sparse_batch.h
@@ -55,17 +62,29 @@ struct TransientState {
 
 class MnaAssembler {
  public:
+  // Compiles `circuit`'s own stamp program (which validates it) and reads
+  // its values.
   explicit MnaAssembler(const Circuit& circuit);
+  // Reads `circuit`'s values through an existing program of its topology.
+  // Throws std::invalid_argument when the circuit does not match() it.
+  MnaAssembler(StampProgramPtr program, const Circuit& circuit);
 
-  std::size_t node_count() const { return n_nodes_; }
-  std::size_t unknown_count() const { return n_unknowns_; }
-  std::size_t vsource_branch(std::size_t vsource_index) const;
-  std::size_t inductor_branch(std::size_t inductor_index) const;
+  const StampProgramPtr& program() const { return program_; }
+  std::size_t node_count() const { return program_->node_count(); }
+  std::size_t unknown_count() const { return program_->unknown_count(); }
+  std::size_t vsource_branch(std::size_t vsource_index) const {
+    return program_->vsource_branch(vsource_index);
+  }
+  std::size_t inductor_branch(std::size_t inductor_index) const {
+    return program_->inductor_branch(inductor_index);
+  }
 
   // ---- shared G + scale*C system (transient & AC hot paths) --------------
 
-  // Sparsity pattern of G union C, built once in the constructor.
-  const numeric::SparsePatternPtr& system_pattern() const { return pattern_; }
+  // Sparsity pattern of G union C, the program's.
+  const numeric::SparsePatternPtr& system_pattern() const {
+    return program_->system_pattern();
+  }
 
   // CSR values of G + scale*C over system_pattern(). `out` is resized to
   // nnz; no other allocation.
@@ -122,7 +141,8 @@ class MnaAssembler {
   // DC matrix at time t: capacitors removed, inductors shorted (their branch
   // equation becomes v1 - v2 = 0). A Gmin conductance is added on every node
   // so capacitor-only nodes do not make the matrix singular. The DC pattern
-  // differs from system_pattern() (inductor rows change meaning).
+  // (the program's dc_pattern()) differs from system_pattern() (inductor
+  // rows change meaning).
   numeric::RealSparse dc_sparse(double gmin = 1e-12) const;
   numeric::RealMatrix dc_matrix(double gmin = 1e-12) const;
   std::vector<double> dc_rhs(double t, const TransientState& state) const;
@@ -130,7 +150,7 @@ class MnaAssembler {
   // ---- transient ---------------------------------------------------------
 
   // Companion-model transient matrix for step size dt (densified from the
-  // G/C triplets). Depends only on dt and the integrator, so callers cache
+  // G/C stamps). Depends only on dt and the integrator, so callers cache
   // the LU factorization per dt.
   numeric::RealMatrix transient_matrix(double dt, Integrator method) const;
 
@@ -154,19 +174,11 @@ class MnaAssembler {
   static double buffer_drive(const Buffer& buffer, double fire_time, double t);
 
  private:
-  void stamp_system();
-
+  StampProgramPtr program_;
   const Circuit& circuit_;
-  std::size_t n_nodes_ = 0;
-  std::size_t n_unknowns_ = 0;
-  std::size_t vsource_base_ = 0;
-  std::size_t inductor_base_ = 0;
-
-  // Time/frequency-independent stamps: values and their slots in the merged
-  // CSR pattern (slot k is where triplet k's value accumulates).
-  std::vector<numeric::Triplet<double>> g_triplets_, c_triplets_;
-  std::vector<int> g_slots_, c_slots_;
-  numeric::SparsePatternPtr pattern_;
+  // Time/frequency-independent stamp values: value k accumulates into the
+  // program's g_slots()[k] / c_slots()[k] of the merged CSR pattern.
+  std::vector<double> g_values_, c_values_;
 };
 
 }  // namespace rlcsim::sim

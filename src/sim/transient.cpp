@@ -61,34 +61,6 @@ std::set<double> breakpoints_of(const Circuit& circuit, double t_stop) {
   return breakpoints;
 }
 
-// True when `b` has `a`'s element counts and node/branch indices, so the
-// kernels can walk lane 0's topology for every lane. Only VALUES may differ.
-bool same_topology(const Circuit& a, const Circuit& b) {
-  const auto same = [](const auto& x, const auto& y, auto&& equal) {
-    if (x.size() != y.size()) return false;
-    for (std::size_t k = 0; k < x.size(); ++k)
-      if (!equal(x[k], y[k])) return false;
-    return true;
-  };
-  const auto two_nodes = [](const auto& x, const auto& y) {
-    return x.n1 == y.n1 && x.n2 == y.n2;
-  };
-  return a.node_count() == b.node_count() &&
-         same(a.capacitors(), b.capacitors(), two_nodes) &&
-         same(a.inductors(), b.inductors(), two_nodes) &&
-         same(a.mutuals(), b.mutuals(),
-              [](const auto& x, const auto& y) {
-                return x.inductor_a == y.inductor_a && x.inductor_b == y.inductor_b;
-              }) &&
-         same(a.voltage_sources(), b.voltage_sources(),
-              [](const auto& x, const auto& y) {
-                return x.positive == y.positive && x.negative == y.negative;
-              }) &&
-         same(a.current_sources(), b.current_sources(), [](const auto& x, const auto& y) {
-           return x.to == y.to && x.from == y.from;
-         });
-}
-
 // Which entry point drives the engine. Both step the same way and differ in
 // bookkeeping: a scalar run (run_transient or measure_transient, one lane) may
 // seed an empty SolverReuse and factorizes fresh when nothing is recorded; a
@@ -113,21 +85,6 @@ struct StepCoeffs {
   std::vector<double> cap_g, ind_h, mut_h;
 };
 
-// Adopts a SolverReuse pattern slot for lanes with `patterns`: an empty slot
-// is seeded with lane 0's, a recorded one must match every lane
-// structurally. A mismatch returns false and leaves the slot alone:
-// re-seeding would make later runs' pivot order depend on which circuit a
-// worker saw first, breaking the sweeps' bit-identity at any thread count.
-bool adopt_pattern(numeric::SparsePatternPtr& slot,
-                   const std::vector<numeric::SparsePatternPtr>& patterns) {
-  if (!slot) {
-    slot = patterns[0];
-    return true;
-  }
-  return std::all_of(patterns.begin(), patterns.end(),
-                     [&](const auto& p) { return numeric::same_structure(*slot, *p); });
-}
-
 // The one transient engine: W circuits of one topology stepped in lockstep
 // over one step grid, every solve a SparseLuBatch over one symbolic
 // factorization. State and element values are lane-major SoA arrays
@@ -144,24 +101,20 @@ std::optional<LockstepStats> run_lockstep(const std::vector<const Circuit*>& cir
                                           Caller caller, Record&& record) {
   const bool batch = caller == Caller::kBatch;
   const std::size_t lanes = circuits.size();  // == W
-  // A batch replays RECORDED symbolic factorizations; without a complete
-  // record each lane would pay (and pivot) its own analysis, which is what
-  // run_transient per point does.
+  // A batch replays a RECORDED program and symbolic factorizations; without
+  // a complete record each lane would pay (and pivot) its own analysis,
+  // which is what run_transient per point does.
   SolverReuse* replay = options.reuse;
-  if (batch && !(replay && replay->system_pattern && replay->system_symbolic &&
-                 replay->dc_pattern && replay->dc_symbolic))
+  if (batch && !(replay && replay->program && replay->system_symbolic &&
+                 replay->dc_symbolic))
     return std::nullopt;
 
   const Circuit& c0 = *circuits[0];
-  std::vector<MnaAssembler> assemblers;
-  assemblers.reserve(lanes);
-  for (const Circuit* circuit : circuits) {
-    // Buffers move the step grid by state-dependent events, so only
-    // buffer-free lanes can share one.
-    if (batch && !circuit->buffers().empty()) return std::nullopt;
-    if (circuit != &c0 && !same_topology(c0, *circuit)) return std::nullopt;
-    assemblers.emplace_back(*circuit);
-  }
+  // Buffers move the step grid by state-dependent events, so only
+  // buffer-free lanes can share one.
+  if (batch)
+    for (const Circuit* circuit : circuits)
+      if (!circuit->buffers().empty()) return std::nullopt;
   // Buffer-free lanes step on source corners only, so equal breakpoint sets
   // mean one (state-independent) step grid.
   std::set<double> breakpoints = breakpoints_of(c0, options.t_stop);
@@ -169,27 +122,30 @@ std::optional<LockstepStats> run_lockstep(const std::vector<const Circuit*>& cir
     if (circuit != &c0 && breakpoints_of(*circuit, options.t_stop) != breakpoints)
       return std::nullopt;
 
-  // --- cross-run symbolic reuse: `replay` is the record this run replays or
-  // seeds (null after a mismatch); options.reuse counts every factorization.
-  std::vector<numeric::SparsePatternPtr> patterns;
-  for (const MnaAssembler& a : assemblers) patterns.push_back(a.system_pattern());
-  if (replay && !adopt_pattern(replay->system_pattern, patterns)) {
+  // --- the stamp program: the recorded one when every lane has its
+  // topology. Otherwise a batch declines and a scalar run (one lane) compiles
+  // its own and replays nothing: re-seeding the record would make later
+  // runs' pivot order depend on which circuit a worker saw first, breaking
+  // the sweeps' bit-identity at any thread count. `replay` is the record
+  // this run replays or seeds (null after a mismatch); options.reuse counts
+  // every factorization.
+  StampProgramPtr program = replay ? replay->program : nullptr;
+  if (program && !std::all_of(circuits.begin(), circuits.end(), [&](const Circuit* c) {
+        return program->matches(*c);
+      })) {
     if (batch) return std::nullopt;
+    program = nullptr;
     replay = nullptr;
   }
-  const numeric::SparsePatternPtr system_pattern =
-      replay ? replay->system_pattern : patterns[0];
-  std::vector<numeric::RealSparse> dc;
-  patterns.clear();
-  for (const MnaAssembler& a : assemblers) {
-    dc.push_back(a.dc_sparse(options.dc_gmin));
-    patterns.push_back(dc.back().pattern_ptr());
+  if (!program) {
+    program = StampProgram::compile(c0);
+    OBS_COUNTER_ADD("transient.stamp_programs", 1);
+    if (replay) replay->program = program;
   }
-  SolverReuse* dc_replay = replay;
-  if (dc_replay && !adopt_pattern(dc_replay->dc_pattern, patterns)) {
-    if (batch) return std::nullopt;
-    dc_replay = nullptr;
-  }
+  std::vector<MnaAssembler> assemblers;
+  assemblers.reserve(lanes);
+  for (const Circuit* circuit : circuits) assemblers.emplace_back(program, *circuit);
+
   const auto count_full_factorization = [&] {
     if (options.reuse) ++options.reuse->symbolic_factorizations;
   };
@@ -204,19 +160,24 @@ std::optional<LockstepStats> run_lockstep(const std::vector<const Circuit*>& cir
   };
 
   // --- DC operating point --------------------------------------------------
-  const std::size_t unknowns = assemblers[0].unknown_count();
-  numeric::BatchedValues dc_values(dc[0].values().size(), lanes);
+  const std::size_t unknowns = program->unknown_count();
+  numeric::BatchedValues dc_values(static_cast<std::size_t>(program->dc_pattern()->nnz()),
+                                   lanes);
   numeric::BatchedValues dc_solution(unknowns, lanes);
+  std::vector<double> lane_values;
   for (std::size_t lane = 0; lane < lanes; ++lane) {
-    dc_values.set_lane(lane, dc[lane].values());
+    program->dc_values(*circuits[lane], options.dc_gmin, lane_values);
+    dc_values.set_lane(lane, lane_values);
     dc_solution.set_lane(lane, assemblers[lane].dc_rhs(0.0, TransientState{}));
   }
   std::shared_ptr<const numeric::RealSparseLu> dc_symbolic =
-      dc_replay ? dc_replay->dc_symbolic : nullptr;
+      replay ? replay->dc_symbolic : nullptr;
   if (!dc_symbolic) {
-    dc_symbolic = std::make_shared<const numeric::RealSparseLu>(dc[0]);
+    dc_values.extract_lane(0, lane_values);
+    dc_symbolic = std::make_shared<const numeric::RealSparseLu>(
+        numeric::RealSparse(program->dc_pattern(), lane_values));
     count_full_factorization();
-    if (dc_replay) dc_replay->dc_symbolic = dc_symbolic;
+    if (replay) replay->dc_symbolic = dc_symbolic;
   }
   numeric::SparseLuBatch dc_lu(*dc_symbolic, lanes);
   refactor_counted(dc_lu, dc_values);
@@ -240,22 +201,14 @@ std::optional<LockstepStats> run_lockstep(const std::vector<const Circuit*>& cir
   // Buffer input capacitances extend the capacitor table to ground, so the
   // capacitor kernel carries their companions too. Buffers, like all buffer
   // state below, are lane 0's: buffered circuits only run at W = 1.
-  const std::size_t n_nodes = c0.node_count();
+  const std::size_t n_nodes = program->node_count();
   const auto& inductors0 = c0.inductors();
   const auto& mutuals0 = c0.mutuals();
   const auto& vsources0 = c0.voltage_sources();
   const auto& isources0 = c0.current_sources();
   const std::vector<Buffer>& buffers = c0.buffers();
-  std::vector<NodeId> cap_n1, cap_n2;
-  for (const Capacitor& c : c0.capacitors()) {
-    cap_n1.push_back(c.n1);
-    cap_n2.push_back(c.n2);
-  }
-  for (const Buffer& b : buffers) {
-    if (b.input_capacitance <= 0.0) continue;
-    cap_n1.push_back(b.input);
-    cap_n2.push_back(kGround);
-  }
+  const std::vector<NodeId>& cap_n1 = program->cap_n1();
+  const std::vector<NodeId>& cap_n2 = program->cap_n2();
   const std::size_t n_caps = cap_n1.size();
   const std::size_t n_inductors = inductors0.size();
   std::vector<double> cap_c(n_caps * W), ind_l(n_inductors * W), mut_m(mutuals0.size() * W);
@@ -270,11 +223,8 @@ std::optional<LockstepStats> run_lockstep(const std::vector<const Circuit*>& cir
     for (std::size_t k = 0; k < mutuals0.size(); ++k)
       mut_m[k * W + lane] = c.mutuals()[k].mutual;
   }
-  std::vector<std::size_t> ind_branch, vsrc_branch;
-  for (std::size_t k = 0; k < n_inductors; ++k)
-    ind_branch.push_back(assemblers[0].inductor_branch(k));
-  for (std::size_t k = 0; k < vsources0.size(); ++k)
-    vsrc_branch.push_back(assemblers[0].vsource_branch(k));
+  const std::vector<std::size_t>& ind_branch = program->inductor_branches();
+  const std::vector<std::size_t>& vsrc_branch = program->vsource_branches();
 
   // --- initial state (MnaAssembler::initial_state, lane-major): node
   // voltages are the first n_nodes solution slots, capacitor histories start
@@ -304,6 +254,7 @@ std::optional<LockstepStats> run_lockstep(const std::vector<const Circuit*>& cir
   std::map<std::pair<std::int64_t, int>, numeric::SparseLuBatch> lu_cache;
   std::pair<std::int64_t, int> last_key{std::numeric_limits<std::int64_t>::min(), -1};
   const numeric::SparseLuBatch* last_factor = nullptr;
+  const numeric::SparsePatternPtr& system_pattern = program->system_pattern();
   numeric::BatchedValues system_values(static_cast<std::size_t>(system_pattern->nnz()),
                                        lanes);
   const auto factorized = [&](double dt,
@@ -319,10 +270,9 @@ std::optional<LockstepStats> run_lockstep(const std::vector<const Circuit*>& cir
       for (std::size_t lane = 0; lane < lanes; ++lane)
         assemblers[lane].stamp_values_into(scale, system_values, lane);
       if (!symbolic) {
-        std::vector<double> values;
-        system_values.extract_lane(0, values);
+        system_values.extract_lane(0, lane_values);
         symbolic = std::make_shared<const numeric::RealSparseLu>(
-            numeric::RealSparse(system_pattern, std::move(values)));
+            numeric::RealSparse(system_pattern, lane_values));
         count_full_factorization();
         if (replay) replay->system_symbolic = symbolic;
       }

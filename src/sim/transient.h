@@ -15,9 +15,11 @@
 // run_transient, which records every node up to t_stop, and the probe
 // recorder of sim/transient_batch.h, which keeps only what it probes. The
 // assembled MNA system is G + (factor/dt)*C over one fixed sparsity pattern
-// (see sim/mna.h). Every solve is a numeric::SparseLuBatch over one symbolic
-// factorization per run: the one a SolverReuse recorded, or else the run's
-// first full sparse LU. Step sizes are quantized onto a min_dt_fraction grid
+// (see sim/mna.h), and every lane is stamped value-only through one stamp
+// program: the one a SolverReuse recorded, or else the run's own. Every
+// solve is a numeric::SparseLuBatch over one symbolic factorization per
+// run: the one a SolverReuse recorded, or else the run's first full sparse
+// LU. Step sizes are quantized onto a min_dt_fraction grid
 // before keying the LU cache, so breakpoint-clipped dt values that differ
 // only by ulps reuse one factorization instead of triggering spurious
 // refactorizations. MnaAssembler::transient_rhs_into / advance_state remain
@@ -32,33 +34,34 @@
 #include "numeric/sparse.h"
 #include "sim/circuit.h"
 #include "sim/mna.h"
+#include "sim/stamp_program.h"
 #include "sim/waveform.h"
 
 namespace rlcsim::sim {
 
-// Cross-run sparse-solver state for sweeps: the sparsity patterns and
-// symbolic factorizations of a previous run over a topologically identical
-// circuit. A sweep evaluates thousands of circuits that differ only in
-// element VALUES; handing the same SolverReuse to every run on a thread
-// means the first run pays the symbolic analyses (system + DC) and every
-// later run does numeric-only refactorization along the recorded pivot
-// order. A run whose circuit has a structurally different pattern runs
-// WITHOUT reuse and leaves the recorded state untouched (so which circuit a
-// worker saw first can never change pivot orders) — reuse is an
-// optimization, never a correctness constraint.
+// Cross-run solver state for sweeps: the stamp program (sim/stamp_program.h)
+// and the symbolic factorizations of a previous run over a topologically
+// identical circuit. A sweep evaluates thousands of circuits that differ
+// only in element VALUES; handing the same SolverReuse to every run on a
+// thread means the first run compiles the program and pays the symbolic
+// analyses (system + DC), and every later run stamps its values through the
+// recorded slot maps and refactors numerically along the recorded pivot
+// order. A run whose circuit does not match() the recorded program compiles
+// its own and runs WITHOUT reuse, leaving the recorded state untouched (so
+// which circuit a worker saw first can never change pivot orders) — reuse
+// is an optimization, never a correctness constraint.
 //
-// The donors are only ever copied from (SparseLu copy + refactor), so one
-// SolverReuse may be shared READ-ONLY by concurrent runs as long as no run
-// encounters a mismatching pattern; the sweep engine gives each worker its
-// own instance seeded from one reference run to keep results bit-identical
-// at any thread count.
+// The program is immutable and the donors are only ever copied from
+// (SparseLu copy + refactor), so one SolverReuse may be shared READ-ONLY by
+// concurrent runs as long as no run seeds an empty slot; the sweep engine
+// gives each worker its own instance seeded from one reference run to keep
+// results bit-identical at any thread count.
 //
 // The counts tally the work of every run handed this record, including
-// runs whose pattern mismatched and therefore ran without replaying.
+// runs whose circuit did not match and therefore ran without replaying.
 struct SolverReuse {
-  numeric::SparsePatternPtr system_pattern;
+  StampProgramPtr program;
   std::shared_ptr<const numeric::RealSparseLu> system_symbolic;
-  numeric::SparsePatternPtr dc_pattern;
   std::shared_ptr<const numeric::RealSparseLu> dc_symbolic;
   std::size_t reuse_hits = 0;  // runs that reused a recorded symbolic
   // Full (symbolic + numeric) factorizations, zero-pivot re-pivots included.

@@ -81,11 +81,12 @@ double first_crossing(const Circuit& circuit, const std::string& node, double le
 
 // First rising crossing of `level` at `node`, per lane, for W = 1/4/8
 // circuits stepped as one batch. Requires options.reuse populated with the
-// recorded system + DC patterns and symbolic factorizations every lane
-// structurally matches (the sweep engine's point-0 seeding provides this).
-// Eligibility is checked, not assumed: a batch whose lanes cannot share the
-// grid (structural pattern mismatch, buffers, missing recorded symbolics,
-// differing breakpoint sets, invalid options, an unknown node) returns
+// recorded stamp program, which every lane's topology must match, and the
+// system + DC symbolic factorizations (the sweep engine's point-0 seeding
+// provides this). Eligibility is checked, not assumed: a batch whose lanes
+// cannot share the grid (a lane the recorded program does not match,
+// buffers, a missing record, differing breakpoint sets, invalid options,
+// an unknown node) returns
 // std::nullopt, and the caller evaluates the points with first_crossing.
 // Throws (like first_crossing) only for failures first_crossing would also
 // throw for, e.g. a lane that never crosses within the auto-extended

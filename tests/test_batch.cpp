@@ -775,7 +775,7 @@ TEST(BatchedCrossingStop, SingleCircuitSeedsAnEmptyRecord) {
   EXPECT_EQ(record.symbolic_factorizations, full_record.symbolic_factorizations);
   EXPECT_EQ(record.reuse_hits, 0u);
   ASSERT_TRUE(record.system_symbolic && record.dc_symbolic);
-  ASSERT_TRUE(record.system_pattern && record.dc_pattern);
+  ASSERT_TRUE(record.program);
 
   // The record replays: a second run and a batch factorize nothing in full.
   record.symbolic_factorizations = 0;
