@@ -65,7 +65,15 @@ LinearSystem make_linear_system(const sim::MnaAssembler& mna,
 // symbolic_factorizations counts the full G factorizations (zero-pivot
 // re-pivots included) of every generator handed this record, mismatching
 // ones too.
+//
+// `program` is the stamp program (sim/stamp_program.h) of the circuit that
+// seeded the record, for model builders that assemble many circuits of one
+// topology (repbus::build_stage_models): a circuit that matches() it is
+// assembled through it, a mismatching one compiles its own and leaves the
+// record untouched, as sim::SolverReuse does. Copies of a seeded record
+// share the immutable program read-only.
 struct ConductanceReuse {
+  sim::StampProgramPtr program;
   numeric::SparsePatternPtr pattern;
   std::shared_ptr<const numeric::RealSparseLu> symbolic;
   std::size_t reuse_hits = 0;

@@ -57,6 +57,12 @@ Side side_of(double v, double level) {
 
 }  // namespace
 
+double ResponseExtrema::excursion_outside(double level_a,
+                                          double level_b) const {
+  return std::max({0.0, std::min(level_a, level_b) - min_value,
+                   peak_value - std::max(level_a, level_b)});
+}
+
 AnalyticResponse::AnalyticResponse(double dc_offset) : dc_offset_(dc_offset) {}
 
 void AnalyticResponse::add_step(const PoleResidueModel& h, double delta,
@@ -630,23 +636,7 @@ std::optional<double> AnalyticResponse::first_crossing(double level,
   return crossing;
 }
 
-ResponseMetrics AnalyticResponse::measure(double drive_lo, double drive_hi,
-                                          bool want_rise) const {
-  ResponseMetrics metrics;
-  const double swing = drive_hi - drive_lo;
-  const int direction = swing > 0.0 ? +1 : -1;
-  if (swing != 0.0) {
-    metrics.delay_50 = first_crossing(drive_lo + 0.5 * swing, direction);
-    if (want_rise) {
-      const auto t10 = first_crossing(drive_lo + 0.1 * swing, direction);
-      if (t10) {
-        const auto t90 =
-            first_crossing(drive_lo + 0.9 * swing, direction, *t10);
-        if (t90) metrics.rise_10_90 = *t90 - *t10;
-      }
-    }
-  }
-
+ResponseExtrema AnalyticResponse::extrema() const {
   // Global extrema: scan the settled window, refine the best brackets (the
   // floor mirrors first_crossing's: Brent sharpens whatever the coarse scan
   // brackets, and peaks of a smooth exponential sum span many samples).
@@ -737,6 +727,7 @@ ResponseMetrics AnalyticResponse::measure(double drive_lo, double drive_hi,
   OBS_COUNTER_ADD("mor.scan_exact_fallbacks", exact);
   OBS_COUNTER_ADD("mor.extremum_settled_exits", settled_exit);
   OBS_COUNTER_ADD("mor.extremum_monotone_exits", monotone_exit);
+  OBS_COUNTER_ADD("mor.extremum_scans", 1);
   const auto refine = [&](std::size_t i, int sign, double coarse) {
     if (i == 0 || i == samples) return coarse;
     const double dt = horizon / static_cast<double>(samples);
@@ -745,13 +736,30 @@ ResponseMetrics AnalyticResponse::measure(double drive_lo, double drive_hi,
                                      static_cast<double>(i + 1) * dt, sign);
     return sign > 0 ? std::max(coarse, value(t)) : std::min(coarse, value(t));
   };
-  metrics.peak_value = refine(hi.i, +1, hi.v);
-  metrics.min_value = refine(lo.i, -1, lo.v);
+  return {refine(hi.i, +1, hi.v), refine(lo.i, -1, lo.v)};
+}
 
-  const double envelope_lo = std::min(drive_lo, drive_hi);
-  const double envelope_hi = std::max(drive_lo, drive_hi);
-  metrics.peak_noise = std::max(
-      {0.0, envelope_lo - metrics.min_value, metrics.peak_value - envelope_hi});
+ResponseMetrics AnalyticResponse::measure(double drive_lo, double drive_hi,
+                                          bool want_rise) const {
+  ResponseMetrics metrics;
+  const double swing = drive_hi - drive_lo;
+  const int direction = swing > 0.0 ? +1 : -1;
+  if (swing != 0.0) {
+    metrics.delay_50 = first_crossing(drive_lo + 0.5 * swing, direction);
+    if (want_rise) {
+      const auto t10 = first_crossing(drive_lo + 0.1 * swing, direction);
+      if (t10) {
+        const auto t90 =
+            first_crossing(drive_lo + 0.9 * swing, direction, *t10);
+        if (t90) metrics.rise_10_90 = *t90 - *t10;
+      }
+    }
+  }
+
+  const ResponseExtrema extremes = extrema();
+  metrics.peak_value = extremes.peak_value;
+  metrics.min_value = extremes.min_value;
+  metrics.peak_noise = extremes.excursion_outside(drive_lo, drive_hi);
   if (swing != 0.0) {
     const double past_final = direction > 0 ? metrics.peak_value - drive_hi
                                             : drive_hi - metrics.min_value;

@@ -27,12 +27,13 @@
 // bound) proves every later sample does too, the rest of that window cannot
 // bracket the level. Every window still runs, so a never-crossing search
 // (a quiet victim's glitch check) costs a few settled prefixes instead of
-// 1 + 4 + 16 + 64 horizons of samples. The extremum scan stops early on two
-// proofs: settled extrema (the running max and min lie strictly outside the
-// same tail bound around the final value) and a monotone tail (the slowest
-// pole is real and its derivative term outweighs every other term's bound,
-// by more than value()'s own rounding over one grid step), after which only
-// the last sample can still move one extremum.
+// 1 + 4 + 16 + 64 horizons of samples. The extremum scan (extrema(), which
+// measure() calls after its crossings) stops early on two proofs: settled
+// extrema (the running max and min lie strictly outside the same tail bound
+// around the final value) and a monotone tail (the slowest pole is real and
+// its derivative term outweighs every other term's bound, by more than
+// value()'s own rounding over one grid step), after which only the last
+// sample can still move one extremum.
 #pragma once
 
 #include <complex>
@@ -55,6 +56,15 @@ struct ResponseMetrics {
   double peak_noise = 0.0;  // excursion outside the drive envelope, volts
   double peak_value = 0.0;  // global max over the measured window
   double min_value = 0.0;   // global min over the measured window
+};
+
+// The refined global extrema of one response over its measured window.
+struct ResponseExtrema {
+  double peak_value = 0.0;  // global max
+  double min_value = 0.0;   // global min
+  // Excursion outside the envelope [min(a, b), max(a, b)], volts (>= 0):
+  // ResponseMetrics::peak_noise against the drive levels a and b.
+  double excursion_outside(double level_a, double level_b) const;
 };
 
 // A superposition of closed-form step/ramp responses: the victim waveform of
@@ -93,14 +103,18 @@ class AnalyticResponse {
   std::optional<double> first_crossing(double level, int direction = +1,
                                        double t_from = 0.0) const;
 
+  // The global max and min: the exact grid scan's over the default window,
+  // refined. The scan may stop before the horizon once a settled-extrema or
+  // monotone-tail proof shows no later sample can change them. Callers that
+  // need only the peaks (a quiet victim's noise) call this alone.
+  ResponseExtrema extrema() const;
+
   // All metrics against the drive envelope [drive_lo -> drive_hi]
-  // (drive_lo = initial drive level, drive_hi = final). delay_50/rise are
-  // absent when the envelope has no swing (a quiet victim). `want_rise`
-  // skips the two 10%/90% crossing scans for callers that only consume
-  // delay and peaks (the reduced-crosstalk hot path). peak_value and
-  // min_value are the exact grid scan's, refined; the scan may stop before
-  // the horizon once a settled-extrema or monotone-tail proof shows no later
-  // sample can change them.
+  // (drive_lo = initial drive level, drive_hi = final): the 50% (and 10% /
+  // 90%) first_crossing()s, extrema(), and the envelope arithmetic.
+  // delay_50/rise are absent when the envelope has no swing (a quiet
+  // victim). `want_rise` skips the two 10%/90% crossing scans for callers
+  // that only consume delay and peaks (the reduced-crosstalk hot path).
   ResponseMetrics measure(double drive_lo, double drive_hi,
                           bool want_rise = true) const;
 

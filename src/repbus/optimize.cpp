@@ -35,16 +35,18 @@ RepeaterBusSpec spec_of(const tline::CoupledBus& bus,
   return spec;
 }
 
-// The three pattern walks of one candidate over its (shared) stage models.
+// The three pattern walks of one candidate over its (shared) stage models:
+// the switching walks read only the delay, the quiet walk only the noise.
 BusDesignEval evaluate(const tline::CoupledBus& bus,
                        const core::MinBuffer& buffer,
                        const OptimizerOptions& options, const Candidate& c,
                        const StageModels& models) {
   const RepeaterBusSpec spec = spec_of(bus, buffer, options, c);
-  const ComposedChainMetrics same =
-      compose_bus_chain(spec, core::SwitchingPattern::kSamePhase, models);
+  const ComposedChainMetrics same = compose_bus_chain(
+      spec, core::SwitchingPattern::kSamePhase, models, /*want_noise=*/false);
   const ComposedChainMetrics opposite =
-      compose_bus_chain(spec, core::SwitchingPattern::kOppositePhase, models);
+      compose_bus_chain(spec, core::SwitchingPattern::kOppositePhase, models,
+                        /*want_noise=*/false);
   const ComposedChainMetrics quiet =
       compose_bus_chain(spec, core::SwitchingPattern::kQuietVictim, models);
 

@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "mor/response.h"
 #include "sim/builders.h"
 #include "sim/mna.h"
+#include "sim/stamp_program.h"
 
 namespace rlcsim::repbus {
 namespace {
@@ -60,7 +64,16 @@ StageModels build_stage_models(const RepeaterBusSpec& spec, int order,
   outputs.reserve(static_cast<std::size_t>(lines));
   for (int i = 0; i < lines; ++i)
     outputs.push_back("line" + std::to_string(i) + ".out");
-  const sim::MnaAssembler mna(circuit);
+  // Every section of one (k, shield) layout has the same topology, so the
+  // record's stamp program serves every h; a mismatch compiles its own.
+  sim::StampProgramPtr program;
+  if (reuse && reuse->program && reuse->program->matches(circuit)) {
+    program = reuse->program;
+  } else {
+    program = sim::StampProgram::compile(circuit);
+    if (reuse && !reuse->program) reuse->program = program;
+  }
+  const sim::MnaAssembler mna(std::move(program), circuit);
   const mor::LinearSystem linear = mor::make_linear_system(mna, outputs);
   const mor::MomentGenerator generator(linear, reuse);
 
@@ -140,6 +153,7 @@ struct ChainWalk {
   bool staggered = false;
   bool interleaved = false;
   bool victim_switches = false;
+  bool want_noise = true;  // run the victim's extremum scans
 };
 
 bool walk_is_signal(const ChainWalk& walk, int i) {
@@ -160,7 +174,7 @@ double walk_dc_at(const ChainWalk& walk, int i, int j) {
 // context (drive table, resolved buffer edge).
 ChainWalk make_chain_walk(const RepeaterBusSpec& spec,
                           core::SwitchingPattern pattern,
-                          const StageModels& models) {
+                          const StageModels& models, bool want_noise) {
   validate(spec);
   const int lines = spec.bus.lines;
   if (models.lines != lines || models.sections != spec.sections ||
@@ -179,6 +193,7 @@ ChainWalk make_chain_walk(const RepeaterBusSpec& spec,
   walk.drives =
       core::pattern_drives(lines, walk.victim, pattern, spec.shield_every);
   walk.victim_switches = pattern != core::SwitchingPattern::kQuietVictim;
+  walk.want_noise = want_noise;
   walk.victim_quiet_level =
       drive_levels(walk.drives[static_cast<std::size_t>(walk.victim)], walk.vdd)
           .pre;
@@ -235,24 +250,31 @@ ChainStageResult evaluate_chain_stage(const ChainWalk& walk,
     }
 
     if (i == victim) {
-      const mor::ResponseMetrics measured =
-          response.measure(dc0, response.final_value(), /*want_rise=*/false);
-      if (si.glitched) {
+      const double final_value = response.final_value();
+      if (walk.want_noise) {
         // A glitched victim is a full-swing net: report its excursion
         // against the ORIGINAL quiet level, exactly what the MNA receiver
-        // metric shows once the quiet-armed buffers have fired.
+        // metric shows once the quiet-armed buffers have fired. Otherwise
+        // the envelope is the stage's own drive levels (a quiet victim's
+        // dc0 -> final differ only by rounding of the aggressors' DC
+        // transfers).
         const double quiet = walk.victim_quiet_level;
-        result.victim_noise = std::max(
-            {0.0, measured.peak_value - quiet, quiet - measured.min_value});
-      } else {
-        result.victim_noise = measured.peak_noise;
+        const mor::ResponseExtrema extremes = response.extrema();
+        result.victim_noise =
+            si.glitched ? extremes.excursion_outside(quiet, quiet)
+                        : extremes.excursion_outside(dc0, final_value);
       }
       if (switching) {
-        if (!measured.delay_50)
+        const double swing = final_value - dc0;
+        const std::optional<double> t50 =
+            swing != 0.0 ? response.first_crossing(dc0 + 0.5 * swing,
+                                                   swing > 0.0 ? +1 : -1)
+                         : std::nullopt;
+        if (!t50)
           throw std::runtime_error(
               "compose_bus_chain: victim stage " + std::to_string(stage) +
               " never crossed 50% within the (auto-extended) window");
-        result.next_t[static_cast<std::size_t>(i)] = *measured.delay_50;
+        result.next_t[static_cast<std::size_t>(i)] = *t50;
       } else if (stage < spec.sections) {
         // The stage output feeds a quiet-armed repeater (bus_chain stamps
         // the same arming): coupled noise past its threshold in the armed
@@ -285,8 +307,9 @@ ChainStageResult evaluate_chain_stage(const ChainWalk& walk,
 
 ComposedChainMetrics compose_bus_chain(const RepeaterBusSpec& spec,
                                        core::SwitchingPattern pattern,
-                                       const StageModels& models) {
-  const ChainWalk walk = make_chain_walk(spec, pattern, models);
+                                       const StageModels& models,
+                                       bool want_noise) {
+  const ChainWalk walk = make_chain_walk(spec, pattern, models, want_noise);
   const int lines = spec.bus.lines;
   const std::size_t victim = static_cast<std::size_t>(walk.victim);
 
@@ -308,10 +331,12 @@ ComposedChainMetrics compose_bus_chain(const RepeaterBusSpec& spec,
   }
 
   ComposedChainMetrics metrics;
+  if (!want_noise) metrics.peak_noise = std::numeric_limits<double>::quiet_NaN();
   metrics.victim_fire_times.push_back(0.0);
   for (int stage = 1; stage <= spec.sections; ++stage) {
     const ChainStageResult result = evaluate_chain_stage(walk, state, stage);
-    metrics.peak_noise = std::max(metrics.peak_noise, result.victim_noise);
+    if (want_noise)
+      metrics.peak_noise = std::max(metrics.peak_noise, result.victim_noise);
     // Boundary `stage` fired: either the first quiet-armed firing, or the
     // full swing of an already-glitched victim arriving at the next
     // boundary.
@@ -358,9 +383,10 @@ ComposedChainMetrics compose_bus_chain(const RepeaterBusSpec& spec,
 
 ComposedChainMetrics compose_bus_chain(const RepeaterBusSpec& spec,
                                        core::SwitchingPattern pattern,
-                                       int order, mor::ConductanceReuse* reuse) {
+                                       int order, mor::ConductanceReuse* reuse,
+                                       bool want_noise) {
   return compose_bus_chain(spec, pattern,
-                           build_stage_models(spec, order, reuse));
+                           build_stage_models(spec, order, reuse), want_noise);
 }
 
 }  // namespace rlcsim::repbus

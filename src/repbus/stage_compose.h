@@ -34,7 +34,10 @@
 // The composed path is the optimizer's inner loop: one model build per
 // (h, k, shield layout), shared by every placement, plus three closed-form
 // walks per (h, k, placement) candidate — ~10-100x faster than one cascaded
-// transient (bench/repbus_frontier measures it).
+// transient (bench/repbus_frontier measures it). A walk scans only what its
+// caller reads: the same- and opposite-phase walks read the delay alone and
+// pass want_noise = false, so only the quiet walk runs the victim's
+// extremum scans (one per stage).
 #pragma once
 
 #include <optional>
@@ -83,7 +86,8 @@ struct ComposedChainMetrics {
   // for a switching victim (an interior glitch can fire a repeater; the
   // optimizer's noise cap must see it). For a QUIET victim the per-stage
   // and receiver views agree closely and cross-validate against
-  // simulate_bus_chain.
+  // simulate_bus_chain. NaN when the walk was composed with
+  // want_noise = false (never a plausible 0).
   double peak_noise = 0.0;
   // The victim's driver fire times per stage (diagnostics; fire_times[0] is
   // always 0, the external transition).
@@ -103,16 +107,21 @@ struct ComposedChainMetrics {
 
 // Composes the chain from prebuilt models (the hot path: the optimizer
 // reuses one StageModels across the same-/opposite-/quiet-pattern walks).
+// `want_noise` = false skips the victim's per-stage extremum scans for
+// callers that read only the delay: peak_noise is then NaN, and the fire
+// times, glitch fields and victim_delay_50 keep every bit of a full walk.
 // Throws std::invalid_argument on an invalid spec or on models built for a
 // different chain geometry (bus width, sections, or shield layout).
 ComposedChainMetrics compose_bus_chain(const RepeaterBusSpec& spec,
                                        core::SwitchingPattern pattern,
-                                       const StageModels& models);
+                                       const StageModels& models,
+                                       bool want_noise = true);
 
 // Convenience: build + compose in one call.
 ComposedChainMetrics compose_bus_chain(const RepeaterBusSpec& spec,
                                        core::SwitchingPattern pattern,
                                        int order,
-                                       mor::ConductanceReuse* reuse = nullptr);
+                                       mor::ConductanceReuse* reuse = nullptr,
+                                       bool want_noise = true);
 
 }  // namespace rlcsim::repbus

@@ -169,7 +169,8 @@ double evaluate_point(const Scenario& scenario, Analysis analysis,
       spec.segments_per_section = options.segments;
       spec.shield_every = x.shield_every;
       const repbus::ComposedChainMetrics m = repbus::compose_bus_chain(
-          spec, x.pattern, x.reduction_order, mor_reuse);
+          spec, x.pattern, x.reduction_order, mor_reuse,
+          /*want_noise=*/analysis == Analysis::kBusRepeaterNoise);
       return analysis == Analysis::kBusRepeaterNoise
                  ? m.peak_noise
                  : m.victim_delay_50.value_or(kNaN);

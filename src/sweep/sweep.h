@@ -147,7 +147,8 @@ enum class Analysis {
   kReducedNoise,     // reduced-order analytic peak victim noise, V
   kBusRepeaterDelay, // stage-composed repeater-bus victim delay at the
                      // scenario's (h, k, stagger_mode, shield_every) under
-                     // its pattern (repbus::compose_bus_chain; the engine's
+                     // its pattern (repbus::compose_bus_chain with
+                     // want_noise = false: no extremum scans; the engine's
                      // `segments` knob is ladder cells PER STAGE here);
                      // NaN for kQuietVictim
   kBusRepeaterNoise, // stage-composed worst per-stage victim noise, V

@@ -606,6 +606,11 @@ void expect_scans_match(const mor::AnalyticResponse& r, double max_omega,
   const mor::ResponseMetrics quiet = r.measure(lo, lo, false);
   EXPECT_TRUE(same_metrics(quiet, oracle_measure(r, max_omega, lo, lo)))
       << label;
+  // extrema() alone is measure()'s scan: the same refined peaks.
+  const mor::ResponseExtrema extremes = r.extrema();
+  EXPECT_TRUE(same_bits(extremes.peak_value, quiet.peak_value) &&
+              same_bits(extremes.min_value, quiet.min_value))
+      << label;
   std::vector<double> levels = std::move(extra_levels);
   for (double f : {0.1, 0.5, 0.9}) levels.push_back(lo + f * (hi - lo));
   // Tangent to the extrema: the scan decides on an exact tie with, and a

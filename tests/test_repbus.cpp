@@ -7,11 +7,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <map>
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "repbus/bus_chain.h"
 #include "repbus/optimize.h"
 #include "repbus/stage_compose.h"
@@ -472,6 +474,138 @@ TEST(BusOptimizer, SharedModelsMatchPerCandidateEvaluation) {
     for (std::size_t i = 0; i < reference.size(); ++i)
       EXPECT_TRUE(same_eval(result.evaluations[i], reference[i]))
           << "candidate " << i << ", " << threads << " threads";
+  }
+}
+
+TEST(BusOptimizer, ExtremumScansOnlyOnQuietWalks) {
+  // The switching walks read only the delay, so the whole call runs one
+  // extremum scan per stage of each candidate's quiet walk and none else.
+  if (!obs::metrics_enabled()) GTEST_SKIP() << "needs RLCSIM_METRICS on";
+  const tline::CoupledBus bus = tline::make_bus(5, kLine, 0.4, 0.25);
+  repbus::OptimizerOptions options;
+  options.sizes = {24.0, 32.0};
+  options.sections = {2, 3};
+  options.shield_options = {0, 2};
+  sweep::EngineOptions engine_options;
+  engine_options.threads = 1;
+  const sweep::SweepEngine engine(engine_options);
+  const auto read = [] {
+    return obs::counter_total("mor.extremum_scans").value_or(0);
+  };
+  const std::uint64_t before = read();
+  const auto result = repbus::optimize_bus_repeaters(bus, kBuf, options, engine);
+  const std::uint64_t scans = read() - before;
+  std::uint64_t quiet_stages = 0;
+  for (const repbus::BusDesignEval& eval : result.evaluations)
+    quiet_stages += static_cast<std::uint64_t>(eval.sections);
+  EXPECT_EQ(result.evaluations.size(), 24u);
+  EXPECT_EQ(scans, quiet_stages);
+}
+
+TEST(StageModels, RecordSharesOneStampProgram) {
+  // The first build seeds the record's stamp program; a build of another
+  // size (same section topology) through a copy assembles through it, and a
+  // different shield layout compiles its own without touching the record.
+  // Every model keeps the bits of a build without any record.
+  auto spec = spec_for(5, repbus::Placement::kUniform);
+  mor::ConductanceReuse record;
+  const repbus::StageModels seeded = repbus::build_stage_models(spec, 4, &record);
+  ASSERT_TRUE(record.program);
+  const sim::StampProgramPtr program = record.program;
+  spec.size = 24.0;
+  mor::ConductanceReuse copy = record;
+  const repbus::StageModels shared = repbus::build_stage_models(spec, 4, &copy);
+  EXPECT_EQ(copy.program, program);
+  spec.shield_every = 2;
+  const repbus::StageModels shielded = repbus::build_stage_models(spec, 4, &copy);
+  EXPECT_EQ(copy.program, program);
+  const auto same_models = [](const repbus::StageModels& a,
+                              const repbus::StageModels& b) {
+    if (a.dc != b.dc || !same_bits(a.pitch_estimate, b.pitch_estimate))
+      return false;
+    for (std::size_t i = 0; i < a.transfer.size(); ++i)
+      for (std::size_t j = 0; j < a.transfer[i].size(); ++j) {
+        const mor::PoleResidueModel& x = a.transfer[i][j];
+        const mor::PoleResidueModel& y = b.transfer[i][j];
+        if (x.poles != y.poles || x.residues != y.residues ||
+            !same_bits(x.dc_gain, y.dc_gain) || !same_bits(x.delay, y.delay))
+          return false;
+      }
+    return true;
+  };
+  EXPECT_TRUE(same_models(shielded, repbus::build_stage_models(spec, 4)));
+  spec.shield_every = 0;
+  EXPECT_TRUE(same_models(shared, repbus::build_stage_models(spec, 4)));
+  spec.size = 32.0;
+  EXPECT_TRUE(same_models(seeded, repbus::build_stage_models(spec, 4)));
+}
+
+// ---------------------------------------------------------------------------
+// Delay-only walks
+// ---------------------------------------------------------------------------
+
+// A delay-only walk (want_noise = false) skips the victim's extremum scans
+// and nothing else: every crossing, fire time and glitch field keeps the
+// bits of the full walk, and the unmeasured noise reads NaN.
+::testing::AssertionResult same_walk(const repbus::ComposedChainMetrics& full,
+                                     const repbus::ComposedChainMetrics& delay) {
+  const bool same_delay =
+      full.victim_delay_50.has_value() == delay.victim_delay_50.has_value() &&
+      (!full.victim_delay_50 ||
+       same_bits(*full.victim_delay_50, *delay.victim_delay_50));
+  const bool same_fire_times =
+      full.victim_fire_times.size() == delay.victim_fire_times.size() &&
+      std::equal(full.victim_fire_times.begin(), full.victim_fire_times.end(),
+                 delay.victim_fire_times.begin(),
+                 [](double a, double b) { return same_bits(a, b); });
+  if (!same_delay) return ::testing::AssertionFailure() << "victim_delay_50";
+  if (!same_fire_times) return ::testing::AssertionFailure() << "fire times";
+  if (full.glitch_fired != delay.glitch_fired ||
+      full.glitch_depth != delay.glitch_depth ||
+      full.glitch_boundaries != delay.glitch_boundaries)
+    return ::testing::AssertionFailure() << "glitch fields";
+  if (!std::isnan(delay.peak_noise) || std::isnan(full.peak_noise))
+    return ::testing::AssertionFailure()
+           << "peak_noise " << full.peak_noise << " / " << delay.peak_noise;
+  return ::testing::AssertionSuccess();
+}
+
+TEST(ComposeDelayOnly, MatchesFullWalkBits) {
+  const core::SwitchingPattern patterns[] = {
+      core::SwitchingPattern::kSamePhase, core::SwitchingPattern::kOppositePhase,
+      core::SwitchingPattern::kQuietVictim};
+  for (repbus::Placement placement :
+       {repbus::Placement::kUniform, repbus::Placement::kStaggered,
+        repbus::Placement::kInterleaved})
+    for (int shield_every : {0, 2}) {
+      auto spec = spec_for(5, placement);
+      spec.shield_every = shield_every;
+      const repbus::StageModels models = repbus::build_stage_models(spec, 4);
+      for (core::SwitchingPattern pattern : patterns)
+        EXPECT_TRUE(same_walk(repbus::compose_bus_chain(spec, pattern, models),
+                              repbus::compose_bus_chain(spec, pattern, models,
+                                                        /*want_noise=*/false)))
+            << repbus::placement_name(placement) << " shield " << shield_every
+            << " " << core::switching_pattern_name(pattern);
+    }
+  // A quiet bus whose armed repeaters fire on coupled noise (the glitch
+  // propagation case below): the glitch walk is a delay-only path too.
+  repbus::RepeaterBusSpec glitching;
+  glitching.bus = tline::make_bus(5, kLine, 3.0, 0.45);
+  glitching.sections = 4;
+  glitching.size = 16.0;
+  glitching.buffer = kBuf;
+  glitching.segments_per_section = 10;
+  glitching.buffer_rise = 1e-12;
+  const repbus::StageModels models = repbus::build_stage_models(glitching, 4);
+  for (core::SwitchingPattern pattern : patterns) {
+    const repbus::ComposedChainMetrics full =
+        repbus::compose_bus_chain(glitching, pattern, models);
+    if (pattern == core::SwitchingPattern::kQuietVictim)
+      EXPECT_TRUE(full.glitch_fired);
+    EXPECT_TRUE(same_walk(full, repbus::compose_bus_chain(glitching, pattern,
+                                                          models, false)))
+        << "glitching bus " << core::switching_pattern_name(pattern);
   }
 }
 

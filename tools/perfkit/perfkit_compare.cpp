@@ -172,6 +172,10 @@ const std::vector<BenchCatalog>& catalog() {
             Direction::kExact, 0.0, 0.0, true},
            {"inner_loop_speedup", "/inner_loop/speedup", Direction::kHigher,
             0.75, 0.0, true},
+           // Analytic-scan grid points the optimizer walks: a switching
+           // walk that scans extrema again (or any scan change) moves it.
+           {"mor.scan_samples", "/metrics/counters/mor.scan_samples",
+            Direction::kExact, 0.0, 0.0, true},
        }},
       {"graph_scaling",
        {
