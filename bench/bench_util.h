@@ -90,19 +90,25 @@ inline std::vector<std::size_t> parse_thread_list(const char* arg) {
 
 // One per-thread-count record of a scaling bench's JSON "runs" array. The
 // two determinism-gated benches (sweep_scaling, crosstalk_scaling) share
-// this format so their CI gates cannot drift apart.
+// this format so their CI gates cannot drift apart. It carries the sweep's
+// batched/scalar point split (SweepResult::batched_points/scalar_points), so
+// a baseline can gate the batch eligibility the bit-identical fallback
+// would otherwise hide.
 inline void scaling_run_json(std::size_t threads, double seconds,
                              double points_per_second, double speedup,
                              std::size_t symbolic_factorizations,
-                             std::size_t solver_reuse_hits, bool identical,
+                             std::size_t solver_reuse_hits,
+                             std::size_t batched_points,
+                             std::size_t scalar_points, bool identical,
                              bool last) {
   std::printf("    {\"threads\": %zu, \"seconds\": %.3f, "
               "\"points_per_second\": %.1f, \"speedup_vs_1\": %.2f, "
               "\"symbolic_factorizations\": %zu, \"solver_reuse_hits\": %zu, "
+              "\"batched_points\": %zu, \"scalar_points\": %zu, "
               "\"bit_identical_to_first\": %s}%s\n",
               threads, seconds, points_per_second, speedup,
-              symbolic_factorizations, solver_reuse_hits,
-              identical ? "true" : "false", last ? "" : ",");
+              symbolic_factorizations, solver_reuse_hits, batched_points,
+              scalar_points, identical ? "true" : "false", last ? "" : ",");
 }
 
 // One per-(lanes, threads) record of the batched-sweep bench's JSON "runs"

@@ -7,12 +7,16 @@
 // bus a K-segment coupled ladder on the sparse path, every thread replaying
 // ONE recorded symbolic factorization pair. Patterns are restricted to the
 // switching corners (same-/opposite-phase) so every grid value is a real
-// delay and the bit-identity comparison is exact. The sweep's delay points
-// stop stepping at the victim's 50% crossing, so the first thread count's
-// values are also compared byte for byte against per-point full-horizon
-// core::analyze_crosstalk runs (untimed). Emits one JSON document; the exit
-// status IS the check (0 iff every thread count produced the same bits and
-// they match analyze_crosstalk), so CI can gate on it directly.
+// delay and the bit-identity comparison is exact. The sweep steps its delay
+// points in lane tiles per horizon group and stops each at the victim's 50%
+// crossing, so the first thread count's values are also compared byte for
+// byte against per-point full-horizon core::analyze_crosstalk runs
+// (untimed). Each run prints its batched/scalar point split; the baseline
+// gates the 1-thread batched count exactly, so a tile eligibility
+// regression fails even though the fallback keeps every bit. Emits one JSON
+// document; the exit status IS the check (0 iff every thread count produced
+// the same bits and they match analyze_crosstalk), so CI can gate on it
+// directly.
 //
 // Usage: crosstalk_scaling [--fast] [--points N] [--threads a,b,c]
 //   --fast      64-point grid, thread counts 1,2 (CI smoke run)
@@ -139,7 +143,8 @@ int main(int argc, char** argv) {
     benchutil::scaling_run_json(
         thread_counts[t], result.elapsed_seconds, result.points_per_second,
         base_pps > 0.0 ? result.points_per_second / base_pps : 1.0,
-        result.symbolic_factorizations, result.solver_reuse_hits, identical,
+        result.symbolic_factorizations, result.solver_reuse_hits,
+        result.batched_points, result.scalar_points, identical,
         t + 1 == thread_counts.size());
   }
 

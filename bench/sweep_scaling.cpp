@@ -110,7 +110,8 @@ int main(int argc, char** argv) {
     benchutil::scaling_run_json(
         thread_counts[t], result.elapsed_seconds, result.points_per_second,
         base_pps > 0.0 ? result.points_per_second / base_pps : 1.0,
-        result.symbolic_factorizations, result.solver_reuse_hits, identical,
+        result.symbolic_factorizations, result.solver_reuse_hits,
+        result.batched_points, result.scalar_points, identical,
         t + 1 == thread_counts.size());
   }
 

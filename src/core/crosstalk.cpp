@@ -255,6 +255,37 @@ CrosstalkDelay analyze_crosstalk_delay(const tline::CoupledBus& bus,
                       reference);
 }
 
+std::optional<std::vector<CrosstalkDelay>> analyze_crosstalk_delays(
+    const std::vector<CrosstalkLane>& lanes) {
+  std::vector<sim::Circuit> circuits;
+  std::vector<std::optional<double>> references;
+  sim::TransientOptions transient;
+  std::string victim_node;
+  double level = 0.0;
+  for (const CrosstalkLane& lane : lanes) {
+    if (lane.pattern == SwitchingPattern::kQuietVictim) return std::nullopt;
+    PatternTransient run = pattern_transient(lane.bus, lane.pattern, lane.options);
+    if (circuits.empty()) {
+      transient = run.transient;
+      victim_node = run.victim_node;
+      level = 0.5 * lane.options.vdd;
+    } else if (run.transient.t_stop != transient.t_stop ||
+               run.transient.dt != transient.dt || run.victim_node != victim_node ||
+               0.5 * lane.options.vdd != level) {
+      return std::nullopt;
+    }
+    references.push_back(isolated_two_pole_delay(run.isolated));
+    circuits.push_back(std::move(run.circuit));
+  }
+  const std::optional<std::vector<double>> crossings = sim::run_batched_crossings(
+      circuits, victim_node, level, transient, "analyze_crosstalk");
+  if (!crossings) return std::nullopt;
+  std::vector<CrosstalkDelay> delays;
+  for (std::size_t k = 0; k < crossings->size(); ++k)
+    delays.push_back(delay_fields((*crossings)[k], references[k]));
+  return delays;
+}
+
 CrosstalkMetrics analyze_crosstalk_reduced(const tline::CoupledBus& bus,
                                            SwitchingPattern pattern,
                                            const CrosstalkOptions& options,

@@ -127,6 +127,26 @@ CrosstalkDelay analyze_crosstalk_delay(const tline::CoupledBus& bus,
                                        SwitchingPattern pattern,
                                        const CrosstalkOptions& options);
 
+// One lane of analyze_crosstalk_delays: the arguments of one
+// analyze_crosstalk_delay call.
+struct CrosstalkLane {
+  tline::CoupledBus bus;
+  SwitchingPattern pattern = SwitchingPattern::kOppositePhase;
+  CrosstalkOptions options;
+};
+
+// analyze_crosstalk_delay of every lane, bit for bit, from ONE
+// sim::run_batched_crossings over the lanes' pattern buses (4 or 8 lanes of
+// one topology), stepped with lanes[0].options.reuse, which must hold the
+// recorded stamp program and symbolic factorizations (a sweep's point-0
+// seeding). Returns std::nullopt when the lanes cannot share one step grid:
+// a quiet victim (no crossing to stop at), differing resolved (t_stop, dt),
+// victim nodes or 50% levels, or anything run_batched_crossings declines;
+// the caller then evaluates the lanes one by one. Throws what
+// analyze_crosstalk_delay throws for a lane's invalid bus or options.
+std::optional<std::vector<CrosstalkDelay>> analyze_crosstalk_delays(
+    const std::vector<CrosstalkLane>& lanes);
+
 // Reduced-order ANALYTIC variant of analyze_crosstalk: builds the identical
 // bus circuit, AWE-reduces every (victim, switching driver) transfer to
 // `order` poles over ONE sparse factorization of G (mor/), superposes the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <exception>
 #include <limits>
 #include <stdexcept>
 
@@ -81,18 +82,47 @@ tline::CoupledBus scenario_bus(const Scenario& scenario) {
                          x.lm_ratio);
 }
 
+// The step horizon of a crossing-stopped point: the explicit t_stop, else
+// the scenario's default horizon. A bus victim's isolated line is
+// scenario.system too (scenario_bus puts the scenario's line on every track),
+// so gate lines and bus victims share one rule. With the engine's one dt
+// (0 picks t_stop / 4000), the horizon fixes the point's step grid.
+double step_horizon(const Scenario& scenario, const EngineOptions& options) {
+  return options.t_stop > 0.0 ? options.t_stop
+                              : sim::default_transient_horizon(scenario.system);
+}
+
 double transient_delay_of(const Scenario& scenario, const EngineOptions& options,
                           sim::SolverReuse* reuse) {
   const sim::Circuit circuit =
       sim::build_gate_line_load(scenario.system, options.segments);
   sim::TransientOptions transient;
-  transient.t_stop = options.t_stop > 0.0
-                         ? options.t_stop
-                         : sim::default_transient_horizon(scenario.system);
+  transient.t_stop = step_horizon(scenario, options);
   transient.dt = options.dt;
   transient.reuse = reuse;
   return sim::first_crossing(circuit, "out", 0.5, transient,
                              "SweepEngine transient_delay");
+}
+
+core::CrosstalkOptions crosstalk_options(const Scenario& scenario,
+                                         const EngineOptions& options,
+                                         sim::SolverReuse* reuse) {
+  core::CrosstalkOptions xt;
+  xt.driver_resistance = scenario.system.driver_resistance;
+  xt.load_capacitance = scenario.system.load_capacitance;
+  xt.segments = options.segments;
+  xt.shield_every = scenario.xtalk.shield_every;
+  xt.t_stop = options.t_stop;
+  xt.dt = options.dt;
+  xt.reuse = reuse;
+  return xt;
+}
+
+// A crosstalk delay or push-out point's value. Quiet-victim delays are
+// absent, recorded as NaN (never 0).
+double crosstalk_value(Analysis analysis, const core::CrosstalkDelay& delay) {
+  return analysis == Analysis::kCrosstalkDelay ? delay.victim_delay_50.value_or(kNaN)
+                                               : delay.delay_pushout.value_or(kNaN);
 }
 
 double evaluate_point(const Scenario& scenario, Analysis analysis,
@@ -122,14 +152,7 @@ double evaluate_point(const Scenario& scenario, Analysis analysis,
     case Analysis::kReducedNoise: {
       const CrosstalkScenario& x = scenario.xtalk;
       const tline::CoupledBus bus = scenario_bus(scenario);
-      core::CrosstalkOptions xt;
-      xt.driver_resistance = scenario.system.driver_resistance;
-      xt.load_capacitance = scenario.system.load_capacitance;
-      xt.segments = options.segments;
-      xt.shield_every = x.shield_every;
-      xt.t_stop = options.t_stop;
-      xt.dt = options.dt;
-      xt.reuse = reuse;
+      const core::CrosstalkOptions xt = crosstalk_options(scenario, options, reuse);
       if (analysis == Analysis::kReducedDelay ||
           analysis == Analysis::kReducedNoise) {
         // A fresh per-point reduction over the shared symbolic G
@@ -144,11 +167,8 @@ double evaluate_point(const Scenario& scenario, Analysis analysis,
       // the victim's 50% crossing.
       if (analysis == Analysis::kCrosstalkNoise)
         return core::analyze_crosstalk(bus, x.pattern, xt).peak_noise;
-      const core::CrosstalkDelay d = core::analyze_crosstalk_delay(bus, x.pattern, xt);
-      // Quiet-victim delays are absent, recorded as NaN (never 0).
-      return analysis == Analysis::kCrosstalkDelay
-                 ? d.victim_delay_50.value_or(kNaN)
-                 : d.delay_pushout.value_or(kNaN);
+      return crosstalk_value(analysis,
+                             core::analyze_crosstalk_delay(bus, x.pattern, xt));
     }
     case Analysis::kBusRepeaterDelay:
     case Analysis::kBusRepeaterNoise: {
@@ -197,36 +217,142 @@ bool is_reduced_analysis(Analysis analysis) {
          analysis == Analysis::kBusRepeaterNoise;
 }
 
-// The eq. 9 delay of one grid point as a tile-ordering key. The key is a
-// schedule hint only: NaN when the model throws, so the point sorts last and
-// fails, if at all, in its own evaluation.
-double delay_key(const SweepSpec& spec, std::size_t flat,
+// Analyses whose MNA transient stops at a 50% crossing. Their points after
+// the seeded reference step in lane tiles.
+bool is_crossing_analysis(Analysis analysis) {
+  return analysis == Analysis::kTransientDelay ||
+         analysis == Analysis::kCrosstalkDelay ||
+         analysis == Analysis::kCrosstalkPushout;
+}
+
+// A point's eq. 9 delay as a tile-ordering key: the gate line's, or a bus
+// victim's with its coupling capacitance Miller-weighted (0 to neighbors
+// switching with it, 2 against it, 1 to a grounded shield). The key is a
+// schedule hint only: NaN for a quiet victim, which has no delay, and when
+// the model throws, so the point runs alone and fails, if at all, in its
+// own evaluation.
+double delay_key(const Scenario& scenario, Analysis analysis,
                  const core::DelayFitConstants& fit) {
   try {
-    return core::rlc_delay(spec.at(flat).system, fit);
+    tline::GateLineLoad victim = scenario.system;
+    if (analysis != Analysis::kTransientDelay) {
+      const CrosstalkScenario& x = scenario.xtalk;
+      if (x.pattern == core::SwitchingPattern::kQuietVictim) return kNaN;
+      const tline::CoupledBus bus = scenario_bus(scenario);
+      const int v = bus.victim_index();
+      const double miller = x.pattern == core::SwitchingPattern::kSamePhase ? 0.0 : 2.0;
+      for (int line = 0; line < bus.lines; ++line)
+        if (line != v)
+          victim.line.total_capacitance +=
+              (core::is_shield_line(line, v, x.shield_every) ? 1.0 : miller) *
+              bus.coupling_cc(v, line);
+    }
+    return core::rlc_delay(victim, fit);
   } catch (const std::exception&) {
     return kNaN;
   }
 }
 
-// Grid points first..size-1 in eq. 9 delay order, the grid index breaking
-// ties and NaN keys last. A batched tile stops at its last lane's crossing,
-// so tiles of similar delays waste no steps on their fast lanes.
-std::vector<std::size_t> delay_order(const SweepSpec& spec, std::size_t first,
-                                     const core::DelayFitConstants& fit) {
-  std::vector<double> key(spec.size(), kNaN);
+// How run() steps grid points first..size-1: `order` holds their grid
+// indices, and each unit is `width` consecutive entries of it, stepped as
+// one batch when width > 1 and point by point otherwise.
+struct Schedule {
+  struct Unit {
+    std::size_t begin = 0;
+    std::size_t width = 1;
+  };
   std::vector<std::size_t> order;
+  std::vector<Unit> units;
+};
+
+// At lane width 1 every point is its own unit, in grid order. Wider, the
+// points are grouped by step horizon (bit-equal t_stop: lanes of one batch
+// share one step grid) and each group is sorted by delay key, the grid index
+// breaking ties, since a batch stops at its last lane's crossing. A group
+// tiles at the lane width when it holds at least two tiles' worth of points,
+// else at 4. Its remainder is its fastest points, as a W = 4 batch while at
+// least 4 remain and then single points, so that whole tiles take the slow
+// end. A point without a finite horizon or key runs alone.
+Schedule schedule_points(const SweepSpec& spec, std::size_t first, Analysis analysis,
+                         const EngineOptions& options, std::size_t lane_width) {
+  struct Point {
+    std::size_t flat;
+    double t_stop, key;
+    bool alone() const { return !std::isfinite(t_stop) || !std::isfinite(key); }
+  };
+  std::vector<Point> points;
   for (std::size_t flat = first; flat < spec.size(); ++flat) {
-    key[flat] = delay_key(spec, flat, fit);
-    order.push_back(flat);
+    Point p{flat, kNaN, kNaN};
+    if (lane_width > 1) {
+      const Scenario scenario = spec.at(flat);
+      p.t_stop = step_horizon(scenario, options);
+      p.key = delay_key(scenario, analysis, options.fit);
+    }
+    points.push_back(p);
   }
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const bool a_nan = std::isnan(key[a]), b_nan = std::isnan(key[b]);
-    if (a_nan != b_nan) return b_nan;
-    if (!a_nan && key[a] != key[b]) return key[a] < key[b];
-    return a < b;
+  std::sort(points.begin(), points.end(), [](const Point& a, const Point& b) {
+    if (a.alone() || b.alone())
+      return a.alone() != b.alone() ? a.alone() : a.flat < b.flat;
+    if (a.t_stop != b.t_stop) return a.t_stop < b.t_stop;
+    if (a.key != b.key) return a.key < b.key;
+    return a.flat < b.flat;
   });
-  return order;
+
+  Schedule schedule;
+  for (const Point& p : points) schedule.order.push_back(p.flat);
+  std::size_t begin = 0;
+  for (; begin < points.size() && points[begin].alone(); ++begin)
+    schedule.units.push_back({begin, 1});
+  while (begin < points.size()) {
+    std::size_t end = begin;
+    while (end < points.size() && points[end].t_stop == points[begin].t_stop) ++end;
+    const std::size_t width = end - begin >= 2 * lane_width ? lane_width : 4;
+    std::size_t remainder = (end - begin) % width;
+    if (remainder >= 4) {
+      schedule.units.push_back({begin, 4});
+      begin += 4;
+      remainder -= 4;
+    }
+    for (; remainder > 0; --remainder) schedule.units.push_back({begin++, 1});
+    for (; begin < end; begin += width) schedule.units.push_back({begin, width});
+  }
+  return schedule;
+}
+
+// Steps the grid points `flats[0..width)`, which share one step horizon, as
+// one batch and writes their values. False when the batch declines; the
+// caller then evaluates them one by one.
+bool run_lanes(const SweepSpec& spec, const std::size_t* flats, std::size_t width,
+               Analysis analysis, const EngineOptions& options, sim::SolverReuse* reuse,
+               std::vector<double>& values) {
+  if (analysis == Analysis::kTransientDelay) {
+    std::vector<sim::Circuit> circuits;
+    circuits.reserve(width);
+    for (std::size_t k = 0; k < width; ++k)
+      circuits.push_back(
+          sim::build_gate_line_load(spec.at(flats[k]).system, options.segments));
+    sim::TransientOptions transient;
+    transient.t_stop = step_horizon(spec.at(flats[0]), options);
+    transient.dt = options.dt;
+    transient.reuse = reuse;
+    const auto crossings = sim::run_batched_crossings(
+        circuits, "out", 0.5, transient, "SweepEngine transient_delay");
+    if (!crossings) return false;
+    for (std::size_t k = 0; k < width; ++k) values[flats[k]] = (*crossings)[k];
+    return true;
+  }
+  std::vector<core::CrosstalkLane> lanes;
+  lanes.reserve(width);
+  for (std::size_t k = 0; k < width; ++k) {
+    const Scenario scenario = spec.at(flats[k]);
+    lanes.push_back({scenario_bus(scenario), scenario.xtalk.pattern,
+                     crosstalk_options(scenario, options, reuse)});
+  }
+  const auto delays = core::analyze_crosstalk_delays(lanes);
+  if (!delays) return false;
+  for (std::size_t k = 0; k < width; ++k)
+    values[flats[k]] = crosstalk_value(analysis, (*delays)[k]);
+  return true;
 }
 
 }  // namespace
@@ -491,76 +617,52 @@ SweepResult SweepEngine::run(const SweepSpec& spec, Analysis analysis) const {
 
   const EngineOptions& options = impl_->options;
 
-  // Scenario-batched tiling (kTransientDelay): hand workers tiles of
-  // `lane_width` compatible points and step each tile as ONE SIMD batch.
-  // Requires an explicit shared horizon — per-scenario default horizons
-  // preclude a shared step grid — and a seeded reference (first == 1).
-  // Tiles take the points in eq. 9 delay order and write each result back
-  // by grid index.
+  // Crossing-stopped analyses step their points in lane tiles (see
+  // schedule_points); every other analysis, and a lanes = 1 engine, steps
+  // them one by one. Each value is written back by grid index.
   std::size_t lane_width = 1;
-  if (analysis == Analysis::kTransientDelay && options.t_stop > 0.0) {
+  if (is_crossing_analysis(analysis)) {
     lane_width = options.lanes != 0 ? options.lanes : numeric::default_lane_width();
     if (!numeric::is_supported_lane_width(lane_width))
       throw std::invalid_argument(
           "SweepEngine: EngineOptions::lanes must be 1, 4, or 8");
   }
+  const Schedule schedule = schedule_points(spec, first, analysis, options, lane_width);
 
-  if (lane_width > 1) {
-    const std::vector<std::size_t> order = delay_order(spec, first, options.fit);
-    const std::size_t tiles = (order.size() + lane_width - 1) / lane_width;
-    impl_->pool.parallel_for(tiles, [&](std::size_t tile, std::size_t worker) {
+  // A failing point records its error, and a failing batch re-runs its
+  // points one by one so that each records its own: the first failing grid
+  // point's error is rethrown, whatever the schedule.
+  std::vector<std::exception_ptr> errors(n);
+  impl_->pool.parallel_for(schedule.units.size(), [&](std::size_t u, std::size_t worker) {
+    const Schedule::Unit& unit = schedule.units[u];
+    const std::size_t* flats = &schedule.order[unit.begin];
+    bool batched = false;
+    if (unit.width > 1) {
       OBS_SPAN("sweep.tile");
-      const std::size_t end = std::min(order.size(), (tile + 1) * lane_width);
-      // The short last tile (grid size not divisible by the lane width)
-      // steps a W = 4 batch while at least 4 points remain, then single
-      // points. A declined batch evaluates its points one by one. Every
-      // path stops at the crossing and gives the same bits.
-      for (std::size_t begin = tile * lane_width; begin < end;) {
-        const std::size_t left = end - begin;
-        const std::size_t width = left >= lane_width ? lane_width : left >= 4 ? 4 : 1;
-        bool batched = false;
-        if (width > 1) {
-          std::vector<sim::Circuit> circuits;
-          circuits.reserve(width);
-          for (std::size_t k = 0; k < width; ++k)
-            circuits.push_back(sim::build_gate_line_load(
-                spec.at(order[begin + k]).system, options.segments));
-          sim::TransientOptions transient;
-          transient.t_stop = options.t_stop;
-          transient.dt = options.dt;
-          transient.reuse = &reuse[worker];
-          const auto crossings = sim::run_batched_crossings(
-              circuits, "out", 0.5, transient, "SweepEngine transient_delay");
-          if (crossings) {
-            for (std::size_t k = 0; k < width; ++k)
-              out.values[order[begin + k]] = (*crossings)[k];
-            batched = true;
-          }
-        }
-        if (!batched) {
-          for (std::size_t k = 0; k < width; ++k)
-            out.values[order[begin + k]] =
-                evaluate_point(spec.at(order[begin + k]), analysis, options,
-                               &reuse[worker], &mor_reuse[worker]);
-        }
-        (batched ? batched_points : scalar_points).fetch_add(width);
-        begin += width;
+      try {
+        batched = run_lanes(spec, flats, unit.width, analysis, options, &reuse[worker],
+                            out.values);
+      } catch (...) {
+        batched = false;  // its points fail, each with its own error, below
       }
-    });
-    out.batched_points = batched_points.load();
-    out.scalar_points = scalar_points.load();
-    Impl::finalize(out, n, reuse, mor_reuse, started);
-    return out;
-  }
-
-  scalar_points += n - first;  // the non-tiled path is scalar point by point
-  impl_->pool.parallel_for(n - first, [&](std::size_t i, std::size_t worker) {
-    OBS_SPAN("sweep.point");
-    const std::size_t flat = i + first;
-    out.values[flat] = evaluate_point(spec.at(flat), analysis, options,
-                                      seeded ? &reuse[worker] : nullptr,
-                                      seeded ? &mor_reuse[worker] : nullptr);
+    }
+    if (!batched) {
+      for (std::size_t k = 0; k < unit.width; ++k) {
+        OBS_SPAN("sweep.point");
+        try {
+          out.values[flats[k]] =
+              evaluate_point(spec.at(flats[k]), analysis, options,
+                             seeded ? &reuse[worker] : nullptr,
+                             seeded ? &mor_reuse[worker] : nullptr);
+        } catch (...) {
+          errors[flats[k]] = std::current_exception();
+        }
+      }
+    }
+    (batched ? batched_points : scalar_points).fetch_add(unit.width);
   });
+  for (const std::exception_ptr& error : errors)
+    if (error) std::rethrow_exception(error);
 
   out.batched_points = batched_points.load();
   out.scalar_points = scalar_points.load();

@@ -162,20 +162,25 @@ struct EngineOptions {
   int segments = 60;
   double t_stop = 0.0;
   double dt = 0.0;
-  // Scenario-batched transient lanes (kTransientDelay sweeps): workers take
+  // Scenario-batched transient lanes for the crossing-stopped analyses
+  // (kTransientDelay, kCrosstalkDelay, kCrosstalkPushout): workers take
   // TILES of this many grid points and step them as one SIMD batch
-  // (sim/transient_batch.h) instead of point-by-point. 0 resolves through
+  // (sim/transient_batch.h) instead of point by point. 0 resolves through
   // numeric::default_lane_width() — the RLCSIM_LANES knob — and explicit
-  // values must be 1, 4, or 8. Batching engages only with an explicit
-  // t_stop > 0 (per-scenario default horizons preclude a shared step grid).
-  // Tiles take the points in eq. 9 delay order (core::rlc_delay, grid index
-  // breaking ties) and stop stepping at their last lane's 50% crossing, so
-  // grouping similar delays keeps fast lanes from waiting on slow ones. The
-  // non-divisible remainder (the slowest points) steps a W = 4 batch while
-  // at least 4 points remain, then single points; ineligible tiles run
-  // point by point. Every transient-delay point, batched or not, stops at
-  // its crossing (sim::first_crossing for single points). Results are
-  // bit-identical at every lane width and every thread count.
+  // values must be 1, 4, or 8. The points after the seeded reference are
+  // grouped by step grid: a bit-equal horizon, the explicit t_stop or each
+  // scenario's default. Each group is sorted by an eq. 9 delay key
+  // (core::rlc_delay; a bus victim's with its coupling capacitance
+  // Miller-weighted by the pattern; the grid index breaks ties), since a
+  // tile stops stepping at its last lane's 50% crossing. A group tiles at
+  // this width when it holds at least two tiles' worth of points, else at 4.
+  // Its remainder, its fastest points, steps a W = 4 batch while at least 4
+  // remain, then single points. A point without a key (a quiet victim, or a
+  // scenario the model rejects) runs alone, and a tile whose lanes cannot
+  // share a grid (e.g. a kBusLines axis mixing topologies) runs point by
+  // point. Every point, batched or not, stops at its crossing
+  // (sim::first_crossing for single points), and results are bit-identical
+  // at every lane width and every thread count.
   std::size_t lanes = 0;
   // AC bandwidth search window, Hz.
   double ac_f_lo = 1e6;
@@ -203,13 +208,14 @@ struct SweepResult {
   std::size_t ejected_lanes = 0;
   // Where each grid point was actually evaluated: batched when a W > 1
   // run_batched_crossings call stepped it, scalar otherwise (the seeded
-  // reference point, every point of a lanes = 1 or per-scenario-horizon
-  // sweep, the last 1-3 points of a remainder, and any tile the batcher
-  // declined). Always sums to values.size(). The accounting exists because
-  // the fallback is SILENT by design (bit-identical results) — an
-  // eligibility regression would erase the batched speedup with every test
-  // green; bench/sweep_batch gates a minimum batched fraction on these
-  // counters instead.
+  // reference point, every point of a lanes = 1 sweep or of a non-crossing
+  // analysis, the single points of a horizon group's remainder, quiet
+  // victims, and any tile the batcher declined). Always sums to
+  // values.size(). The accounting exists because the fallback is SILENT by
+  // design (bit-identical results) — an eligibility regression would erase
+  // the batched speedup with every test green; bench/sweep_batch gates a
+  // minimum batched fraction on these counters, and bench/crosstalk_scaling
+  // an exact batched count.
   std::size_t batched_points = 0;
   std::size_t scalar_points = 0;
   double elapsed_seconds = 0.0;

@@ -3,8 +3,10 @@
 // report "not in record" as ABSENT, never as a fabricated 0, and the
 // two-pole threshold query must fail loudly instead of handing the root
 // finder an unbracketed interval.
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <optional>
 #include <random>
 #include <stdexcept>
@@ -637,6 +639,160 @@ TEST(CrosstalkDelayOnly, SweepMatchesPerPointAnalyzeCrosstalk) {
     }
   }
   EXPECT_EQ(counts.symbolic_factorizations, 2u);
+}
+
+// Per-point analyze_crosstalk_delay values of a delay or push-out sweep,
+// seeded the way the sweep seeds: grid point 0 records the symbolic
+// factorizations, and every later point replays a copy of that record.
+std::vector<double> per_point_delay_values(const sweep::SweepSpec& spec,
+                                           sweep::Analysis analysis,
+                                           const sweep::EngineOptions& options) {
+  sim::SolverReuse recorded;
+  std::vector<double> values;
+  for (std::size_t flat = 0; flat < spec.size(); ++flat) {
+    const sweep::Scenario s = spec.at(flat);
+    sim::SolverReuse copy = recorded;
+    core::CrosstalkOptions opt;
+    opt.driver_resistance = s.system.driver_resistance;
+    opt.load_capacitance = s.system.load_capacitance;
+    opt.segments = options.segments;
+    opt.shield_every = s.xtalk.shield_every;
+    opt.t_stop = options.t_stop;
+    opt.dt = options.dt;
+    opt.reuse = flat == 0 ? &recorded : &copy;
+    const core::CrosstalkDelay d = core::analyze_crosstalk_delay(
+        tline::make_bus(s.xtalk.bus_lines, s.system.line, s.xtalk.cc_ratio,
+                        s.xtalk.lm_ratio),
+        s.xtalk.pattern, opt);
+    const std::optional<double>& field = analysis == sweep::Analysis::kCrosstalkDelay
+                                             ? d.victim_delay_50
+                                             : d.delay_pushout;
+    values.push_back(field.value_or(std::nan("")));
+  }
+  return values;
+}
+
+// Runs delay and push-out sweeps at lanes {1, 4, 8} x threads {1, 3},
+// memcmps every point against per_point_delay_values and checks the exact
+// number of batched points at lanes 4 and 8.
+void expect_tiled_sweeps_match(const sweep::SweepSpec& spec, sweep::EngineOptions options,
+                               std::size_t batched, const std::string& what) {
+  for (const auto analysis :
+       {sweep::Analysis::kCrosstalkDelay, sweep::Analysis::kCrosstalkPushout}) {
+    const std::vector<double> expected = per_point_delay_values(spec, analysis, options);
+    for (const std::size_t lanes : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+        options.lanes = lanes;
+        options.threads = threads;
+        const sweep::SweepResult result = sweep::SweepEngine(options).run(spec, analysis);
+        const std::string at = what + ", " + sweep::analysis_name(analysis) + ", " +
+                               std::to_string(lanes) + " lanes, " +
+                               std::to_string(threads) + " threads";
+        ASSERT_EQ(result.values.size(), expected.size()) << at;
+        for (std::size_t i = 0; i < expected.size(); ++i)
+          EXPECT_EQ(std::memcmp(&expected[i], &result.values[i], sizeof(double)), 0)
+              << at << ", point " << i;
+        EXPECT_EQ(result.batched_points, lanes == 1 ? 0 : batched) << at;
+        EXPECT_EQ(result.scalar_points, spec.size() - result.batched_points) << at;
+        EXPECT_EQ(result.ejected_lanes, 0u) << at;
+      }
+    }
+  }
+}
+
+TEST(CrosstalkDelayLanes, MatchOneByOneAndDeclineWhatCannotShareAGrid) {
+  // The record a sweep's grid point 0 leaves: the lanes replay it.
+  sim::SolverReuse recorded;
+  auto seed_opt = options_for(8);
+  seed_opt.reuse = &recorded;
+  core::analyze_crosstalk_delay(tline::make_bus(3, kLine, 0.2, 0.2),
+                                core::SwitchingPattern::kQuietVictim, seed_opt);
+
+  std::vector<core::CrosstalkLane> lanes;
+  for (const double cc : {0.2, 0.5})
+    for (const auto pattern :
+         {core::SwitchingPattern::kSamePhase, core::SwitchingPattern::kOppositePhase}) {
+      auto opt = options_for(8);
+      opt.reuse = &recorded;
+      lanes.push_back({tline::make_bus(3, kLine, cc, 0.2), pattern, opt});
+    }
+  const auto batched = core::analyze_crosstalk_delays(lanes);
+  ASSERT_TRUE(batched);
+  ASSERT_EQ(batched->size(), lanes.size());
+  for (std::size_t k = 0; k < lanes.size(); ++k) {
+    sim::SolverReuse copy = recorded;
+    core::CrosstalkOptions opt = lanes[k].options;
+    opt.reuse = &copy;
+    expect_same_delay(core::analyze_crosstalk_delay(lanes[k].bus, lanes[k].pattern, opt),
+                      (*batched)[k], "lane " + std::to_string(k));
+  }
+
+  // Lanes that cannot share one step grid decline.
+  const auto declines = [&](const std::function<void(core::CrosstalkLane&)>& change) {
+    std::vector<core::CrosstalkLane> changed = lanes;
+    change(changed[2]);
+    return !core::analyze_crosstalk_delays(changed).has_value();
+  };
+  EXPECT_TRUE(declines([](auto& lane) { lane.pattern = core::SwitchingPattern::kQuietVictim; }));
+  EXPECT_TRUE(declines([](auto& lane) { lane.options.driver_resistance *= 2.0; }));
+  EXPECT_TRUE(declines([](auto& lane) { lane.options.dt = 1e-13; }));
+  EXPECT_TRUE(declines([](auto& lane) { lane.options.vdd = 2.0; }));
+  EXPECT_TRUE(declines([](auto& lane) { lane.bus = tline::make_bus(5, kLine, 0.2, 0.2); }));
+  EXPECT_TRUE(declines([](auto& lane) { lane.options.segments = 6; }));
+}
+
+TEST(CrosstalkSweepTiles, HorizonGroupsTileWithTheSweepsBits) {
+  // 30 points: grid point 0 and 9 more are quiet victims, which run alone.
+  // The two driver resistances give two horizon groups of 10 switching
+  // points. A group smaller than two 8-lane tiles tiles at 4, so lanes 4
+  // and 8 both batch 2 tiles per group and run its 2 fastest points alone.
+  sweep::SweepSpec spec;
+  spec.base.system = {kRdrv, kLine, kCload};
+  spec.base.xtalk.bus_lines = 3;
+  spec.base.xtalk.lm_ratio = 0.2;
+  spec.axes = {
+      sweep::switching_patterns({core::SwitchingPattern::kQuietVictim,
+                                 core::SwitchingPattern::kSamePhase,
+                                 core::SwitchingPattern::kOppositePhase}),
+      sweep::values(sweep::Variable::kCouplingCapRatio, {0.2, 0.4, 0.6, 0.8, 1.0}),
+      sweep::values(sweep::Variable::kDriverResistance, {50.0, 200.0}),
+  };
+  sweep::EngineOptions options;
+  options.segments = 8;
+  expect_tiled_sweeps_match(spec, options, 16, "per-scenario horizons");
+
+  // One explicit horizon between the fastest and the slowest delay: the 20
+  // switching points form one group (lanes 8 batch a 4-lane remainder and
+  // two 8-lane tiles), and each lane that misses the shared window
+  // continues alone from attempt 1.
+  std::vector<double> delays;
+  for (double v : per_point_delay_values(spec, sweep::Analysis::kCrosstalkDelay, options))
+    if (!std::isnan(v)) delays.push_back(v);
+  std::sort(delays.begin(), delays.end());
+  ASSERT_EQ(delays.size(), 20u);
+  options.t_stop = delays[10];
+  options.dt = options.t_stop / 400.0;
+  expect_tiled_sweeps_match(spec, options, 20, "shared horizon");
+  EXPECT_LT(delays.front(), options.t_stop);
+  EXPECT_GT(delays.back(), options.t_stop);
+}
+
+TEST(CrosstalkSweepTiles, BusWidthAxisTilesDecline) {
+  // A 3- and a 5-line bus of one scenario share a delay key, so every tile
+  // mixes the two topologies and declines: its points run one by one, the
+  // 5-line ones without the recorded symbolics.
+  sweep::SweepSpec spec;
+  spec.base.system = {kRdrv, kLine, kCload};
+  spec.base.xtalk.lm_ratio = 0.2;
+  spec.axes = {
+      sweep::switching_patterns({core::SwitchingPattern::kSamePhase,
+                                 core::SwitchingPattern::kOppositePhase}),
+      sweep::values(sweep::Variable::kCouplingCapRatio, {0.3, 0.6}),
+      sweep::values(sweep::Variable::kBusLines, {3.0, 5.0}),
+  };
+  sweep::EngineOptions options;
+  options.segments = 6;
+  expect_tiled_sweeps_match(spec, options, 0, "bus_lines axis");
 }
 
 // ---------------------------------------------------------------------------

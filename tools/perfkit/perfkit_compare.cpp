@@ -124,6 +124,10 @@ const std::vector<BenchCatalog>& catalog() {
             0.0, true},
            {"solver_reuse_hits@t1", "/runs/threads=1/solver_reuse_hits",
             Direction::kExact, 0.0, 0.0, true},
+           // Points stepped in lane tiles: the bit-identical scalar
+           // fallback hides a tile eligibility regression from the memcmps.
+           {"batched_points@t1", "/runs/threads=1/batched_points",
+            Direction::kExact, 0.0, 0.0, true},
            {"sweep.runs", "/metrics/counters/sweep.runs", Direction::kExact,
             0.0, 0.0, true},
            {"points_per_second@t1", "/runs/threads=1/points_per_second",
